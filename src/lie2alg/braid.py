@@ -8,13 +8,12 @@ tensor powers use the flat lexicographic indexing of exactlin.kron.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .cohomology import LieAlgebra
-from .exactlin import RMatrix, kron, vadd, vsub
+from .exactlin import RMatrix, kron, vsub, vunit
 from .lie2 import SemistrictLie2Algebra, bracket_morphisms
-from .linfty import check_axioms
-from .report import CheckReport
+from .linfty import antisymmetry_violations, check_axioms
+from .report import CheckReport, CheckResult, first_violation, grid_violations
 from .twovect import (CellId, CellLeaf, CellTensor, CellVert, CellWhiskerL,
                       CellWhiskerR, LinearFunctor, LinearNatTrans, Morphism,
                       TwoVectorSpace, check_nat_trans, compose_functors,
@@ -34,12 +33,10 @@ def build_B_vect(g: LieAlgebra) -> YBOperator:
     Requires an antisymmetric bracket; the Jacobi identity is not
     assumed (the Yang-Baxter check detects exactly its failure).
     """
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            if any(x != 0 for x in vadd(g.bracket[i][j], g.bracket[j][i])):
-                raise ValueError(f"bracket is not antisymmetric at ({i}, {j})")
-    dim = 1 + n
+    asym = antisymmetry_violations(g.bracket)
+    if asym:
+        raise ValueError(f"bracket is not antisymmetric at {asym[0][0]}")
+    dim = 1 + g.dim
     b = RMatrix.zeros(dim * dim, dim * dim)
     for i in range(dim):
         for j in range(dim):
@@ -68,16 +65,7 @@ def check_ybe(op: YBOperator) -> CheckReport:
     """Entry-wise comparison of both Yang-Baxter composites."""
     rep = CheckReport("yang_baxter")
     lhs, rhs = yang_baxter_sides(op)
-    resid = lhs - rhs
-    bad = []
-    for i, row in enumerate(resid.data):
-        for j, x in enumerate(row):
-            if x:
-                bad.append(((i, j), x))
-                break
-        if bad:
-            break
-    rep.add("yang_baxter_equation", bad)
+    rep.add("yang_baxter_equation", grid_violations(lhs - rhs)[:1])
     return rep
 
 
@@ -93,6 +81,7 @@ class TetraY:
     yb_target: LinearFunctor        # (1 ox B)(B ox 1)(1 ox B)
     y: LinearNatTrans
     hypotheses: CheckReport
+    condition_i: CheckResult        # axiom (i), which the tetrahedron equation detects
 
 
 def _embed_obj(L: SemistrictLie2Algebra, idx: int) -> list | None:
@@ -105,7 +94,7 @@ def _morphism_of_slot(L: SemistrictLie2Algebra, idx: int) -> Morphism | None:
     """The L-part of the idx-th morphism basis vector of k + L."""
     if idx == 0:
         return None
-    return Morphism(L.space, [1 if p == idx - 1 else 0 for p in range(L.space.dim1)])
+    return Morphism(L.space, vunit(L.space.dim1, idx - 1))
 
 
 def build_braid_functor(L: SemistrictLie2Algebra, lp: TwoVectorSpace) -> LinearFunctor:
@@ -146,11 +135,9 @@ def build_Y(L: SemistrictLie2Algebra) -> TetraY:
     object u is the identity plus the Jacobiator's arrow at the
     projection of u, injected on the (ground, ground, L) line."""
     v = L.data
-    hypotheses = CheckReport("tetrahedron_hypotheses")
     ax = check_axioms(v)
-    for c in ax.checks:
-        if c.name != "i_jacobiator_coherence":
-            hypotheses.checks.append(c)
+    hypotheses = CheckReport("tetrahedron_hypotheses",
+                             [c for c in ax.checks if c.name != "i_jacobiator_coherence"])
 
     lp = direct_sum(ground_field(), L.space).space
     braid = build_braid_functor(L, lp)
@@ -180,7 +167,8 @@ def build_Y(L: SemistrictLie2Algebra) -> TetraY:
                 theta.data[r][col] = x
     y = LinearNatTrans(yb_source, yb_target, theta)
     hypotheses.extend(check_nat_trans(y), prefix="y_")
-    return TetraY(L, lp, braid, yb_source, yb_target, y, hypotheses)
+    return TetraY(L, lp, braid, yb_source, yb_target, y, hypotheses,
+                  ax.result("i_jacobiator_coherence"))
 
 
 def tetrahedron_sides(ty: TetraY):
@@ -229,33 +217,9 @@ def check_zamolodchikov(ty: TetraY) -> CheckReport:
                    and lhs.to_functor == rhs.to_functor)
             else [((), "source/target functors differ")])
     d0 = ty.space.dim0
-    bad = []
-    for col in range(d0 ** 4):
-        lcol = lhs.theta.col(col)
-        rcol = rhs.theta.col(col)
-        if lcol != rcol:
-            obj = (col // d0 ** 3, (col // d0 ** 2) % d0, (col // d0) % d0, col % d0)
-            bad.append((obj, vsub(lcol, rcol)))
-            break
-    rep.add("component_equality", bad)
+    rep.add("component_equality", first_violation(
+        ((col // d0 ** 3, (col // d0 ** 2) % d0, (col // d0) % d0, col % d0),
+         vsub(lhs.theta.col(col), rhs.theta.col(col)))
+        for col in range(d0 ** 4)))
     return rep
 
-
-def jacobi_sweep(g: LieAlgebra) -> CheckReport:
-    """Direct Jacobi check on all basis triples: the independent oracle
-    for the Yang-Baxter bi-implication."""
-    rep = CheckReport("jacobi_sweep")
-    bad = []
-    n = g.dim
-    for (i, j, k) in product(range(n), repeat=3):
-        ei = [1 if p == i else 0 for p in range(n)]
-        ej = [1 if p == j else 0 for p in range(n)]
-        ek = [1 if p == k else 0 for p in range(n)]
-        r = vadd(vadd(g.bracket_vec(g.bracket[i][j], ek),
-                      g.bracket_vec(g.bracket[j][k], ei)),
-                 g.bracket_vec(g.bracket[k][i], ej))
-        if any(x != 0 for x in r):
-            bad.append(((i, j, k), r))
-            break
-    rep.add("jacobi", bad)
-    return rep

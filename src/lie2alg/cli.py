@@ -18,7 +18,7 @@ from importlib import resources
 from . import braid, cohomology, lie2, linfty, twoterm
 from .exactlin import DimensionMismatch, rat_str, rational
 from .report import CheckReport
-from .serialize import FixtureError, load_json_file
+from .serialize import FixtureError, load_json_file, need
 
 
 @dataclass
@@ -89,42 +89,30 @@ def _load_rep(g, path: str | None) -> cohomology.Representation:
     return cohomology.rep_from_json(g, load_json_file(path))
 
 
-def _missing(path: str, fieldname: str):
-    raise FixtureError(f"missing field '{fieldname}' in {path}")
-
-
 def _load_cochain(path: str):
     obj = load_json_file(path)
-    if "algebra" not in obj:
-        _missing(path, "algebra")
-    g = cohomology.algebra_from_json(obj["algebra"])
+    g = cohomology.algebra_from_json(need(obj, "algebra"))
     rep = (cohomology.rep_from_json(g, obj["rep"]) if "rep" in obj
            else cohomology.trivial_rep(g, 1))
     return cohomology.cochain_from_json(rep, obj)
 
 
-def _field(obj: dict, name: str, path: str):
-    if name not in obj:
-        _missing(path, name)
-    return obj[name]
-
-
 def _load_hom(path: str) -> linfty.LInfHom:
     obj = load_json_file(path)
-    src = linfty.linf_from_json(_field(obj, "source", path))
-    dst = linfty.linf_from_json(_field(obj, "target", path))
-    return _hom_fields(src, dst, obj, path)
+    src = linfty.linf_from_json(need(obj, "source"))
+    dst = linfty.linf_from_json(need(obj, "target"))
+    return _hom_fields(src, dst, obj)
 
 
-def _hom_fields(src, dst, obj, path) -> linfty.LInfHom:
+def _hom_fields(src, dst, obj) -> linfty.LInfHom:
     from .exactlin import mat_from_json
     from .serialize import tensor_from_json
     try:
-        phi0 = mat_from_json(_field(obj, "phi0", path), rows=dst.dim0, cols=src.dim0)
-        phi1 = mat_from_json(_field(obj, "phi1", path), rows=dst.dim1, cols=src.dim1)
+        phi0 = mat_from_json(need(obj, "phi0"), rows=dst.dim0, cols=src.dim0)
+        phi1 = mat_from_json(need(obj, "phi1"), rows=dst.dim1, cols=src.dim1)
     except (ValueError, DimensionMismatch) as exc:
         raise FixtureError(f"field 'phi0'/'phi1': {exc}") from None
-    phi2 = tensor_from_json(_field(obj, "phi2", path),
+    phi2 = tensor_from_json(need(obj, "phi2"),
                             (src.dim0, src.dim0, dst.dim1), "phi2")
     chain = twoterm.ChainMap(src.complex, dst.complex, phi0, phi1)
     return linfty.LInfHom(src, dst, chain, phi2)
@@ -142,13 +130,12 @@ def cmd_check_hom(args, rep: Report) -> None:
 def cmd_check_2hom(args, rep: Report) -> None:
     from .exactlin import mat_from_json
     obj = load_json_file(args.file)
-    src = linfty.linf_from_json(_field(obj, "source", args.file))
-    dst = linfty.linf_from_json(_field(obj, "target", args.file))
-    f = _hom_fields(src, dst, _field(obj, "from", args.file), args.file)
-    g = _hom_fields(src, dst, _field(obj, "to", args.file), args.file)
+    src = linfty.linf_from_json(need(obj, "source"))
+    dst = linfty.linf_from_json(need(obj, "target"))
+    f = _hom_fields(src, dst, need(obj, "from"))
+    g = _hom_fields(src, dst, need(obj, "to"))
     try:
-        tau = mat_from_json(_field(obj, "tau", args.file),
-                            rows=dst.dim1, cols=src.dim0)
+        tau = mat_from_json(need(obj, "tau"), rows=dst.dim1, cols=src.dim0)
     except (ValueError, DimensionMismatch) as exc:
         raise FixtureError(f"field 'tau': {exc}") from None
     hom2 = linfty.LInfTwoHom(f, g, twoterm.ChainHomotopy(f.chain, g.chain, tau))
@@ -245,7 +232,7 @@ def cmd_tetrahedron(args, rep: Report) -> None:
     rep.reports.append(ty.hypotheses)
     zam = braid.check_zamolodchikov(ty)
     rep.reports.append(zam)
-    cond_i = linfty.check_axioms(v).result("i_jacobiator_coherence")
+    cond_i = ty.condition_i
     agree = CheckReport("tetrahedron_vs_condition_i")
     agree.add("agreement", [] if zam.passed == cond_i.passed else [((), "disagreement")])
     rep.reports.append(agree)

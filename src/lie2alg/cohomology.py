@@ -9,14 +9,14 @@ arbitrary tuple inserts the permutation sign and vanishes on repeats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
-from .exactlin import (DimensionMismatch, RMatrix, mat_from_json, mat_to_json,
-                       rank_kernel, solve_linear, vadd, vneg, vscale, vsub, vzeros)
+from .exactlin import (DimensionMismatch, RMatrix, contract, mat_from_json, mat_to_json,
+                       rank_kernel, solve_linear, vadd, vneg, vscale, vsub, vunit, vzeros)
 from .lie2 import SemistrictLie2Algebra, from_linfty
-from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, check_axioms,
-                     perm_sign, zero_l3)
-from .report import CheckReport
+from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
+                     check_axioms, jacobi_violations, perm_sign, zero_l3)
+from .report import CheckReport, first_violation
 from .serialize import FixtureError, as_count, need, tensor_from_json, tensor_to_json
 from .twoterm import ChainMap, TwoTermComplex, skeletalize_complex
 
@@ -30,13 +30,7 @@ class LieAlgebra:
         _check_tensor_shape(self.bracket, (self.dim,) * 3, "bracket")
 
     def bracket_vec(self, u: list, v: list) -> list:
-        out = vzeros(self.dim)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    if vj:
-                        out = vadd(out, vscale(ui * vj, self.bracket[i][j]))
-        return out
+        return contract(self.bracket, self.dim, u, v)
 
     def ad(self, i: int) -> RMatrix:
         """Matrix of ad(e_i): columns are [e_i, e_j]."""
@@ -46,34 +40,8 @@ class LieAlgebra:
 
 def check_lie_algebra(g: LieAlgebra) -> CheckReport:
     rep = CheckReport("lie_algebra")
-    bad = []
-    for i in range(g.dim):
-        for j in range(g.dim):
-            r = vadd(g.bracket[i][j], g.bracket[j][i])
-            if any(x != 0 for x in r):
-                bad.append(((i, j), r))
-                break
-        if bad:
-            break
-    rep.add("antisymmetry", bad)
-    bad = []
-    for i in range(g.dim):
-        for j in range(g.dim):
-            for k in range(g.dim):
-                ek = [1 if p == k else 0 for p in range(g.dim)]
-                ei = [1 if p == i else 0 for p in range(g.dim)]
-                ej = [1 if p == j else 0 for p in range(g.dim)]
-                r = vadd(vadd(g.bracket_vec(g.bracket[i][j], ek),
-                              g.bracket_vec(g.bracket[j][k], ei)),
-                         g.bracket_vec(g.bracket[k][i], ej))
-                if any(x != 0 for x in r):
-                    bad.append(((i, j, k), r))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("jacobi", bad)
+    rep.add("antisymmetry", antisymmetry_violations(g.bracket))
+    rep.add("jacobi", jacobi_violations(g.bracket))
     return rep
 
 
@@ -90,31 +58,19 @@ class Representation:
             if (m.rows, m.cols) != (self.dimV, self.dimV):
                 raise DimensionMismatch("rho matrices must be dimV x dimV")
 
-    def act(self, u: list, w: list) -> list:
-        out = vzeros(self.dimV)
-        for i, ui in enumerate(u):
-            if ui:
-                out = vadd(out, vscale(ui, self.rho[i].matvec(w)))
-        return out
-
 
 def check_representation(rep_: Representation) -> CheckReport:
     rep = CheckReport("representation")
     rep.extend(check_lie_algebra(rep_.algebra), prefix="algebra_")
-    g = rep_.algebra
-    bad = []
-    for i in range(g.dim):
-        for j in range(g.dim):
-            lhs = sum((rep_.rho[k].scale(c) for k, c in enumerate(g.bracket[i][j]) if c),
+    g, rho = rep_.algebra, rep_.rho
+
+    def residuals():
+        for i, j in product(range(g.dim), repeat=2):
+            lhs = sum((rho[k].scale(c) for k, c in enumerate(g.bracket[i][j]) if c),
                       RMatrix.zeros(rep_.dimV, rep_.dimV))
-            rhs = rep_.rho[i] @ rep_.rho[j] - rep_.rho[j] @ rep_.rho[i]
-            resid = lhs - rhs
-            if not resid.is_zero():
-                bad.append(((i, j), [x for row in resid.data for x in row if x][:4]))
-                break
-        if bad:
-            break
-    rep.add("bracket_to_commutator", bad)
+            resid = lhs - (rho[i] @ rho[j] - rho[j] @ rho[i])
+            yield (i, j), [x for row in resid.data for x in row if x][:4]
+    rep.add("bracket_to_commutator", first_violation(residuals()))
     return rep
 
 
@@ -154,27 +110,6 @@ class Cochain:
         sign = perm_sign(order)
         base = self.value(tuple(sorted(indices)))
         return vscale(sign, base)
-
-    def evaluate_vecs(self, vecs: list) -> list:
-        """Multilinear extension to arbitrary vectors."""
-        out = vzeros(self.rep.dimV)
-        dim = self.rep.algebra.dim
-        idx = [0] * len(vecs)
-
-        def rec(slot: int, coeff, chosen: tuple):
-            nonlocal out
-            if not coeff:
-                return
-            if slot == len(vecs):
-                out = vadd(out, vscale(coeff, self.evaluate(chosen)))
-                return
-            for i in range(dim):
-                c = vecs[slot][i]
-                if c:
-                    rec(slot + 1, coeff * c, chosen + (i,))
-
-        rec(0, 1, ())
-        return out
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compat(other)
@@ -371,29 +306,18 @@ def classify(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
     phi2 = [[vneg(tau.matvec(v.bracket00(ue[i], ue[j]))) for j in range(n0)]
             for i in range(n0)]
 
-    def phi2_vec(u: list, w: list) -> list:
-        out = vzeros(v.dim1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, wj in enumerate(w):
-                    if wj:
-                        out = vadd(out, vscale(ui * wj, phi2[i][j]))
-        return out
-
-    sk_bracket_vec = LieAlgebra(n0, bracket).bracket_vec
-
     l3 = zero_l3(n0, n1)
-    eb = [[1 if p == i else 0 for p in range(n0)] for i in range(n0)]
+    eb = [vunit(n0, i) for i in range(n0)]
     for i in range(n0):
         for j in range(n0):
             for k in range(n0):
                 r = v.l3_eval(ue[i], ue[j], ue[k])
                 r = vadd(r, v.act(ue[i], phi2[j][k]))
                 r = vsub(r, v.act(ue[j], phi2[i][k]))  # [phi2(x,z), u0 y]
-                r = vadd(r, phi2_vec(eb[i], sk_bracket_vec(eb[j], eb[k])))
-                r = vadd(r, phi2_vec(sk_bracket_vec(eb[i], eb[k]), eb[j]))
+                r = vadd(r, contract(phi2[i], v.dim1, bracket[j][k]))
+                r = vadd(r, contract(phi2, v.dim1, bracket[i][k], eb[j]))
                 r = vadd(r, v.act(ue[k], phi2[i][j]))  # -[phi2(x,y), u0 z]
-                r = vsub(r, phi2_vec(sk_bracket_vec(eb[i], eb[j]), eb[k]))
+                r = vsub(r, contract(phi2, v.dim1, bracket[i][j], eb[k]))
                 if any(x != 0 for x in v.d.matvec(r)):
                     raise AssertionError("transported l3 falls outside ker(d)")
                 l3[i][j][k] = v1.matvec(r)

@@ -29,6 +29,8 @@ def rational(x) -> int | Fraction:
         s = x.strip()
         if "/" in s:
             num, den = s.split("/", 1)
+            if int(den) == 0:
+                raise ValueError(f"zero denominator: {x!r}")
             return Fraction(int(num), int(den))
         return int(s)
     raise ValueError(f"not a rational: {x!r}")
@@ -74,8 +76,28 @@ def vscale(c, a: list) -> list:
     return [c * x for x in a]
 
 
-def vis_zero(a: list) -> bool:
-    return all(not x for x in a)
+def contract(tensor: list, dim: int, *vecs) -> list:
+    """Contract the leading slots of a structure tensor with vectors.
+
+    ``contract(t, dim, u, v)`` is the vector of length dim whose m-th
+    entry is the sum of u[i] v[j] t[i][j][m]; zero coefficients are
+    skipped.  This is the one evaluator of every multilinear structure
+    map in the package: brackets, actions, Jacobiators and phi2.
+    """
+    terms = [(tensor, 1)]  # (sub-tensor, product of the coefficients chosen so far)
+    for vec in vecs:
+        nxt = []
+        for i, x in enumerate(vec):
+            if x:
+                for t, c in terms:
+                    nxt.append((t[i], c * x))
+        terms = nxt
+    out = [0] * dim
+    for t, c in terms:
+        for m, x in enumerate(t):
+            if x:
+                out[m] += c * x
+    return out
 
 
 class RMatrix:

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .exactlin import (DimensionMismatch, RMatrix, mat_from_json, mat_to_json,
-                       vadd, vneg, vscale, vsub, vzeros)
-from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, zero_l3, zero_phi2)
-from .report import CheckReport
+from .exactlin import (DimensionMismatch, RMatrix, contract, mat_from_json, mat_to_json,
+                       vadd, vneg, vsub, vunit, vzeros)
+from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
+                     jacobi_violations, zero_l3, zero_phi2)
+from .report import CheckReport, first_violation
 from .serialize import FixtureError, as_count, need, tensor_from_json, tensor_to_json
 from .twoterm import ChainMap, TwoTermComplex
 from .twovect import (LinearFunctor, LinearNatTrans, Morphism, TwoVectorSpace,
@@ -42,9 +43,7 @@ class SemistrictLie2Algebra:
         return self.data.dim0
 
     def object_basis(self, i: int) -> list:
-        v = vzeros(self.dim0)
-        v[i] = 1
-        return v
+        return vunit(self.dim0, i)
 
     def morphism(self, source_obj: list, arrow: list) -> Morphism:
         return Morphism(self.space, list(source_obj) + list(arrow))
@@ -158,13 +157,9 @@ def octagon_sides(L: SemistrictLie2Algebra, w, x, y, z):
 def check_jacobiator_identity_categorical(L: SemistrictLie2Algebra) -> CheckReport:
     """Compare both octagon composites on every basis 4-tuple."""
     rep = CheckReport("jacobiator_identity_octagon")
-    bad = []
-    for tup in product(range(L.dim0), repeat=4):
-        lhs, rhs = octagon_sides(L, *tup)
-        if lhs != rhs:
-            bad.append((tup, vsub(lhs.vec, rhs.vec)))
-            break
-    rep.add("octagon", bad)
+    rep.add("octagon", first_violation(
+        (tup, vsub(*(side.vec for side in octagon_sides(L, *tup))))
+        for tup in product(range(L.dim0), repeat=4)))
     return rep
 
 
@@ -174,30 +169,22 @@ def check_jacobiator_naturality(L: SemistrictLie2Algebra) -> CheckReport:
     [[1_x,1_y],f] J_{x,y,t(f)} = J_{x,y,0} ([[1_x,f],1_y] + [1_x,[1_y,f]])."""
     rep = CheckReport("jacobiator_naturality")
     n0, m1 = L.dim0, L.data.dim1
-    bad = []
-    for i in range(n0):
-        one_i = identity_morphism(L.space, L.object_basis(i))
-        for j in range(n0):
-            one_j = identity_morphism(L.space, L.object_basis(j))
-            for a in range(m1):
-                f = L.morphism(vzeros(n0), [1 if p == a else 0 for p in range(m1)])
-                lhs = _compose_padded(L, [
-                    [bracket_morphisms(L, bracket_morphisms(L, one_i, one_j), f)],
-                    [jacobiator(L, L.object_basis(i), L.object_basis(j), f.target())],
-                ])
-                rhs = _compose_padded(L, [
-                    [jacobiator(L, L.object_basis(i), L.object_basis(j), vzeros(n0))],
-                    [bracket_morphisms(L, bracket_morphisms(L, one_i, f), one_j),
-                     bracket_morphisms(L, one_i, bracket_morphisms(L, one_j, f))],
-                ])
-                if lhs != rhs:
-                    bad.append(((i, j, a), vsub(lhs.vec, rhs.vec)))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("naturality_third_slot", bad)
+    one = [identity_morphism(L.space, L.object_basis(i)) for i in range(n0)]
+
+    def residuals():
+        for i, j, a in product(range(n0), range(n0), range(m1)):
+            f = L.morphism(vzeros(n0), vunit(m1, a))
+            lhs = _compose_padded(L, [
+                [bracket_morphisms(L, bracket_morphisms(L, one[i], one[j]), f)],
+                [jacobiator(L, L.object_basis(i), L.object_basis(j), f.target())],
+            ])
+            rhs = _compose_padded(L, [
+                [jacobiator(L, L.object_basis(i), L.object_basis(j), vzeros(n0))],
+                [bracket_morphisms(L, bracket_morphisms(L, one[i], f), one[j]),
+                 bracket_morphisms(L, one[i], bracket_morphisms(L, one[j], f))],
+            ])
+            yield (i, j, a), vsub(lhs.vec, rhs.vec)
+    rep.add("naturality_third_slot", first_violation(residuals()))
     return rep
 
 
@@ -221,20 +208,12 @@ class Lie2Hom:
         _check_tensor_shape(self.f2, (self.source.dim0, self.source.dim0,
                                       self.target.data.dim1), "f2")
 
-    def f2_vec(self, u: list, w: list) -> list:
-        out = vzeros(self.target.data.dim1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, wj in enumerate(w):
-                    if wj:
-                        out = vadd(out, vscale(ui * wj, self.f2[i][j]))
-        return out
-
     def f2_morphism(self, u: list, w: list) -> Morphism:
         tgt = self.target
         f0u = self.functor.f0.matvec(u)
         f0w = self.functor.f0.matvec(w)
-        return tgt.morphism(tgt.data.bracket00(f0u, f0w), self.f2_vec(u, w))
+        return tgt.morphism(tgt.data.bracket00(f0u, f0w),
+                            contract(self.f2, tgt.data.dim1, u, w))
 
 
 def identity_lie2_hom(L: SemistrictLie2Algebra) -> Lie2Hom:
@@ -249,59 +228,31 @@ def check_lie2_hom(F: Lie2Hom) -> CheckReport:
     rep = CheckReport("lie2_hom")
     rep.extend(check_functor(F.functor), prefix="functor_")
     src, tgt = F.source, F.target
-    n0 = src.dim0
-
-    bad = [((i, j), vadd(F.f2[i][j], F.f2[j][i]))
-           for i in range(n0) for j in range(n0)
-           if any(x != 0 for x in vadd(F.f2[i][j], F.f2[j][i]))]
-    rep.add("f2_antisymmetry", bad[:1])
+    n0, m1 = src.dim0, src.data.dim1
+    rep.add("f2_antisymmetry", antisymmetry_violations(F.f2))
 
     e = [src.object_basis(i) for i in range(n0)]
-    bad = []
-    for i in range(n0):
-        for j in range(n0):
-            m = F.f2_morphism(e[i], e[j])
-            want = F.functor.f0.matvec(src.data.bracket00(e[i], e[j]))
-            r = vsub(m.target(), want)
-            if any(x != 0 for x in r):
-                bad.append(((i, j), r))
-                break
-        if bad:
-            break
-    rep.add("f2_target", bad)
+    rep.add("f2_target", first_violation(
+        ((i, j), vsub(F.f2_morphism(e[i], e[j]).target(),
+                      F.functor.f0.matvec(src.data.bracket00(e[i], e[j]))))
+        for i in range(n0) for j in range(n0)))
 
     # naturality in the second slot: compare F applied to [1_x, h] with
     # the bracket of images, corrected by F2 at (x, dh)
-    bad = []
-    m1 = src.data.dim1
-    for i in range(n0):
-        one_i = identity_morphism(src.space, e[i])
-        for a in range(m1):
-            h = src.morphism(vzeros(n0), [1 if p == a else 0 for p in range(m1)])
-            lhs = F.f2_vec(e[i], src.data.d.col(a))
-            img = F.functor.apply(bracket_morphisms(src, one_i, h))
-            bracket_img = bracket_morphisms(tgt, F.functor.apply(one_i), F.functor.apply(h))
-            r = vsub(lhs, vsub(_split(tgt, img)[1], _split(tgt, bracket_img)[1]))
-            if any(x != 0 for x in r):
-                bad.append(((i, a), r))
-                break
-        if bad:
-            break
-    rep.add("f2_naturality", bad)
+    one = [identity_morphism(src.space, x) for x in e]
 
-    bad = []
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                lhs, rhs = _hexagon_sides(F, e[i], e[j], e[k])
-                if lhs != rhs:
-                    bad.append(((i, j, k), vsub(lhs.vec, rhs.vec)))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("hexagon", bad)
+    def naturality_residuals():
+        for i, a in product(range(n0), range(m1)):
+            h = src.morphism(vzeros(n0), vunit(m1, a))
+            lhs = contract(F.f2[i], tgt.data.dim1, src.data.d.col(a))
+            img = F.functor.apply(bracket_morphisms(src, one[i], h))
+            bracket_img = bracket_morphisms(tgt, F.functor.apply(one[i]), F.functor.apply(h))
+            yield (i, a), vsub(lhs, vsub(_split(tgt, img)[1], _split(tgt, bracket_img)[1]))
+    rep.add("f2_naturality", first_violation(naturality_residuals()))
+
+    rep.add("hexagon", first_violation(
+        ((i, j, k), vsub(*(side.vec for side in _hexagon_sides(F, e[i], e[j], e[k]))))
+        for i, j, k in product(range(n0), repeat=3)))
     return rep
 
 
@@ -371,13 +322,12 @@ def check_lie2_two_hom(t: Lie2TwoHom) -> CheckReport:
     src, tgt = F.source, F.target
     n0 = src.dim0
     e = [src.object_basis(i) for i in range(n0)]
-    bad = []
-    for i in range(n0):
-        th_i = t.nat.component(e[i])
-        for j in range(n0):
-            th_j = t.nat.component(e[j])
+    th = [t.nat.component(x) for x in e]
+
+    def residuals():
+        for i, j in product(range(n0), repeat=2):
             left = _compose_padded(tgt, [
-                [bracket_morphisms(tgt, th_i, th_j)],
+                [bracket_morphisms(tgt, th[i], th[j])],
                 [G.f2_morphism(e[i], e[j])],
             ])
             th_bracket = Morphism(tgt.space, t.nat.theta.matvec(src.data.bracket00(e[i], e[j])))
@@ -385,12 +335,8 @@ def check_lie2_two_hom(t: Lie2TwoHom) -> CheckReport:
                 [F.f2_morphism(e[i], e[j])],
                 [th_bracket],
             ])
-            if left != right:
-                bad.append(((i, j), vsub(left.vec, right.vec)))
-                break
-        if bad:
-            break
-    rep.add("bracket_square", bad)
+            yield (i, j), vsub(left.vec, right.vec)
+    rep.add("bracket_square", first_violation(residuals()))
     return rep
 
 
@@ -440,40 +386,6 @@ class DifferentialCrossedModule:
             raise DimensionMismatch("t must map h into g")
 
 
-def _bracket_vec(bracket: list, dim: int, u: list, v: list) -> list:
-    out = vzeros(dim)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                if vj:
-                    out = vadd(out, vscale(ui * vj, bracket[i][j]))
-    return out
-
-
-def _antisym_violations(bracket: list, dim: int) -> list:
-    for i in range(dim):
-        for j in range(dim):
-            r = vadd(bracket[i][j], bracket[j][i])
-            if any(x != 0 for x in r):
-                return [((i, j), r)]
-    return []
-
-
-def _jacobi_violations(bracket: list, dim: int) -> list:
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                r = vadd(vadd(_bracket_vec(bracket, dim, bracket[i][j],
-                                           [1 if p == k else 0 for p in range(dim)]),
-                              _bracket_vec(bracket, dim, bracket[j][k],
-                                           [1 if p == i else 0 for p in range(dim)])),
-                         _bracket_vec(bracket, dim, bracket[k][i],
-                                      [1 if p == j else 0 for p in range(dim)]))
-                if any(x != 0 for x in r):
-                    return [((i, j, k), r)]
-    return []
-
-
 # which axiom of the structure-constant image detects each crossed-module
 # failure; conditions about the h bracket alone have no image counterpart
 # because the image stores no bracket on V1
@@ -488,100 +400,35 @@ DCM_FAILURE_TO_AXIOM = {
 
 def check_crossed_module(m: DifferentialCrossedModule) -> CheckReport:
     rep = CheckReport("differential_crossed_module")
-    rep.add("g_antisymmetry", _antisym_violations(m.g_bracket, m.g_dim))
-    rep.add("g_jacobi", _jacobi_violations(m.g_bracket, m.g_dim))
-    rep.add("h_antisymmetry", _antisym_violations(m.h_bracket, m.h_dim))
-    rep.add("h_jacobi", _jacobi_violations(m.h_bracket, m.h_dim))
+    rep.add("g_antisymmetry", antisymmetry_violations(m.g_bracket))
+    rep.add("g_jacobi", jacobi_violations(m.g_bracket))
+    rep.add("h_antisymmetry", antisymmetry_violations(m.h_bracket))
+    rep.add("h_jacobi", jacobi_violations(m.h_bracket))
 
-    hb = [ [1 if p == a else 0 for p in range(m.h_dim)] for a in range(m.h_dim)]
-    gb = [ [1 if p == i else 0 for p in range(m.g_dim)] for i in range(m.g_dim)]
-
-    def act(i: int, h: list) -> list:
-        out = vzeros(m.h_dim)
-        for a, c in enumerate(h):
-            if c:
-                out = vadd(out, vscale(c, m.alpha[i][a]))
-        return out
-
-    def act_vec(u: list, h: list) -> list:
-        out = vzeros(m.h_dim)
-        for i, c in enumerate(u):
-            if c:
-                out = vadd(out, vscale(c, act(i, h)))
-        return out
-
-    bad = []
-    for a in range(m.h_dim):
-        for b in range(m.h_dim):
-            lhs = m.t.matvec(m.h_bracket[a][b])
-            rhs = _bracket_vec(m.g_bracket, m.g_dim, m.t.col(a), m.t.col(b))
-            r = vsub(lhs, rhs)
-            if any(x != 0 for x in r):
-                bad.append(((a, b), r))
-                break
-        if bad:
-            break
-    rep.add("t_homomorphism", bad)
-
-    bad = []
-    for i in range(m.g_dim):
-        for a in range(m.h_dim):
-            for b in range(m.h_dim):
-                lhs = act(i, m.h_bracket[a][b])
-                rhs = vadd(_bracket_vec(m.h_bracket, m.h_dim, m.alpha[i][a], hb[b]),
-                           _bracket_vec(m.h_bracket, m.h_dim, hb[a], m.alpha[i][b]))
-                r = vsub(lhs, rhs)
-                if any(x != 0 for x in r):
-                    bad.append(((i, a, b), r))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("derivation", bad)
-
-    bad = []
-    for i in range(m.g_dim):
-        for j in range(m.g_dim):
-            for a in range(m.h_dim):
-                lhs = act_vec(m.g_bracket[i][j], hb[a])
-                rhs = vsub(act(i, m.alpha[j][a]), act(j, m.alpha[i][a]))
-                r = vsub(lhs, rhs)
-                if any(x != 0 for x in r):
-                    bad.append(((i, j, a), r))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("action_homomorphism", bad)
-
-    bad = []
-    for i in range(m.g_dim):
-        for a in range(m.h_dim):
-            lhs = m.t.matvec(m.alpha[i][a])
-            rhs = _bracket_vec(m.g_bracket, m.g_dim, gb[i], m.t.col(a))
-            r = vsub(lhs, rhs)
-            if any(x != 0 for x in r):
-                bad.append(((i, a), r))
-                break
-        if bad:
-            break
-    rep.add("equivariance", bad)
-
-    bad = []
-    anti = []
-    for a in range(m.h_dim):
-        for b in range(m.h_dim):
-            lhs = act_vec(m.t.col(a), hb[b])
-            r = vsub(lhs, m.h_bracket[a][b])
-            if any(x != 0 for x in r) and not bad:
-                bad.append(((a, b), r))
-            sym = vadd(act_vec(m.t.col(a), hb[b]), act_vec(m.t.col(b), hb[a]))
-            if any(x != 0 for x in sym) and not anti:
-                anti.append(((a, b), sym))
-    rep.add("peiffer", bad)
-    rep.add("peiffer_antisymmetry", anti)
+    g, h, t, alpha = m.g_dim, m.h_dim, m.t, m.alpha
+    hb = [vunit(h, a) for a in range(h)]
+    rep.add("t_homomorphism", first_violation(
+        ((a, b), vsub(t.matvec(m.h_bracket[a][b]), contract(m.g_bracket, g, t.col(a), t.col(b))))
+        for a in range(h) for b in range(h)))
+    rep.add("derivation", first_violation(
+        ((i, a, b), vsub(contract(alpha[i], h, m.h_bracket[a][b]),
+                         vadd(contract(m.h_bracket, h, alpha[i][a], hb[b]),
+                              contract(m.h_bracket, h, hb[a], alpha[i][b]))))
+        for i in range(g) for a in range(h) for b in range(h)))
+    rep.add("action_homomorphism", first_violation(
+        ((i, j, a), vsub(contract(alpha, h, m.g_bracket[i][j], hb[a]),
+                         vsub(contract(alpha[i], h, alpha[j][a]),
+                              contract(alpha[j], h, alpha[i][a]))))
+        for i in range(g) for j in range(g) for a in range(h)))
+    rep.add("equivariance", first_violation(
+        ((i, a), vsub(t.matvec(alpha[i][a]), contract(m.g_bracket[i], g, t.col(a))))
+        for i in range(g) for a in range(h)))
+    rep.add("peiffer", first_violation(
+        ((a, b), vsub(contract(alpha, h, t.col(a), hb[b]), m.h_bracket[a][b]))
+        for a in range(h) for b in range(h)))
+    rep.add("peiffer_antisymmetry", first_violation(
+        ((a, b), vadd(contract(alpha, h, t.col(a), hb[b]), contract(alpha, h, t.col(b), hb[a])))
+        for a in range(h) for b in range(h)))
     return rep
 
 
@@ -603,8 +450,7 @@ def to_crossed_module(L: SemistrictLie2Algebra) -> DifferentialCrossedModule:
     for a in range(v.dim1):
         row = []
         for b in range(v.dim1):
-            hb = [1 if p == b else 0 for p in range(v.dim1)]
-            row.append(v.act(v.d.col(a), hb))
+            row.append(v.act(v.d.col(a), vunit(v.dim1, b)))
         h_bracket.append(row)
     return DifferentialCrossedModule(v.dim0, [[list(x) for x in r] for r in v.l2_00],
                                      v.dim1, h_bracket, v.d,

@@ -15,11 +15,11 @@ negative fixtures can be reported on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
-from .exactlin import (DimensionMismatch, RMatrix, mat_from_json, mat_to_json,
-                       vadd, vneg, vscale, vsub, vzeros)
-from .report import CheckReport
+from .exactlin import (DimensionMismatch, RMatrix, contract, mat_from_json, mat_to_json,
+                       vadd, vneg, vscale, vsub, vunit, vzeros)
+from .report import CheckReport, first_violation
 from .serialize import FixtureError, as_count, need, tensor_from_json, tensor_to_json
 from .twoterm import (ChainHomotopy, ChainMap, TwoTermComplex, check_chain_map,
                       check_homotopy, compose_chain_maps, identity_chain_map)
@@ -52,47 +52,14 @@ class TwoTermLInfinity:
 
     # bilinear / trilinear extensions over V0 and V1 vectors
     def bracket00(self, u: list, v: list) -> list:
-        out = vzeros(self.dim0)
-        for i, ui in enumerate(u):
-            if ui:
-                row = self.l2_00[i]
-                for j, vj in enumerate(v):
-                    if vj:
-                        c = ui * vj
-                        for k, x in enumerate(row[j]):
-                            if x:
-                                out[k] += c * x
-        return out
+        return contract(self.l2_00, self.dim0, u, v)
 
     def act(self, u: list, h: list) -> list:
         """l2 on V0 x V1: the action of u on the arrow vector h."""
-        out = vzeros(self.dim1)
-        for i, ui in enumerate(u):
-            if ui:
-                row = self.l2_01[i]
-                for a, ha in enumerate(h):
-                    if ha:
-                        c = ui * ha
-                        for b, x in enumerate(row[a]):
-                            if x:
-                                out[b] += c * x
-        return out
+        return contract(self.l2_01, self.dim1, u, h)
 
     def l3_eval(self, u: list, v: list, w: list) -> list:
-        out = vzeros(self.dim1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    if vj:
-                        cij = ui * vj
-                        row = self.l3[i][j]
-                        for k, wk in enumerate(w):
-                            if wk:
-                                c = cij * wk
-                                for m, x in enumerate(row[k]):
-                                    if x:
-                                        out[m] += c * x
-        return out
+        return contract(self.l3, self.dim1, u, v, w)
 
 
 def _check_tensor_shape(t, dims: tuple, name: str) -> None:
@@ -102,14 +69,6 @@ def _check_tensor_shape(t, dims: tuple, name: str) -> None:
         raise DimensionMismatch(f"{name} must have length {dims[0]} at this level")
     for x in t:
         _check_tensor_shape(x, dims[1:], name)
-
-
-def zero_l2_00(n0: int) -> list:
-    return [[vzeros(n0) for _ in range(n0)] for _ in range(n0)]
-
-
-def zero_l2_01(n0: int, n1: int) -> list:
-    return [[vzeros(n1) for _ in range(n1)] for _ in range(n0)]
 
 
 def zero_l3(n0: int, n1: int) -> list:
@@ -177,6 +136,29 @@ def koszul_chi(p: SignedPermutation) -> int:
 
 
 # ---------------------------------------------------------------------------
+# bracket tensors t[i][j] -> vector: the one antisymmetry and Jacobi sweep
+
+def antisymmetry_violations(t: list) -> list:
+    """First (i, j) where t[i][j] + t[j][i] is nonzero; t is a bracket
+    or a homomorphism's phi2."""
+    n = len(t)
+    return first_violation(((i, j), vadd(t[i][j], t[j][i]))
+                           for i in range(n) for j in range(n))
+
+
+def jacobi_violations(bracket: list) -> list:
+    """First (i, j, k) where [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+    is nonzero."""
+    n = len(bracket)
+    e = [vunit(n, i) for i in range(n)]
+    return first_violation(
+        ((i, j, k), vadd(vadd(contract(bracket, n, bracket[i][j], e[k]),
+                              contract(bracket, n, bracket[j][k], e[i])),
+                         contract(bracket, n, bracket[k][i], e[j])))
+        for i, j, k in product(range(n), repeat=3))
+
+
+# ---------------------------------------------------------------------------
 # the axiom list (a)-(i)
 
 def check_axioms(v: TwoTermLInfinity, increasing_only: bool = False) -> CheckReport:
@@ -188,157 +170,53 @@ def check_axioms(v: TwoTermLInfinity, increasing_only: bool = False) -> CheckRep
     """
     rep = CheckReport("two_term_l_infinity")
     n0, n1 = v.dim0, v.dim1
-    d = v.d
+    d, b, l2_01, l3 = v.d, v.l2_00, v.l2_01, v.l3
+    e0 = [vunit(n0, i) for i in range(n0)]
+    e1 = [vunit(n1, a) for a in range(n1)]
 
-    bad = []
-    for i in range(n0):
-        for j in range(n0):
-            r = vadd(v.l2_00[i][j], v.l2_00[j][i])
-            if not all(x == 0 for x in r):
-                bad.append(((i, j), r))
-                break
-        if bad:
-            break
-    a_ok = not bad
-    rep.add("a_bracket_antisymmetry", bad)
+    a_ok = rep.add("a_bracket_antisymmetry", antisymmetry_violations(b)).passed
     rep.add_pass("b_mixed_antisymmetry")   # determined by storage
     rep.add_pass("c_bracket_degree_two")   # no V2, nothing to store
-
-    bad = []
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                r1 = vadd(v.l3[i][j][k], v.l3[j][i][k])
-                r2 = vadd(v.l3[i][j][k], v.l3[i][k][j])
-                if not all(x == 0 for x in r1):
-                    bad.append(((i, j, k), r1))
-                elif not all(x == 0 for x in r2):
-                    bad.append(((i, j, k), r2))
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    d_ok = not bad
-    rep.add("d_l3_antisymmetry", bad)
+    d_ok = rep.add("d_l3_antisymmetry", first_violation(
+        ((i, j, k), r) for i, j, k in product(range(n0), repeat=3)
+        for r in (vadd(l3[i][j][k], l3[j][i][k]), vadd(l3[i][j][k], l3[i][k][j])))).passed
 
     dcol = [d.col(a) for a in range(n1)]
+    rep.add("e_differential_action", first_violation(
+        ((i, a), vsub(d.matvec(l2_01[i][a]), contract(b[i], n0, dcol[a])))
+        for i in range(n0) for a in range(n1)))
+    # [dh,k] = [h,dk] means l2(dh, k) = -l2(dk, h)
+    rep.add("f_differential_symmetry", first_violation(
+        ((a, c), vadd(v.act(dcol[a], e1[c]), v.act(dcol[c], e1[a])))
+        for a in range(n1) for c in range(n1)))
 
-    bad = []
-    for i in range(n0):
-        for a in range(n1):
-            lhs = d.matvec(v.l2_01[i][a])
-            rhs = v.bracket00([1 if p == i else 0 for p in range(n0)], dcol[a])
-            r = vsub(lhs, rhs)
-            if not all(x == 0 for x in r):
-                bad.append(((i, a), r))
-                break
-        if bad:
-            break
-    rep.add("e_differential_action", bad)
+    increasing = increasing_only and a_ok and d_ok
+    g_tuples = combinations(range(n0), 3) if increasing else product(range(n0), repeat=3)
+    # [i,[j,k]] = -[[j,k],i]
+    rep.add("g_jacobi_up_to_d", first_violation(
+        ((i, j, k), vsub(d.matvec(l3[i][j][k]),
+                         vsub(vsub(v.bracket00(b[i][k], e0[j]), v.bracket00(b[i][j], e0[k])),
+                              v.bracket00(b[j][k], e0[i]))))
+        for i, j, k in g_tuples))
 
-    bad = []
-    for a in range(n1):
-        for b in range(n1):
-            lhs = vzeros(n1)
-            for m, c in enumerate(dcol[a]):
-                if c:
-                    lhs = vadd(lhs, vscale(c, v.l2_01[m][b]))
-            rhs = vzeros(n1)
-            for m, c in enumerate(dcol[b]):
-                if c:
-                    rhs = vadd(rhs, vscale(c, v.l2_01[m][a]))
-            r = vadd(lhs, rhs)  # [dh,k] = [h,dk] means lhs = -rhs
-            if not all(x == 0 for x in r):
-                bad.append(((a, b), r))
-                break
-        if bad:
-            break
-    rep.add("f_differential_symmetry", bad)
+    def h_residuals():
+        for a, i, j in product(range(n1), range(n0), range(n0)):
+            rhs = vsub(vsub(contract(l2_01[i], n1, l2_01[j][a]),
+                            contract(l2_01[j], n1, l2_01[i][a])), v.act(b[i][j], e1[a]))
+            yield (a, i, j), vsub(v.l3_eval(dcol[a], e0[i], e0[j]), rhs)
+    rep.add("h_l3_naturality", first_violation(h_residuals()))
 
-    def bb(i: int, j: int) -> list:
-        return v.l2_00[i][j]
-
-    def bb_vec_basis(u: list, k: int) -> list:
-        out = vzeros(n0)
-        for m, c in enumerate(u):
-            if c:
-                out = vadd(out, vscale(c, v.l2_00[m][k]))
-        return out
-
-    def l3_vec_basis(u: list, j: int, k: int) -> list:
-        out = vzeros(n1)
-        for m, c in enumerate(u):
-            if c:
-                out = vadd(out, vscale(c, v.l3[m][j][k]))
-        return out
-
-    def act_basis(i: int, h: list) -> list:
-        out = vzeros(n1)
-        for b, c in enumerate(h):
-            if c:
-                out = vadd(out, vscale(c, v.l2_01[i][b]))
-        return out
-
-    g_tuples = (combinations(range(n0), 3) if increasing_only and a_ok and d_ok
-                else product(range(n0), repeat=3))
-    bad = []
-    for (i, j, k) in g_tuples:
-        lhs = d.matvec(v.l3[i][j][k])
-        rhs = vadd(vsub(bb_vec_basis(bb(i, k), j), bb_vec_basis(bb(i, j), k)),
-                   vneg(bb_vec_basis(bb(j, k), i)))
-        # [i,[j,k]] = -[[j,k],i]
-        r = vsub(lhs, rhs)
-        if not all(x == 0 for x in r):
-            bad.append(((i, j, k), r))
-            break
-    rep.add("g_jacobi_up_to_d", bad)
-
-    bad = []
-    for a in range(n1):
-        for i in range(n0):
-            for j in range(n0):
-                lhs = l3_vec_basis(dcol[a], i, j)
-                t1 = vneg(act_basis_vec(v, bb(i, j), a))
-                t2 = vneg(act_basis(j, v.l2_01[i][a]))
-                t3 = act_basis(i, v.l2_01[j][a])
-                r = vsub(lhs, vadd(vadd(t1, t2), t3))
-                if not all(x == 0 for x in r):
-                    bad.append(((a, i, j), r))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("h_l3_naturality", bad)
-
-    i_tuples = (combinations(range(n0), 4) if increasing_only and a_ok and d_ok
-                else product(range(n0), repeat=4))
-    bad = []
-    for (p, q, r_, s) in i_tuples:
-        lhs = vadd(vadd(vneg(act_basis(s, v.l3[p][q][r_])),
-                        vneg(act_basis(q, v.l3[p][r_][s]))),
-                   vadd(l3_vec_basis(bb(p, r_), q, s), l3_vec_basis(bb(q, s), p, r_)))
-        rhs = vadd(vadd(vadd(vneg(act_basis(r_, v.l3[p][q][s])),
-                             vneg(act_basis(p, v.l3[q][r_][s]))),
-                        vadd(l3_vec_basis(bb(p, q), r_, s), l3_vec_basis(bb(p, s), q, r_))),
-                   vadd(l3_vec_basis(bb(q, r_), p, s), l3_vec_basis(bb(r_, s), p, q)))
-        res = vsub(lhs, rhs)
-        if not all(x == 0 for x in res):
-            bad.append(((p, q, r_, s), res))
-            break
-    rep.add("i_jacobiator_coherence", bad)
+    def i_residuals(tuples):
+        for p, q, r, s in tuples:
+            plus = [v.l3_eval(b[p][r], e0[q], e0[s]), v.l3_eval(b[q][s], e0[p], e0[r]),
+                    contract(l2_01[r], n1, l3[p][q][s]), contract(l2_01[p], n1, l3[q][r][s])]
+            minus = [contract(l2_01[s], n1, l3[p][q][r]), contract(l2_01[q], n1, l3[p][r][s]),
+                     v.l3_eval(b[p][q], e0[r], e0[s]), v.l3_eval(b[p][s], e0[q], e0[r]),
+                     v.l3_eval(b[q][r], e0[p], e0[s]), v.l3_eval(b[r][s], e0[p], e0[q])]
+            yield (p, q, r, s), [sum(x) - sum(y) for x, y in zip(zip(*plus), zip(*minus))]
+    rep.add("i_jacobiator_coherence", first_violation(i_residuals(
+        combinations(range(n0), 4) if increasing else product(range(n0), repeat=4))))
     return rep
-
-
-def act_basis_vec(v: TwoTermLInfinity, u: list, a: int) -> list:
-    """l2(u, f_a) for a V0 vector u and basis index a."""
-    out = vzeros(v.dim1)
-    for m, c in enumerate(u):
-        if c:
-            out = vadd(out, vscale(c, v.l2_01[m][a]))
-    return out
 
 
 AXIOM_NAMES = ["a_bracket_antisymmetry", "b_mixed_antisymmetry", "c_bracket_degree_two",
@@ -350,9 +228,7 @@ AXIOM_NAMES = ["a_bracket_antisymmetry", "b_mixed_antisymmetry", "c_bracket_degr
 # the generalized Jacobi oracle
 
 def _graded_element(v: TwoTermLInfinity, deg: int, idx: int):
-    vec = vzeros(v.dim0 if deg == 0 else v.dim1)
-    vec[idx] = 1
-    return (deg, vec)
+    return (deg, vunit(v.dim0 if deg == 0 else v.dim1, idx))
 
 
 def _graded_bracket(v: TwoTermLInfinity, k: int, args: list):
@@ -381,31 +257,23 @@ def check_graded_antisymmetry(v: TwoTermLInfinity) -> CheckReport:
     """Total graded antisymmetry of l2 and l3 (the sign-convention half of
     the definition, which the unshuffle identity does not test)."""
     rep = CheckReport("graded_antisymmetry")
-    elems = [(0, i) for i in range(v.dim0)] + [(1, a) for a in range(v.dim1)]
     for arity, name in ((2, "l2_antisymmetry"), (3, "l3_antisymmetry")):
-        bad = []
-        for combo in product(elems, repeat=arity):
-            args = [_graded_element(v, dg, ix) for dg, ix in combo]
-            base = _graded_bracket(v, arity, args)
-            if base is None:
-                continue  # the whole orbit lands outside degrees 0/1
-            for perm in _permutations(arity):
-                # chi is stated for the original order of the permuted word
-                chi = koszul_chi(SignedPermutation(perm, tuple(dg for dg, _ in combo)))
-                permuted = _graded_bracket(v, arity, [args[p] for p in perm])
-                resid = vsub(permuted[1], vscale(chi, base[1]))
-                if not all(x == 0 for x in resid):
-                    bad.append(((combo, perm), resid))
-                    break
-            if bad:
-                break
-        rep.add(name, bad)
+        rep.add(name, first_violation(_antisymmetry_residuals(v, arity)))
     return rep
 
 
-def _permutations(n: int) -> list:
-    from itertools import permutations
-    return [tuple(p) for p in permutations(range(n))]
+def _antisymmetry_residuals(v: TwoTermLInfinity, arity: int):
+    elems = [(0, i) for i in range(v.dim0)] + [(1, a) for a in range(v.dim1)]
+    for combo in product(elems, repeat=arity):
+        args = [_graded_element(v, dg, ix) for dg, ix in combo]
+        base = _graded_bracket(v, arity, args)
+        if base is None:
+            continue  # the whole orbit lands outside degrees 0/1
+        for perm in permutations(range(arity)):
+            # chi is stated for the original order of the permuted word
+            chi = koszul_chi(SignedPermutation(perm, tuple(dg for dg, _ in combo)))
+            permuted = _graded_bracket(v, arity, [args[p] for p in perm])
+            yield (combo, perm), vsub(permuted[1], vscale(chi, base[1]))
 
 
 def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
@@ -418,31 +286,32 @@ def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
         raise ValueError("arity must be between 1 and 4")
     rep = CheckReport(f"generalized_jacobi_{arity}")
     elems = [(0, i) for i in range(v.dim0)] + [(1, a) for a in range(v.dim1)]
-    bad = []
-    for combo in product(elems, repeat=arity):
-        degrees = tuple(dg for dg, _ in combo)
-        args = [_graded_element(v, dg, ix) for dg, ix in combo]
-        acc = {0: vzeros(v.dim0), 1: vzeros(v.dim1)}
-        for i in range(1, arity + 1):
-            j = arity + 1 - i
-            sign_ij = -1 if (i * (j - 1)) % 2 else 1
-            for sigma in unshuffles(i, arity):
-                chi = koszul_chi(SignedPermutation(sigma, degrees))
-                inner = _graded_bracket(v, i, [args[p] for p in sigma[:i]])
-                if inner is None:
-                    continue
-                outer_args = [inner] + [args[p] for p in sigma[i:]]
-                term = _graded_bracket(v, j, outer_args)
-                if term is None:
-                    continue
-                deg, vec = term
-                acc[deg] = vadd(acc[deg], vscale(chi * sign_ij, vec))
-        resid = acc[0] + acc[1]
-        if not all(x == 0 for x in resid):
-            bad.append((combo, resid))
-            break
-    rep.add("unshuffle_identity", bad)
+    rep.add("unshuffle_identity", first_violation(
+        (combo, _unshuffle_residual(v, combo)) for combo in product(elems, repeat=arity)))
     return rep
+
+
+def _unshuffle_residual(v: TwoTermLInfinity, combo: tuple) -> list:
+    """Both degree parts of the unshuffle sum at one graded basis tuple."""
+    arity = len(combo)
+    degrees = tuple(dg for dg, _ in combo)
+    args = [_graded_element(v, dg, ix) for dg, ix in combo]
+    acc = {0: vzeros(v.dim0), 1: vzeros(v.dim1)}
+    for i in range(1, arity + 1):
+        j = arity + 1 - i
+        sign_ij = -1 if (i * (j - 1)) % 2 else 1
+        for sigma in unshuffles(i, arity):
+            chi = koszul_chi(SignedPermutation(sigma, degrees))
+            inner = _graded_bracket(v, i, [args[p] for p in sigma[:i]])
+            if inner is None:
+                continue
+            outer_args = [inner] + [args[p] for p in sigma[i:]]
+            term = _graded_bracket(v, j, outer_args)
+            if term is None:
+                continue
+            deg, vec = term
+            acc[deg] = vadd(acc[deg], vscale(chi * sign_ij, vec))
+    return acc[0] + acc[1]
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +330,6 @@ class LInfHom:
         if self.chain.source != self.source.complex or self.chain.target != self.target.complex:
             raise DimensionMismatch("chain map endpoints disagree with the structures")
 
-    def phi2_vec(self, u: list, w: list) -> list:
-        out = vzeros(self.target.dim1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, wj in enumerate(w):
-                    if wj:
-                        out = vadd(out, vscale(ui * wj, self.phi2[i][j]))
-        return out
-
 
 def identity_hom(v: TwoTermLInfinity) -> LInfHom:
     return LInfHom(v, v, identity_chain_map(v.complex), zero_phi2(v.dim0, v.dim1))
@@ -480,73 +340,33 @@ def check_hom(f: LInfHom) -> CheckReport:
     rep = CheckReport("l_infinity_hom")
     rep.extend(check_chain_map(f.chain), prefix="chain_")
     src, dst = f.source, f.target
-    n0, n1 = src.dim0, src.dim1
-    phi0, phi1 = f.chain.phi0, f.chain.phi1
+    n0, n1, m1 = src.dim0, src.dim1, dst.dim1
+    phi0, phi1, phi2 = f.chain.phi0, f.chain.phi1, f.phi2
+    rep.add("phi2_antisymmetry", antisymmetry_violations(phi2))
 
-    bad = [((i, j), vadd(f.phi2[i][j], f.phi2[j][i]))
-           for i in range(n0) for j in range(n0)
-           if not all(x == 0 for x in vadd(f.phi2[i][j], f.phi2[j][i]))]
-    rep.add("phi2_antisymmetry", bad[:1])
+    e = [vunit(n0, i) for i in range(n0)]
+    fe = [phi0.col(i) for i in range(n0)]
+    rep.add("bracket_compatibility", first_violation(
+        ((i, j), vsub(dst.d.matvec(phi2[i][j]),
+                      vsub(phi0.matvec(src.l2_00[i][j]), dst.bracket00(fe[i], fe[j]))))
+        for i in range(n0) for j in range(n0)))
+    rep.add("action_compatibility", first_violation(
+        ((i, a), vsub(contract(phi2[i], m1, src.d.col(a)),
+                      vsub(phi1.matvec(src.l2_01[i][a]), dst.act(fe[i], phi1.col(a)))))
+        for i in range(n0) for a in range(n1)))
 
-    e = [_basis(n0, i) for i in range(n0)]
-    bad = []
-    for i in range(n0):
-        for j in range(n0):
-            lhs = dst.d.matvec(f.phi2[i][j])
-            rhs = vsub(phi0.matvec(src.l2_00[i][j]),
-                       dst.bracket00(phi0.matvec(e[i]), phi0.matvec(e[j])))
-            r = vsub(lhs, rhs)
-            if not all(x == 0 for x in r):
-                bad.append(((i, j), r))
-                break
-        if bad:
-            break
-    rep.add("bracket_compatibility", bad)
-
-    bad = []
-    for i in range(n0):
-        for a in range(n1):
-            lhs = f.phi2_vec(e[i], src.d.col(a))
-            rhs = vsub(phi1.matvec(src.l2_01[i][a]),
-                       dst.act(phi0.matvec(e[i]), phi1.col(a)))
-            r = vsub(lhs, rhs)
-            if not all(x == 0 for x in r):
-                bad.append(((i, a), r))
-                break
-        if bad:
-            break
-    rep.add("action_compatibility", bad)
-
-    bad = []
-    for i in range(n0):
-        fi = phi0.matvec(e[i])
-        for j in range(n0):
-            fj = phi0.matvec(e[j])
-            for k in range(n0):
-                fk = phi0.matvec(e[k])
-                lhs = vadd(vadd(vneg(dst.act(fk, f.phi2[i][j])),
-                                f.phi2_vec(src.l2_00[i][j], e[k])),
-                           phi1.matvec(src.l3[i][j][k]))
-                rhs = vadd(vadd(dst.l3_eval(fi, fj, fk), dst.act(fi, f.phi2[j][k])),
-                           vadd(vneg(dst.act(fj, f.phi2[i][k])),
-                                vadd(f.phi2_vec(e[i], src.l2_00[j][k]),
-                                     f.phi2_vec(src.l2_00[i][k], e[j]))))
-                r = vsub(lhs, rhs)
-                if not all(x == 0 for x in r):
-                    bad.append(((i, j, k), r))
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("l3_compatibility", bad)
+    def l3_residuals():
+        for i, j, k in product(range(n0), repeat=3):
+            lhs = vadd(vsub(contract(phi2, m1, src.l2_00[i][j], e[k]),
+                            dst.act(fe[k], phi2[i][j])),
+                       phi1.matvec(src.l3[i][j][k]))
+            rhs = vadd(vsub(vadd(dst.l3_eval(fe[i], fe[j], fe[k]), dst.act(fe[i], phi2[j][k])),
+                            dst.act(fe[j], phi2[i][k])),
+                       vadd(contract(phi2[i], m1, src.l2_00[j][k]),
+                            contract(phi2, m1, src.l2_00[i][k], e[j])))
+            yield (i, j, k), vsub(lhs, rhs)
+    rep.add("l3_compatibility", first_violation(l3_residuals()))
     return rep
-
-
-def _basis(n: int, i: int) -> list:
-    v = vzeros(n)
-    v[i] = 1
-    return v
 
 
 def compose_homs(f: LInfHom, g: LInfHom) -> LInfHom:
@@ -555,8 +375,8 @@ def compose_homs(f: LInfHom, g: LInfHom) -> LInfHom:
         raise DimensionMismatch("homomorphisms are not composable")
     chain = compose_chain_maps(f.chain, g.chain)
     n0 = f.source.dim0
-    e = [_basis(n0, i) for i in range(n0)]
-    phi2 = [[vadd(g.phi2_vec(f.chain.phi0.matvec(e[i]), f.chain.phi0.matvec(e[j])),
+    fe = [f.chain.phi0.col(i) for i in range(n0)]
+    phi2 = [[vadd(contract(g.phi2, g.target.dim1, fe[i], fe[j]),
                   g.chain.phi1.matvec(f.phi2[i][j]))
              for j in range(n0)] for i in range(n0)]
     return LInfHom(f.source, g.target, chain, phi2)
@@ -581,22 +401,13 @@ def check_two_hom(t: LInfTwoHom) -> CheckReport:
     f, g = t.from_hom, t.to_hom
     src, dst = f.source, f.target
     n0 = src.dim0
-    e = [_basis(n0, i) for i in range(n0)]
     tau = t.homotopy.tau
-    bad = []
-    for i in range(n0):
-        for j in range(n0):
-            lhs = vsub(f.phi2[i][j], g.phi2[i][j])
-            rhs = vadd(vsub(dst.act(f.chain.phi0.matvec(e[i]), tau.col(j)),
-                            tau.matvec(src.l2_00[i][j])),
-                       vneg(dst.act(g.chain.phi0.matvec(e[j]), tau.col(i))))
-            r = vsub(lhs, rhs)
-            if not all(x == 0 for x in r):
-                bad.append(((i, j), r))
-                break
-        if bad:
-            break
-    rep.add("phi2_difference", bad)
+    rep.add("phi2_difference", first_violation(
+        ((i, j), vsub(vsub(f.phi2[i][j], g.phi2[i][j]),
+                      vsub(vsub(dst.act(f.chain.phi0.col(i), tau.col(j)),
+                                tau.matvec(src.l2_00[i][j])),
+                           dst.act(g.chain.phi0.col(j), tau.col(i)))))
+        for i in range(n0) for j in range(n0)))
     return rep
 
 

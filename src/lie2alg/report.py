@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import rat_str
+from .exactlin import RMatrix, rat_str
 
 
 def _render(value):
@@ -18,6 +18,24 @@ def _render(value):
             return {"length": len(value), "nonzero": nz}
         return [_render(v) for v in value]
     return value
+
+
+def first_violation(pairs) -> list:
+    """The first (location, residual) pair whose residual vector is
+    nonzero, as a one-element violation list; [] when there is none.
+
+    Sweeps pass a generator, so nothing after the first failure is
+    evaluated.
+    """
+    for loc, resid in pairs:
+        if any(resid):
+            return [(loc, resid)]
+    return []
+
+
+def grid_violations(m: RMatrix) -> list:
+    """Every nonzero cell ((row, col), entry) of a matrix residual."""
+    return [((i, j), x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x]
 
 
 @dataclass

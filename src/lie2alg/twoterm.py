@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .exactlin import (DimensionMismatch, RMatrix, mat_from_json, mat_to_json,
                        pivot_columns, rank_kernel, solve_linear, vunit)
-from .report import CheckReport
+from .report import CheckReport, grid_violations
 from .serialize import FixtureError, as_count, need
 
 
@@ -60,20 +60,11 @@ class ChainHomotopy:
             raise DimensionMismatch("tau has the wrong shape")
 
 
-def _grid_violations(m: RMatrix) -> list:
-    out = []
-    for i, row in enumerate(m.data):
-        for j, x in enumerate(row):
-            if x:
-                out.append(((i, j), x))
-    return out
-
-
 def check_chain_map(f: ChainMap) -> CheckReport:
     """Pass iff the square d' phi1 = phi0 d commutes; lists every bad cell."""
     rep = CheckReport("chain_map")
     resid = (f.target.d @ f.phi1) - (f.phi0 @ f.source.d)
-    rep.add("differential_square", _grid_violations(resid))
+    rep.add("differential_square", grid_violations(resid))
     return rep
 
 
@@ -83,8 +74,8 @@ def check_homotopy(h: ChainHomotopy) -> CheckReport:
     f, t = h.from_map, h.to_map
     resid0 = (t.phi0 - f.phi0) - (f.target.d @ h.tau)
     resid1 = (t.phi1 - f.phi1) - (h.tau @ f.source.d)
-    rep.add("degree0_equation", _grid_violations(resid0))
-    rep.add("degree1_equation", _grid_violations(resid1))
+    rep.add("degree0_equation", grid_violations(resid0))
+    rep.add("degree1_equation", grid_violations(resid1))
     return rep
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .exactlin import (DimensionMismatch, RMatrix, block_diag, kron,
                        mat_from_json, mat_to_json, rank_kernel, solve_linear,
                        vadd, vsub)
-from .report import CheckReport
+from .report import CheckReport, grid_violations
 from .twoterm import ChainHomotopy, ChainMap, TwoTermComplex
 from .serialize import FixtureError, as_count, need
 
@@ -48,13 +48,9 @@ class TwoVectorSpace:
 
 def check_space(v: TwoVectorSpace) -> CheckReport:
     rep = CheckReport("two_vector_space")
-    rep.add("source_of_identity", _grid(v.s @ v.i - RMatrix.identity(v.dim0)))
-    rep.add("target_of_identity", _grid(v.t @ v.i - RMatrix.identity(v.dim0)))
+    rep.add("source_of_identity", grid_violations(v.s @ v.i - RMatrix.identity(v.dim0)))
+    rep.add("target_of_identity", grid_violations(v.t @ v.i - RMatrix.identity(v.dim0)))
     return rep
-
-
-def _grid(m: RMatrix) -> list:
-    return [((i, j), x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x]
 
 
 @dataclass
@@ -127,9 +123,9 @@ class LinearFunctor:
 def check_functor(F: LinearFunctor) -> CheckReport:
     """Source, target and identity preservation; composites then follow."""
     rep = CheckReport("linear_functor")
-    rep.add("preserves_source", _grid(F.target.s @ F.f1 - F.f0 @ F.source.s))
-    rep.add("preserves_target", _grid(F.target.t @ F.f1 - F.f0 @ F.source.t))
-    rep.add("preserves_identity", _grid(F.f1 @ F.source.i - F.target.i @ F.f0))
+    rep.add("preserves_source", grid_violations(F.target.s @ F.f1 - F.f0 @ F.source.s))
+    rep.add("preserves_target", grid_violations(F.target.t @ F.f1 - F.f0 @ F.source.t))
+    rep.add("preserves_identity", grid_violations(F.f1 @ F.source.i - F.target.i @ F.f0))
     return rep
 
 
@@ -186,12 +182,12 @@ def check_nat_trans(n: LinearNatTrans) -> CheckReport:
     rep = CheckReport("linear_nat_trans")
     F, G = n.from_functor, n.to_functor
     W = F.target
-    rep.add("source_row", _grid(W.s @ n.theta - F.f0))
-    rep.add("target_row", _grid(W.t @ n.theta - G.f0))
+    rep.add("source_row", grid_violations(W.s @ n.theta - F.f0))
+    rep.add("target_row", grid_violations(W.t @ n.theta - G.f0))
     K = F.source.ker_s()
     lhs = n.theta @ F.source.t @ K
     lhs = lhs - W.i @ (W.s @ lhs)  # arrow part, total even on broken rows
-    rep.add("naturality", _grid(lhs - (G.f1 - F.f1) @ K))
+    rep.add("naturality", grid_violations(lhs - (G.f1 - F.f1) @ K))
     return rep
 
 

@@ -5,11 +5,11 @@ import copy
 import time
 from fractions import Fraction
 
-from lie2alg.braid import build_B_vect, build_Y, check_ybe, check_zamolodchikov, jacobi_sweep
+from lie2alg.braid import build_B_vect, build_Y, check_ybe, check_zamolodchikov
 from lie2alg.cohomology import (Cochain, LieAlgebra, Representation, abelian_algebra,
                                 adjoint_rep, build_cross_product, build_g_hbar,
-                                build_two_slot, classify, coboundary, cohomologous,
-                                cohomology_dim, is_coboundary, is_cocycle,
+                                build_two_slot, check_lie_algebra, classify, coboundary,
+                                cohomologous, cohomology_dim, is_coboundary, is_cocycle,
                                 killing_triple_cochain, so3_algebra, sl2_algebra,
                                 trivial_rep)
 from lie2alg.exactlin import RMatrix, vzeros
@@ -86,7 +86,7 @@ def test_criterion_4_ybe_bi_implication(rng):
     passes = fails = 0
     for g in family:
         ybe = check_ybe(build_B_vect(g)).passed
-        jac = jacobi_sweep(g).passed
+        jac = check_lie_algebra(g).result("jacobi").passed
         disagreements += ybe != jac
         passes += jac
         fails += not jac

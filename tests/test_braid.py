@@ -2,8 +2,8 @@
 import pytest
 
 from lie2alg.braid import (build_B_vect, build_Y, check_ybe,
-                           check_zamolodchikov, jacobi_sweep, yang_baxter_sides)
-from lie2alg.cohomology import (Cochain, LieAlgebra, abelian_algebra, build_two_slot, so3_algebra, sl2_algebra, trivial_rep)
+                           check_zamolodchikov, yang_baxter_sides)
+from lie2alg.cohomology import (Cochain, LieAlgebra, abelian_algebra, build_two_slot, check_lie_algebra, so3_algebra, sl2_algebra, trivial_rep)
 from lie2alg.exactlin import RMatrix, rank_kernel, vzeros
 from lie2alg.lie2 import from_linfty
 from lie2alg.twovect import check_functor, check_nat_trans
@@ -59,14 +59,14 @@ def test_ybe_bi_implication_named():
              (sl2_algebra(), True), (broken_jacobi3(), False)]
     for g, expected in cases:
         assert check_ybe(build_B_vect(g)).passed is expected
-        assert jacobi_sweep(g).passed is expected
+        assert check_lie_algebra(g).result("jacobi").passed is expected
 
 
 def test_ybe_bi_implication_random(rng):
     for _ in range(10):
         n = rng.randint(1, 4)
         g = LieAlgebra(n, rand_antisymmetric_bracket(rng, n))
-        assert check_ybe(build_B_vect(g)).passed == jacobi_sweep(g).passed
+        assert check_ybe(build_B_vect(g)).passed == check_lie_algebra(g).result("jacobi").passed
 
 
 def test_ybe_matrix_dimension():

@@ -117,6 +117,15 @@ def test_killing_command(capsys):
     assert rep.payload["killing"] == [["8", "0", "0"], ["0", "0", "4"], ["0", "4", "0"]]
 
 
+def test_zero_denominator_exit_two(tmp_path, capsys):
+    algebra = json.load(open(fx("so3.json")))
+    algebra["bracket"][0][1][2] = "1/0"
+    f = tmp_path / "so3_zero_denominator.json"
+    f.write_text(json.dumps(algebra))
+    assert run(["killing", str(f)])[0] == 2
+    assert "bracket" in capsys.readouterr().err
+
+
 def test_skeletalize_command(tmp_path):
     f = tmp_path / "cx.json"
     f.write_text(json.dumps({"dim0": 2, "dim1": 2,

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lie2alg.exactlin import (DimensionMismatch, RMatrix, invert, kron,
+from lie2alg.exactlin import (DimensionMismatch, RMatrix, contract, invert, kron,
                               mat_from_json, mat_to_json, rank_kernel, rat_str,
                               rational, solve_linear)
 
@@ -24,6 +25,8 @@ def test_rational_parsing_and_formatting():
     assert rat_str(5) == "5"
     with pytest.raises(ValueError):
         rational("x")
+    with pytest.raises(ValueError):
+        rational("1/0")
 
 
 def test_rank_kernel_identity():
@@ -132,3 +135,39 @@ def test_invert_round_trip():
 def test_matrix_json_round_trip():
     m = RMatrix.from_rows([[Fraction(1, 2), 3], [0, -2]])
     assert mat_from_json(mat_to_json(m)) == m
+
+
+# mostly zeros, so that the skipping of zero coefficients is exercised
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-5, 5),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _nested(draw, dims):
+    if len(dims) == 1:
+        return draw(st.lists(sparse_entries, min_size=dims[0], max_size=dims[0]))
+    return [_nested(draw, dims[1:]) for _ in range(dims[0])]
+
+
+@st.composite
+def tensor_with_vectors(draw):
+    """A rank 2..4 tensor, one vector per leading slot; any dimension may be 0."""
+    dims = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4))
+    vecs = [draw(st.lists(sparse_entries, min_size=n, max_size=n)) for n in dims[:-1]]
+    return dims, _nested(draw, dims), vecs
+
+
+@given(tensor_with_vectors())
+@example(([2, 0, 3], [[], []], [[1, Fraction(1, 2)], []]))
+@example(([2, 3, 0], [[[], [], []], [[], [], []]], [[1, 2], [0, -1, 3]]))
+@settings(max_examples=150, deadline=None)
+def test_contract_matches_brute_force_sum(case):
+    dims, tensor, vecs = case
+    want = [0] * dims[-1]
+    for idx in product(*(range(n) for n in dims)):
+        coeff = tensor
+        for i in idx:
+            coeff = coeff[i]
+        for vec, i in zip(vecs, idx):
+            coeff *= vec[i]
+        want[idx[-1]] += coeff
+    assert contract(tensor, dims[-1], *vecs) == want
