@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 import time
@@ -16,9 +17,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import braid, cohomology, lie2, linfty, twoterm
-from .exactlin import DimensionMismatch, rat_str, rational
+from .exactlin import DimensionMismatch, rational
 from .report import CheckReport
-from .serialize import FixtureError, load_json_file, need
+from .serialize import (FixtureError, load_json_file, mat_from_json, mat_to_json, need,
+                        tensor_from_json)
 
 
 @dataclass
@@ -51,28 +53,14 @@ def _render_human(rep: Report) -> str:
             status = "ok" if c.passed else "FAIL"
             line = f"  {r.name}.{c.name:<28s} {status}"
             if not c.passed and c.first_violation is not None:
-                loc, resid = c.first_violation
-                line += f"  at {loc}: residual {_short(resid)}"
+                resid = json.dumps(c.to_json()["residual"])
+                line += f"  at {c.first_violation[0]}: residual {resid}"
             lines.append(line)
     for note in rep.notes:
         lines.append(f"  note: {note}")
     verdict = "PASS" if rep.passed else "FAIL"
     lines.append(f"{verdict} ({rep.elapsed_s:.2f}s)")
     return "\n".join(lines)
-
-
-def _short(resid) -> str:
-    if isinstance(resid, (list, tuple)):
-        flat = [x for x in resid if not isinstance(x, (list, tuple))]
-        if len(flat) == len(resid) and len(resid) > 16:
-            nz = {i: rat_str(x) for i, x in enumerate(resid) if x}
-            return f"nonzero entries {nz} of {len(resid)}"
-        return "[" + ", ".join(rat_str(x) if not isinstance(x, (list, tuple))
-                               else _short(x) for x in resid) + "]"
-    try:
-        return rat_str(resid)
-    except (TypeError, ValueError):
-        return str(resid)
 
 
 def _load_linf(path: str) -> linfty.TwoTermLInfinity:
@@ -105,13 +93,8 @@ def _load_hom(path: str) -> linfty.LInfHom:
 
 
 def _hom_fields(src, dst, obj) -> linfty.LInfHom:
-    from .exactlin import mat_from_json
-    from .serialize import tensor_from_json
-    try:
-        phi0 = mat_from_json(need(obj, "phi0"), rows=dst.dim0, cols=src.dim0)
-        phi1 = mat_from_json(need(obj, "phi1"), rows=dst.dim1, cols=src.dim1)
-    except (ValueError, DimensionMismatch) as exc:
-        raise FixtureError(f"field 'phi0'/'phi1': {exc}") from None
+    phi0 = mat_from_json(obj, "phi0", dst.dim0, src.dim0)
+    phi1 = mat_from_json(obj, "phi1", dst.dim1, src.dim1)
     phi2 = tensor_from_json(need(obj, "phi2"),
                             (src.dim0, src.dim0, dst.dim1), "phi2")
     chain = twoterm.ChainMap(src.complex, dst.complex, phi0, phi1)
@@ -128,16 +111,12 @@ def cmd_check_hom(args, rep: Report) -> None:
 
 
 def cmd_check_2hom(args, rep: Report) -> None:
-    from .exactlin import mat_from_json
     obj = load_json_file(args.file)
     src = linfty.linf_from_json(need(obj, "source"))
     dst = linfty.linf_from_json(need(obj, "target"))
     f = _hom_fields(src, dst, need(obj, "from"))
     g = _hom_fields(src, dst, need(obj, "to"))
-    try:
-        tau = mat_from_json(need(obj, "tau"), rows=dst.dim1, cols=src.dim0)
-    except (ValueError, DimensionMismatch) as exc:
-        raise FixtureError(f"field 'tau': {exc}") from None
+    tau = mat_from_json(obj, "tau", dst.dim1, src.dim0)
     hom2 = linfty.LInfTwoHom(f, g, twoterm.ChainHomotopy(f.chain, g.chain, tau))
     rep.reports.append(linfty.check_two_hom(hom2))
 
@@ -181,13 +160,7 @@ def cmd_is_cocycle(args, rep: Report) -> None:
 
 def cmd_coboundary(args, rep: Report) -> None:
     w = _load_cochain(args.file)
-    dw = cohomology.coboundary(w)
-    payload = cohomology.cochain_to_json(dw)
-    rep.payload = payload
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-        rep.notes.append(f"wrote {args.out}")
+    rep.payload = cohomology.cochain_to_json(cohomology.coboundary(w))
 
 
 def cmd_build_ghbar(args, rep: Report) -> None:
@@ -198,31 +171,26 @@ def cmd_build_ghbar(args, rep: Report) -> None:
         raise FixtureError(f"--hbar must be rational, got {args.hbar!r}") from None
     L = cohomology.build_g_hbar(g, hbar)
     rep.reports.append(linfty.check_axioms(L.data))
-    payload = linfty.linf_to_json(L.data)
-    rep.payload = payload
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-        rep.notes.append(f"wrote {args.out}")
+    rep.payload = linfty.linf_to_json(L.data)
 
 
 def cmd_killing(args, rep: Report) -> None:
     g = _load_algebra(args.gfile)
-    k = cohomology.killing_form(g)
+    k = mat_to_json(cohomology.killing_form(g))
     rep.reports.append(cohomology.check_lie_algebra(g))
-    rep.payload = {"killing": [[rat_str(x) for x in row] for row in k.data]}
-    rep.notes.append("killing form rows: " +
-                     "; ".join("[" + ", ".join(rat_str(x) for x in row) + "]"
-                               for row in k.data))
+    rep.payload = {"killing": k}
+    rep.notes.append("killing form rows: " + "; ".join("[" + ", ".join(row) + "]" for row in k))
 
 
 def cmd_ybe(args, rep: Report) -> None:
     g = _load_algebra(args.gfile)
-    try:
-        op = braid.build_B_vect(g)
-    except ValueError as exc:
-        raise FixtureError(str(exc)) from None
-    rep.reports.append(braid.check_ybe(op))
+    asym = linfty.antisymmetry_violations(g.bracket)
+    if asym:  # the braiding B is built only from an antisymmetric bracket
+        out = CheckReport("lie_algebra")
+        out.add("antisymmetry", asym)
+        rep.reports.append(out)
+        return
+    rep.reports.append(braid.check_ybe(braid.build_B_vect(g)))
 
 
 def cmd_tetrahedron(args, rep: Report) -> None:
@@ -253,18 +221,12 @@ def cmd_skeletalize(args, rep: Report) -> None:
     out.add("project_include_identity",
             [] if (rt.phi0 == ident.phi0 and rt.phi1 == ident.phi1) else [((), "not identity")])
     rep.reports.append(out)
-    from .exactlin import mat_to_json
-    payload = {"skeletal": twoterm.complex_to_json(sk.skeletal),
-               "include": {"phi0": mat_to_json(sk.include.phi0),
-                           "phi1": mat_to_json(sk.include.phi1)},
-               "project": {"phi0": mat_to_json(sk.project.phi0),
-                           "phi1": mat_to_json(sk.project.phi1)},
-               "homotopy_tau": mat_to_json(sk.homotopy.tau)}
-    rep.payload = payload
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-        rep.notes.append(f"wrote {args.out}")
+    rep.payload = {"skeletal": twoterm.complex_to_json(sk.skeletal),
+                   "include": {"phi0": mat_to_json(sk.include.phi0),
+                               "phi1": mat_to_json(sk.include.phi1)},
+                   "project": {"phi0": mat_to_json(sk.project.phi0),
+                               "phi1": mat_to_json(sk.project.phi1)},
+                   "homotopy_tau": mat_to_json(sk.homotopy.tau)}
 
 
 def cmd_classify(args, rep: Report) -> None:
@@ -283,7 +245,6 @@ def cmd_classify(args, rep: Report) -> None:
     out.add("cocycle", [] if cohomology.is_cocycle(quad.cocycle) else [((), "not closed")])
     out.extend(linfty.check_hom(quad.witness), prefix="witness_")
     rep.reports.append(out)
-    from .exactlin import mat_to_json
     rep.payload = {"algebra": cohomology.algebra_to_json(quad.algebra),
                    "rep": cohomology.rep_to_json(quad.rep),
                    "cocycle": cohomology.cochain_to_json(quad.cocycle),
@@ -302,7 +263,7 @@ def cmd_fixtures(args, rep: Report) -> None:
         rep.notes.append(n)
     if args.copy_to:
         for n in names:
-            shutil.copy(fixture_dir() / n, args.copy_to)
+            shutil.copy(fixture_dir() / n, os.path.join(args.copy_to, n))
         rep.notes.append(f"copied {len(names)} fixtures to {args.copy_to}")
 
 
@@ -315,44 +276,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     sub = p.add_subparsers(dest="command")
 
-    def add(name, fn, **files):
-        sp = sub.add_parser(name)
-        for arg, kw in files.items():
-            sp.add_argument(arg, **kw)
-        sp.set_defaults(fn=fn)
-        return sp
+    def arg(*flags, **kw):
+        return flags, kw
 
-    add("check-linfty", cmd_check_linfty, file={})
-    add("check-hom", cmd_check_hom, file={})
-    add("check-2hom", cmd_check_2hom, file={})
-    add("check-lie2", cmd_check_lie2, file={})
-    add("check-dcm", cmd_check_dcm, file={})
-    sp = sub.add_parser("cohomology")
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("gfile")
-    sp.add_argument("--rep", default=None)
-    sp.set_defaults(fn=cmd_cohomology)
-    add("is-cocycle", cmd_is_cocycle, file={})
-    sp = sub.add_parser("coboundary")
-    sp.add_argument("file")
-    sp.add_argument("-o", "--out", default=None)
-    sp.set_defaults(fn=cmd_coboundary)
-    sp = sub.add_parser("build-ghbar")
-    sp.add_argument("--hbar", required=True)
-    sp.add_argument("gfile")
-    sp.add_argument("-o", "--out", default=None)
-    sp.set_defaults(fn=cmd_build_ghbar)
-    add("killing", cmd_killing, gfile={})
-    add("ybe", cmd_ybe, gfile={})
-    add("tetrahedron", cmd_tetrahedron, file={})
-    sp = sub.add_parser("skeletalize")
-    sp.add_argument("file")
-    sp.add_argument("-o", "--out", default=None)
-    sp.set_defaults(fn=cmd_skeletalize)
-    add("classify", cmd_classify, file={})
-    sp = sub.add_parser("fixtures")
-    sp.add_argument("--copy-to", default=None)
-    sp.set_defaults(fn=cmd_fixtures)
+    def add(name, fn, *params):
+        sp = sub.add_parser(name)
+        for flags, kw in params:
+            sp.add_argument(*flags, **kw)
+        sp.set_defaults(fn=fn)
+
+    file, gfile, out = arg("file"), arg("gfile"), arg("-o", "--out")
+    add("check-linfty", cmd_check_linfty, file)
+    add("check-hom", cmd_check_hom, file)
+    add("check-2hom", cmd_check_2hom, file)
+    add("check-lie2", cmd_check_lie2, file)
+    add("check-dcm", cmd_check_dcm, file)
+    add("cohomology", cmd_cohomology, arg("--degree", type=int, required=True), gfile,
+        arg("--rep"))
+    add("is-cocycle", cmd_is_cocycle, file)
+    add("coboundary", cmd_coboundary, file, out)
+    add("build-ghbar", cmd_build_ghbar, arg("--hbar", required=True), gfile, out)
+    add("killing", cmd_killing, gfile)
+    add("ybe", cmd_ybe, gfile)
+    add("tetrahedron", cmd_tetrahedron, file)
+    add("skeletalize", cmd_skeletalize, file, out)
+    add("classify", cmd_classify, file)
+    add("fixtures", cmd_fixtures, arg("--copy-to"))
     return p
 
 
@@ -370,8 +319,13 @@ def run(argv: list) -> tuple:
     start = time.monotonic()
     try:
         args.fn(args, rep)
-    except (FixtureError, DimensionMismatch) as exc:
-        # shape mismatches surfacing from the library are input defects
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(rep.payload, fh, indent=1)
+            rep.notes.append(f"wrote {args.out}")
+    except (FixtureError, DimensionMismatch, OSError) as exc:
+        # shape mismatches surfacing from the library are input defects, and
+        # an OSError names the input or output path that could not be used
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
     rep.elapsed_s = time.monotonic() - start

@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .exactlin import (DimensionMismatch, RMatrix, contract, mat_from_json, mat_to_json,
-                       rank_kernel, solve_linear, vadd, vneg, vscale, vsub, vunit, vzeros)
+from .exactlin import (DimensionMismatch, RMatrix, contract, rank_kernel, solve_linear, vadd,
+                       vneg, vscale, vsub, vunit, vzeros)
 from .lie2 import SemistrictLie2Algebra, from_linfty
 from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
                      check_axioms, jacobi_violations, perm_sign, zero_l3)
 from .report import CheckReport, first_violation
-from .serialize import FixtureError, as_count, need, tensor_from_json, tensor_to_json
+from .serialize import (FixtureError, as_count, mat_to_json, need, tensor_from_json,
+                        tensor_to_json)
 from .twoterm import ChainMap, TwoTermComplex, skeletalize_complex
 
 
@@ -450,14 +451,8 @@ def rep_to_json(r: Representation) -> dict:
 
 def rep_from_json(g: LieAlgebra, obj: dict) -> Representation:
     dimV = as_count(need(obj, "dimV"), "dimV")
-    raw = need(obj, "rho")
-    if not isinstance(raw, list) or len(raw) != g.dim:
-        raise FixtureError("field 'rho' must list one matrix per basis element")
-    try:
-        rho = [mat_from_json(m, rows=dimV, cols=dimV) for m in raw]
-    except (ValueError, DimensionMismatch) as exc:
-        raise FixtureError(f"field 'rho': {exc}") from None
-    return Representation(g, dimV, rho)
+    rho = tensor_from_json(need(obj, "rho"), (g.dim, dimV, dimV), "rho")
+    return Representation(g, dimV, [RMatrix(dimV, dimV, m) for m in rho])
 
 
 def cochain_to_json(w: Cochain) -> dict:
@@ -478,4 +473,7 @@ def cochain_from_json(rep: Representation, obj: dict) -> Cochain:
         except ValueError:
             raise FixtureError(f"field 'values': bad key {key!r}") from None
         vals[idx] = tensor_from_json(vec, (rep.dimV,), f"values[{key}]")
-    return Cochain(rep, degree, vals)
+    try:
+        return Cochain(rep, degree, vals)
+    except ValueError as exc:
+        raise FixtureError(f"field 'values': {exc}") from None

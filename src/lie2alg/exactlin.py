@@ -329,17 +329,3 @@ def invert(m: RMatrix) -> RMatrix:
         raise ValueError("matrix is singular")
     return RMatrix(m.rows, m.cols, [row[m.cols:] for row in rr])
 
-
-def mat_to_json(m: RMatrix) -> list:
-    return [[rat_str(x) for x in row] for row in m.data]
-
-
-def mat_from_json(obj, rows: int | None = None, cols: int | None = None) -> RMatrix:
-    if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
-        raise ValueError("matrix must be a list of rows")
-    data = [[rational(x) for x in row] for row in obj]
-    r = len(data) if rows is None else rows
-    c = (len(data[0]) if data else 0) if cols is None else cols
-    if not data and rows:
-        raise ValueError(f"matrix has 0 rows, expected {rows}")
-    return RMatrix(r, c, data if data else [])

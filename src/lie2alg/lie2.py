@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .exactlin import (DimensionMismatch, RMatrix, contract, mat_from_json, mat_to_json,
-                       vadd, vneg, vsub, vunit, vzeros)
+from .exactlin import DimensionMismatch, RMatrix, contract, vadd, vneg, vsub, vunit, vzeros
 from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
                      jacobi_violations, zero_l3, zero_phi2)
 from .report import CheckReport, first_violation
-from .serialize import FixtureError, as_count, need, tensor_from_json, tensor_to_json
+from .serialize import as_count, mat_from_json, mat_to_json, need, tensor_from_json, tensor_to_json
 from .twoterm import ChainMap, TwoTermComplex
 from .twovect import (LinearFunctor, LinearNatTrans, Morphism, TwoVectorSpace,
                       check_functor, check_nat_trans, compose_functors,
@@ -470,9 +469,6 @@ def dcm_from_json(obj: dict) -> DifferentialCrossedModule:
     h_dim = as_count(need(h, "dim", "h"), "h.dim")
     g_bracket = tensor_from_json(need(g, "bracket", "g"), (g_dim,) * 3, "g.bracket")
     h_bracket = tensor_from_json(need(h, "bracket", "h"), (h_dim,) * 3, "h.bracket")
-    try:
-        t = mat_from_json(need(obj, "t"), rows=g_dim, cols=h_dim)
-    except (ValueError, DimensionMismatch) as exc:
-        raise FixtureError(f"field 't': {exc}") from None
+    t = mat_from_json(obj, "t", g_dim, h_dim)
     alpha = tensor_from_json(need(obj, "alpha"), (g_dim, h_dim, h_dim), "alpha")
     return DifferentialCrossedModule(g_dim, g_bracket, h_dim, h_bracket, t, alpha)

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .exactlin import (DimensionMismatch, RMatrix, contract, mat_from_json, mat_to_json,
-                       vadd, vneg, vscale, vsub, vunit, vzeros)
+from .exactlin import (DimensionMismatch, RMatrix, contract, vadd, vneg, vscale, vsub, vunit,
+                       vzeros)
 from .report import CheckReport, first_violation
-from .serialize import FixtureError, as_count, need, tensor_from_json, tensor_to_json
+from .serialize import as_count, mat_from_json, mat_to_json, need, tensor_from_json, tensor_to_json
 from .twoterm import (ChainHomotopy, ChainMap, TwoTermComplex, check_chain_map,
                       check_homotopy, compose_chain_maps, identity_chain_map)
 
@@ -445,10 +445,7 @@ def linf_to_json(v: TwoTermLInfinity) -> dict:
 def linf_from_json(obj: dict) -> TwoTermLInfinity:
     n0 = as_count(need(obj, "dim0"), "dim0")
     n1 = as_count(need(obj, "dim1"), "dim1")
-    try:
-        d = mat_from_json(need(obj, "d"), rows=n0, cols=n1)
-    except (ValueError, DimensionMismatch) as exc:
-        raise FixtureError(f"field 'd': {exc}") from None
+    d = mat_from_json(obj, "d", n0, n1)
     l2_00 = tensor_from_json(need(obj, "l2_00"), (n0, n0, n0), "l2_00")
     l2_01 = tensor_from_json(need(obj, "l2_01"), (n0, n1, n1), "l2_01")
     l3 = tensor_from_json(need(obj, "l3"), (n0, n0, n0, n1), "l3")

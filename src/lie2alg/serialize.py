@@ -1,15 +1,16 @@
-"""Small helpers for the JSON fixture formats.
+"""JSON field codecs for the fixture formats.
 
 All rational values serialize as strings 'p/q' or 'n'; matrices are
 row-major nested arrays; multilinear structure constants are nested
-lists indexed exactly as documented on each loader.
+lists indexed exactly as documented on each loader.  Every malformed
+field raises FixtureError naming it.
 """
 
 from __future__ import annotations
 
 import json
 
-from .exactlin import rat_str, rational
+from .exactlin import RMatrix, rat_str, rational
 
 
 class FixtureError(ValueError):
@@ -45,6 +46,15 @@ def tensor_to_json(t):
     if isinstance(t, list):
         return [tensor_to_json(x) for x in t]
     return rat_str(t)
+
+
+def mat_from_json(obj: dict, field: str, rows: int, cols: int) -> RMatrix:
+    """Parse obj[field], a rows x cols matrix given as a list of rows."""
+    return RMatrix(rows, cols, tensor_from_json(need(obj, field), (rows, cols), field))
+
+
+def mat_to_json(m: RMatrix) -> list:
+    return tensor_to_json(m.data)
 
 
 def load_json_file(path: str) -> dict:

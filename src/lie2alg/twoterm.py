@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import (DimensionMismatch, RMatrix, mat_from_json, mat_to_json,
-                       pivot_columns, rank_kernel, solve_linear, vunit)
+from .exactlin import DimensionMismatch, RMatrix, pivot_columns, rank_kernel, solve_linear, vunit
 from .report import CheckReport, grid_violations
-from .serialize import FixtureError, as_count, need
+from .serialize import as_count, mat_from_json, mat_to_json, need
 
 
 @dataclass
@@ -190,8 +189,4 @@ def complex_to_json(c: TwoTermComplex) -> dict:
 def complex_from_json(obj: dict) -> TwoTermComplex:
     dim0 = as_count(need(obj, "dim0"), "dim0")
     dim1 = as_count(need(obj, "dim1"), "dim1")
-    try:
-        d = mat_from_json(need(obj, "d"), rows=dim0, cols=dim1)
-    except (ValueError, DimensionMismatch) as exc:
-        raise FixtureError(f"field 'd': {exc}") from None
-    return TwoTermComplex(dim0, dim1, d)
+    return TwoTermComplex(dim0, dim1, mat_from_json(obj, "d", dim0, dim1))

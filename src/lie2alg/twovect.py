@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import (DimensionMismatch, RMatrix, block_diag, kron,
-                       mat_from_json, mat_to_json, rank_kernel, solve_linear,
-                       vadd, vsub)
+from .exactlin import (DimensionMismatch, RMatrix, block_diag, kron, rank_kernel,
+                       solve_linear, vadd, vsub)
 from .report import CheckReport, grid_violations
 from .twoterm import ChainHomotopy, ChainMap, TwoTermComplex
-from .serialize import FixtureError, as_count, need
+from .serialize import as_count, mat_from_json, mat_to_json, need
 
 
 @dataclass
@@ -465,10 +464,5 @@ def space_to_json(v: TwoVectorSpace) -> dict:
 def space_from_json(obj: dict) -> TwoVectorSpace:
     dim0 = as_count(need(obj, "dim0"), "dim0")
     dim1 = as_count(need(obj, "dim1"), "dim1")
-    mats = {}
-    for name, shape in (("s", (dim0, dim1)), ("t", (dim0, dim1)), ("i", (dim1, dim0))):
-        try:
-            mats[name] = mat_from_json(need(obj, name), rows=shape[0], cols=shape[1])
-        except (ValueError, DimensionMismatch) as exc:
-            raise FixtureError(f"field '{name}': {exc}") from None
-    return TwoVectorSpace(dim0, dim1, mats["s"], mats["t"], mats["i"])
+    return TwoVectorSpace(dim0, dim1, mat_from_json(obj, "s", dim0, dim1),
+                          mat_from_json(obj, "t", dim0, dim1), mat_from_json(obj, "i", dim1, dim0))

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from lie2alg.cli import fixture_dir, run
 
@@ -30,6 +31,19 @@ def test_ybe_exit_codes():
     assert run(["ybe", fx("abelian3.json")])[0] == 0
     assert run(["ybe", fx("so3.json")])[0] == 0
     assert run(["ybe", fx("broken_jacobi3.json")])[0] == 1
+
+
+def test_ybe_reports_non_antisymmetric_bracket_as_failed_check(tmp_path):
+    algebra = json.load(open(fx("so3.json")))
+    algebra["bracket"][0][1][2] = "5"
+    f = tmp_path / "so3_not_antisymmetric.json"
+    f.write_text(json.dumps(algebra))
+    reports = {}
+    for cmd in ("ybe", "killing"):
+        code, rep = run([cmd, str(f)])
+        assert code == 1
+        reports[cmd] = rep.reports[0].result("antisymmetry").first_violation
+    assert reports["ybe"] == reports["killing"] == ((0, 1), [0, 0, 4])
 
 
 def test_parse_error_exit_two(tmp_path, capsys):
@@ -117,6 +131,36 @@ def test_killing_command(capsys):
     assert rep.payload["killing"] == [["8", "0", "0"], ["0", "0", "4"], ["0", "4", "0"]]
 
 
+@pytest.mark.parametrize("key", ["0<5", "1<0", "0<1<2"])
+def test_bad_cochain_key_exit_two(tmp_path, capsys, key):
+    cochain = {"algebra": json.load(open(fx("so3.json"))), "degree": 2, "values": {key: ["1"]}}
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps(cochain))
+    for cmd in ("is-cocycle", "coboundary"):
+        assert run([cmd, str(f)])[0] == 2
+        assert "values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["coboundary", "COCHAIN"], ["build-ghbar", "--hbar", "1", "SO3"],
+                                  ["skeletalize", "SO3_1"]], ids=lambda argv: argv[0])
+def test_unwritable_out_path_exit_two(tmp_path, capsys, argv):
+    cochain = {"algebra": json.load(open(fx("so3.json"))), "degree": 1, "values": {"0": ["1"]}}
+    (tmp_path / "w.json").write_text(json.dumps(cochain))
+    files = {"COCHAIN": str(tmp_path / "w.json"), "SO3": fx("so3.json"),
+             "SO3_1": fx("ghbar_so3_1.json")}
+    out = tmp_path / "missing_dir" / "x.json"
+    assert run([files.get(a, a) for a in argv] + ["-o", str(out)])[0] == 2
+    assert str(out) in capsys.readouterr().err
+
+
+def test_unwritable_copy_to_exit_two(tmp_path, capsys):
+    target = tmp_path / "missing_dir"
+    assert run(["fixtures", "--copy-to", str(target)])[0] == 2
+    assert str(target) in capsys.readouterr().err
+    assert run(["fixtures", "--copy-to", str(tmp_path)])[0] == 0
+    assert (tmp_path / "so3.json").read_text() == open(fx("so3.json")).read()
+
+
 def test_zero_denominator_exit_two(tmp_path, capsys):
     algebra = json.load(open(fx("so3.json")))
     algebra["bracket"][0][1][2] = "1/0"
@@ -154,9 +198,8 @@ def test_fixtures_listing(capsys):
 
 
 def hom_json(rng):
-    from lie2alg.exactlin import mat_to_json
     from lie2alg.linfty import linf_to_json
-    from lie2alg.serialize import tensor_to_json
+    from lie2alg.serialize import mat_to_json, tensor_to_json
     from test_linfty import twist_hom
     f = twist_hom(rng)
     return f, {"source": linf_to_json(f.source), "target": linf_to_json(f.target),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lie2alg.exactlin import (DimensionMismatch, RMatrix, contract, invert, kron,
-                              mat_from_json, mat_to_json, rank_kernel, rat_str,
-                              rational, solve_linear)
+from lie2alg.exactlin import (DimensionMismatch, RMatrix, contract, invert, kron, rank_kernel,
+                              rat_str, rational, solve_linear)
+from lie2alg.serialize import mat_from_json, mat_to_json
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -134,7 +134,7 @@ def test_invert_round_trip():
 
 def test_matrix_json_round_trip():
     m = RMatrix.from_rows([[Fraction(1, 2), 3], [0, -2]])
-    assert mat_from_json(mat_to_json(m)) == m
+    assert mat_from_json({"m": mat_to_json(m)}, "m", 2, 2) == m
 
 
 # mostly zeros, so that the skipping of zero coefficients is exercised
