@@ -193,8 +193,19 @@ def cmd_ybe(args, rep: Report) -> None:
     rep.reports.append(braid.check_ybe(braid.build_B_vect(g)))
 
 
+# Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` builds
+# unless --max-basis says otherwise.  Its dense functor matrices f1 are
+# basis x basis: 1,296 (broken_abelian4, 1.7 million entries) peaks near
+# 600 MB, and g_hbar(sl3) at 10^4 would need 10^8 entries per matrix.
+TETRA_MAX_BASIS = 1296
+
+
 def cmd_tetrahedron(args, rep: Report) -> None:
     v = _load_linf(args.file)
+    basis = (1 + v.dim0 + v.dim1) ** 4  # morphisms of k + L, to the fourth
+    if basis > args.max_basis:
+        raise FixtureError(f"tetrahedron: the morphism basis of (k+L)^4 has {basis} elements, "
+                           f"over the limit of {args.max_basis}; --max-basis raises it")
     L = lie2.from_linfty(v)
     ty = braid.build_Y(L)
     rep.reports.append(ty.hypotheses)
@@ -298,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("build-ghbar", cmd_build_ghbar, arg("--hbar", required=True), gfile, out)
     add("killing", cmd_killing, gfile)
     add("ybe", cmd_ybe, gfile)
-    add("tetrahedron", cmd_tetrahedron, file)
+    add("tetrahedron", cmd_tetrahedron, file,
+        arg("--max-basis", type=int, default=TETRA_MAX_BASIS,
+            help=f"largest morphism basis of (k+L)^4 to build (default {TETRA_MAX_BASIS})"))
     add("skeletalize", cmd_skeletalize, file, out)
     add("classify", cmd_classify, file)
     add("fixtures", cmd_fixtures, arg("--copy-to"))

@@ -118,9 +118,7 @@ class Cochain:
         return Cochain(self.rep, self.degree, _prune(vals))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._compat(other)
-        vals = {k: vsub(self.value(k), other.value(k)) for k in self.keys()}
-        return Cochain(self.rep, self.degree, _prune(vals))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Cochain":
         return Cochain(self.rep, self.degree,
@@ -190,19 +188,30 @@ def coords_to_cochain(rep: Representation, n: int, coords: list) -> Cochain:
 
 
 def coboundary_matrix(rep: Representation, n: int) -> RMatrix:
-    """Matrix of delta: C^n -> C^{n+1} in the ordered bases."""
-    src = cochain_basis(rep, n)
-    dst = cochain_basis(rep, n + 1)
-    cols = []
-    for key, v in src:
-        vals = vzeros(rep.dimV)
-        vals[v] = 1
-        w = Cochain(rep, n, {key: vals})
-        img = coboundary(w)
-        cols.append(cochain_to_coords(img))
-    if not cols:
-        return RMatrix.zeros(len(dst), 0)
-    return RMatrix.from_cols(cols, rows=len(dst))
+    """Matrix of delta: C^n -> C^{n+1} in the ordered bases, assembled by
+    visiting each (n+1)-key once and writing the terms of `coboundary`
+    straight into the columns of the n-keys they read."""
+    g, dimV = rep.algebra, rep.dimV
+    src = {key: i * dimV for i, key in enumerate(combinations(range(g.dim), n))}
+    dst = list(combinations(range(g.dim), n + 1))
+    out = RMatrix.zeros(len(dst) * dimV, len(src) * dimV)
+    for i, key in enumerate(dst):
+        block = out.data[i * dimV:(i + 1) * dimV]  # the rows of this key
+        for pos in range(n + 1):
+            col0, sign = src[key[:pos] + key[pos + 1:]], (-1) ** pos
+            for a, rho_row in enumerate(rep.rho[key[pos]].data):
+                for b, x in enumerate(rho_row):
+                    if x:
+                        block[a][col0 + b] += sign * x
+        for pj, pk in combinations(range(n + 1), 2):
+            rest = key[:pj] + key[pj + 1:pk] + key[pk + 1:]
+            for m, c in enumerate(g.bracket[key[pj]][key[pk]]):
+                if c and m not in rest:
+                    sign = (-1) ** (pj + pk + sum(x < m for x in rest))  # sorting (m,) + rest
+                    col0 = src[tuple(sorted((m,) + rest))]
+                    for a in range(dimV):
+                        block[a][col0 + a] += sign * c
+    return out
 
 
 def is_cocycle(w: Cochain) -> bool:
@@ -426,6 +435,31 @@ def sl2_algebra() -> LieAlgebra:
     b[0][2][2], b[2][0][2] = -2, 2
     b[1][2][0], b[2][1][0] = 1, -1
     return LieAlgebra(3, b)
+
+
+def sl_algebra(n: int) -> LieAlgebra:
+    """sl_n with structure constants from commutators of elementary
+    matrices, [E_ij, E_kl] = d_jk E_il - d_li E_kj.  Basis: E_ij for
+    i != j in lexicographic order, then H_k = E_kk - E_(k+1)(k+1)."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    basis = [{p: 1} for p in off] + [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
+
+    def coords(m: dict) -> list:
+        # diag(d_0, ..., d_(n-1)) = sum_k (d_0 + ... + d_k) H_k when traceless
+        diag = [m.get((k, k), 0) for k in range(n - 1)]
+        return [m.get(p, 0) for p in off] + [sum(diag[:k + 1]) for k in range(n - 1)]
+
+    def commutator(x: dict, y: dict) -> dict:
+        m = {}
+        for (i, j), a in x.items():
+            for (k, l), b in y.items():
+                if j == k:
+                    m[(i, l)] = m.get((i, l), 0) + a * b
+                if l == i:
+                    m[(k, j)] = m.get((k, j), 0) - a * b
+        return m
+
+    return LieAlgebra(len(basis), [[coords(commutator(x, y)) for y in basis] for x in basis])
 
 
 def abelian_algebra(n: int) -> LieAlgebra:

@@ -10,6 +10,7 @@ in the package.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 Rational = Fraction
@@ -17,6 +18,15 @@ Rational = Fraction
 
 class DimensionMismatch(ValueError):
     """Shapes of the operands do not line up."""
+
+
+def parse_int(s: str) -> int:
+    """int(s), refusing more digits than the interpreter converts
+    (sys.get_int_max_str_digits) with a ValueError that names the limit."""
+    limit, digits = sys.get_int_max_str_digits(), sum(ch.isdigit() for ch in s)
+    if limit and digits > limit:
+        raise ValueError(f"integer with {digits} digits, more than the limit of {limit}")
+    return int(s)
 
 
 def rational(x) -> int | Fraction:
@@ -28,11 +38,11 @@ def rational(x) -> int | Fraction:
     if isinstance(x, str):
         s = x.strip()
         if "/" in s:
-            num, den = s.split("/", 1)
-            if int(den) == 0:
+            num, den = (parse_int(p) for p in s.split("/", 1))
+            if den == 0:
                 raise ValueError(f"zero denominator: {x!r}")
-            return Fraction(int(num), int(den))
-        return int(s)
+            return Fraction(num, den)
+        return parse_int(s)
     raise ValueError(f"not a rational: {x!r}")
 
 
@@ -42,10 +52,6 @@ def rat_str(x) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # vectors are plain lists of exact numbers
@@ -248,35 +254,37 @@ def block_diag(a: RMatrix, b: RMatrix) -> RMatrix:
     return out
 
 
-def _rref(data: list, rows: int, cols: int):
-    """Reduced row echelon form of a copy; returns (grid, pivot column list)."""
-    m = [list(r) for r in data]
-    pivots = []
-    r = 0
+def _rref(data: list, cols: int):
+    """Reduced row echelon form by Gauss-Jordan elimination over sparse rows:
+    (its nonzero rows top to bottom as {column: entry} dicts, pivot columns).
+    The form is unique, so the shortest candidate row can be each pivot."""
+    pending = [{j: x for j, x in enumerate(row) if x} for row in data]
+    done, pivots = [], []
     for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
+        hits = [i for i, r in enumerate(pending) if c in r]
+        if not hits:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            inv = Fraction(1) / _q(pv)
-            m[r] = [inv * x for x in m[r]]
-        row_r = m[r]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], row_r)]
+        best = min(hits, key=lambda i: len(pending[i]))
+        row, pending[best] = pending[best], {}
+        if row[c] != 1:
+            inv = Fraction(1) / row[c]
+            row = {j: inv * x for j, x in row.items()}
+        for other in [pending[i] for i in hits if i != best] + [r for r in done if c in r]:
+            f = other[c]
+            for j, y in row.items():
+                x = other.get(j, 0) - f * y
+                if x:
+                    other[j] = x
+                else:
+                    del other[j]
+        done.append(row)
         pivots.append(c)
-        r += 1
-    return m, pivots
+    return done, pivots
 
 
 def pivot_columns(m: RMatrix) -> list:
     """Pivot column indices of the reduced row echelon form of m."""
-    return _rref(m.data, m.rows, m.cols)[1]
+    return _rref(m.data, m.cols)[1]
 
 
 def rank_kernel(m: RMatrix):
@@ -287,19 +295,13 @@ def rank_kernel(m: RMatrix):
     This is the deterministic echelon convention every downstream
     construction (skeletalization, classification) relies on.
     """
-    rr, pivots = _rref(m.data, m.rows, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[f] = 1
-        for r, p in enumerate(pivots):
-            if rr[r][f]:
-                v[p] = -rr[r][f]
-        basis.append(v)
-    return len(pivots), basis
+    rr, pivots = _rref(m.data, m.cols)
+    basis = {f: vunit(m.cols, f) for f in sorted(set(range(m.cols)) - set(pivots))}
+    for p, row in zip(pivots, rr):
+        for f, x in row.items():
+            if f != p:  # the other entries of a pivot row sit in free columns
+                basis[f][p] = -x
+    return len(pivots), list(basis.values())
 
 
 def solve_linear(m: RMatrix, b: list):
@@ -310,12 +312,12 @@ def solve_linear(m: RMatrix, b: list):
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs length {len(b)} vs {m.rows} rows")
     aug = [list(row) + [bv] for row, bv in zip(m.data, b)]
-    rr, pivots = _rref(aug, m.rows, m.cols + 1)
+    rr, pivots = _rref(aug, m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
     x = [0] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = rr[r][m.cols]
+    for p, row in zip(pivots, rr):
+        x[p] = row.get(m.cols, 0)
     return x
 
 
@@ -323,9 +325,9 @@ def invert(m: RMatrix) -> RMatrix:
     """Inverse of a square invertible matrix; raises if singular."""
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices invert")
-    aug = [list(row) + list(idr) for row, idr in zip(m.data, RMatrix.identity(m.rows).data)]
-    rr, pivots = _rref(aug, m.rows, 2 * m.cols)
-    if pivots[: m.cols] != list(range(m.cols)):
+    n = m.cols
+    aug = [list(row) + idr for row, idr in zip(m.data, RMatrix.identity(n).data)]
+    rr, pivots = _rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return RMatrix(m.rows, m.cols, [row[m.cols:] for row in rr])
-
+    return RMatrix(n, n, [[row.get(n + j, 0) for j in range(n)] for row in rr])

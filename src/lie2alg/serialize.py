@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .exactlin import RMatrix, rat_str, rational
+from .exactlin import RMatrix, parse_int, rat_str, rational
 
 
 class FixtureError(ValueError):
@@ -60,8 +60,8 @@ def mat_to_json(m: RMatrix) -> list:
 def load_json_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
     except FileNotFoundError:
         raise FixtureError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise FixtureError(f"invalid JSON in {path}: {exc}") from None

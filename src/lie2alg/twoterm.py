@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import DimensionMismatch, RMatrix, pivot_columns, rank_kernel, solve_linear, vunit
+from .exactlin import DimensionMismatch, RMatrix, invert, pivot_columns, rank_kernel, vunit
 from .report import CheckReport, grid_violations
 from .serialize import as_count, mat_from_json, mat_to_json, need
 
@@ -153,28 +153,15 @@ def skeletalize_complex(c: TwoTermComplex) -> Skeletalization:
     # solve x = d w + sum c_q e_q with w supported on pivot columns:
     # m0 = [d|_P  E_comp] is square invertible, giving project0 and tau
     d_piv = RMatrix.from_cols([c.d.col(p) for p in piv_cols], rows=c.dim0)
-    m0 = d_piv.hstack(u0)
-    v0_rows, tau_rows = [], []
-    for q in range(c.dim0):
-        z = solve_linear(m0, vunit(c.dim0, q))
-        assert z is not None, "decomposition matrix must be invertible"
-        w = [0] * c.dim1
-        for idx, p in enumerate(piv_cols):
-            w[p] = z[idx]
-        tau_rows.append(w)
-        v0_rows.append(z[rank:])
-    v0 = RMatrix.from_cols(v0_rows, rows=len(comp_rows))
-    tau = RMatrix.from_cols(tau_rows, rows=c.dim1)
+    m0_inv = invert(d_piv.hstack(u0))
+    v0 = RMatrix(len(comp_rows), c.dim0, m0_inv.data[rank:])
+    tau = RMatrix.zeros(c.dim1, c.dim0)
+    for idx, p in enumerate(piv_cols):
+        tau.data[p] = m0_inv.data[idx]
 
     # h = sum a_i k_i + sum b_p e_p: m1 = [K  E_P] square invertible
     e_piv = RMatrix.from_cols([vunit(c.dim1, p) for p in piv_cols], rows=c.dim1)
-    m1 = u1.hstack(e_piv)
-    v1_cols = []
-    for a in range(c.dim1):
-        z = solve_linear(m1, vunit(c.dim1, a))
-        assert z is not None, "decomposition matrix must be invertible"
-        v1_cols.append(z[: len(kernel)])
-    v1 = RMatrix.from_cols(v1_cols, rows=len(kernel))
+    v1 = RMatrix(len(kernel), c.dim1, invert(u1.hstack(e_piv)).data[:len(kernel)])
     project = ChainMap(c, skeletal, v0, v1)
 
     round_trip = compose_chain_maps(project, include)

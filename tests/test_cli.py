@@ -54,6 +54,10 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert run(["check-linfty", str(bad)])[0] == 2
     err = capsys.readouterr().err
     assert "dim1" in err
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"dim0": "\xff"}')
+    assert run(["check-linfty", str(not_utf8)])[0] == 2
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_malformed_field_named(tmp_path, capsys):
@@ -170,6 +174,23 @@ def test_zero_denominator_exit_two(tmp_path, capsys):
     assert "bracket" in capsys.readouterr().err
 
 
+def test_oversized_integer_exit_two(tmp_path, capsys):
+    """A 5,000-digit entry is refused by exactlin's own digit limit, as a
+    string field and as a bare JSON number, without the interpreter's advice."""
+    obj = json.load(open(fx("ghbar_so3_1.json")))
+    obj["d"][0][0] = "7" * 5000
+    as_string = tmp_path / "big_string.json"
+    as_string.write_text(json.dumps(obj))
+    as_number = tmp_path / "big_number.json"
+    as_number.write_text(json.dumps(obj).replace(f'"{"7" * 5000}"', "7" * 5000))
+    for f, where in ((as_string, "field 'd'"), (as_number, "invalid JSON")):
+        assert run(["check-linfty", str(f)])[0] == 2
+        err = capsys.readouterr().err
+        assert where in err
+        assert "5000 digits" in err and "limit of 4300" in err
+        assert "set_int_max_str_digits" not in err
+
+
 def test_skeletalize_command(tmp_path):
     f = tmp_path / "cx.json"
     f.write_text(json.dumps({"dim0": 2, "dim1": 2,
@@ -257,6 +278,30 @@ def test_tetrahedron_broken_names_condition_i(capsys):
     assert not names["component_equality"].passed
     assert names["agreement"].passed
     assert any("(0, 1, 2, 3)" in note for note in rep.notes)
+
+
+def test_tetrahedron_size_preflight(tmp_path, capsys, monkeypatch):
+    """g_hbar(sl3) has a morphism basis of 10^4 on (k+L)^4, over the
+    default limit: exit 2 before anything is built.  --max-basis lifts it."""
+    from lie2alg import braid, cli
+    from lie2alg.cohomology import build_g_hbar, sl_algebra
+    from lie2alg.linfty import linf_to_json
+
+    class Built(Exception):
+        pass
+
+    def build_y(L):
+        raise Built
+    monkeypatch.setattr(braid, "build_Y", build_y)
+    f = tmp_path / "ghbar_sl3.json"
+    f.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(3), 1).data)))
+    assert cli.TETRA_MAX_BASIS >= 6 ** 4  # broken_abelian4, the largest fixture
+    assert run(["tetrahedron", str(f)])[0] == 2
+    err = capsys.readouterr().err
+    assert "10000" in err and f"limit of {cli.TETRA_MAX_BASIS}" in err
+    assert run(["tetrahedron", str(f), "--max-basis", "9999"])[0] == 2
+    with pytest.raises(Built):
+        run(["tetrahedron", str(f), "--max-basis", "10000"])
 
 
 def test_console_entry_point():

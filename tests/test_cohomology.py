@@ -2,17 +2,19 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lie2alg.cohomology import (Cochain, Representation, abelian_algebra,
+from lie2alg.cohomology import (Cochain, LieAlgebra, Representation, abelian_algebra,
                                 adjoint_rep, algebra_from_json, algebra_to_json,
                                 build_cross_product, build_g_hbar, build_two_slot,
-                                check_lie_algebra, classify,
-                                coboundary, coboundary_matrix, cochain_from_json,
+                                check_lie_algebra, classify, coboundary, coboundary_matrix,
+                                cochain_basis, cochain_from_json, cochain_to_coords,
                                 cochain_to_json, cohomologous, cohomology_dim,
                                 is_cocycle, is_coboundary, killing_form,
                                 killing_triple_cochain, rep_from_json, rep_to_json,
-                                so3_algebra, sl2_algebra, trivial_rep)
-from lie2alg.exactlin import RMatrix
+                                sl_algebra, so3_algebra, sl2_algebra, trivial_rep)
+from lie2alg.exactlin import RMatrix, rank_kernel
 from lie2alg.lie2 import from_linfty
 from lie2alg.linfty import check_axioms, check_hom
 from conftest import (broken_jacobi3, delta_twist_pair, inflate,
@@ -88,6 +90,37 @@ def test_sl2_adjoint_whitehead():
     assert cohomology_dim(rep, 3) == 0
     assert cohomology_dim(rep, 1) == 0
     assert cohomology_dim(rep, 2) == 0
+
+
+def test_sl_algebra_from_elementary_matrices():
+    for n in (1, 2, 3, 4):
+        g = sl_algebra(n)
+        assert g.dim == n * n - 1
+        assert check_lie_algebra(g).passed
+    # sl2 in the basis (E_12, E_21, H_1) is sl2_algebra() in (e, f, h) order
+    perm = [1, 2, 0]
+    want = sl2_algebra().bracket
+    assert sl_algebra(2).bracket == [[[want[perm[i]][perm[j]][perm[k]] for k in range(3)]
+                                      for j in range(3)] for i in range(3)]
+    # the Killing form of sl3 is 6 tr(xy): nondegenerate, <E_12, E_21> = 6
+    k = killing_form(sl_algebra(3))
+    assert k.data[0][2] == 6 and k.data[6][6] == 12
+    assert rank_kernel(k)[0] == 8
+
+
+def test_sl3_whitehead():
+    g = sl_algebra(3)
+    assert [cohomology_dim(trivial_rep(g, 1), n) for n in range(4)] == [1, 0, 0, 1]
+    assert [cohomology_dim(adjoint_rep(g), n) for n in range(4)] == [0, 0, 0, 0]
+
+
+def test_classify_ghbar_sl3_nontrivial_class():
+    g = sl_algebra(3)
+    quad = classify(build_g_hbar(g, 1))
+    assert quad.algebra == g
+    assert quad.cocycle.values == killing_triple_cochain(g, 1).values
+    assert is_cocycle(quad.cocycle)
+    assert not is_coboundary(quad.cocycle)
 
 
 def test_coboundary_matrix_matches_pointwise(rng):
@@ -251,3 +284,60 @@ def test_json_round_trips(rng):
     # degree 0 uses the empty index tuple
     w0 = Cochain(rep, 0, {(): [1, 0, 2]})
     assert cochain_from_json(rep, cochain_to_json(w0)).values == w0.values
+
+
+# coboundary() is the per-cochain differential; its images of the unit
+# cochains are the oracle for the directly assembled coboundary_matrix.
+
+def _unit_cochain_images(rep, n):
+    cols = []
+    for key, v in cochain_basis(rep, n):
+        vals = [0] * rep.dimV
+        vals[v] = 1
+        cols.append(cochain_to_coords(coboundary(Cochain(rep, n, {key: vals}))))
+    return cols
+
+
+def _assert_matrix_matches_unit_cochains(rep):
+    for n in range(4):
+        m = coboundary_matrix(rep, n)
+        assert (m.rows, m.cols) == (len(cochain_basis(rep, n + 1)),
+                                    len(cochain_basis(rep, n)))
+        assert [m.col(j) for j in range(m.cols)] == _unit_cochain_images(rep, n)
+
+
+@pytest.mark.parametrize("algebra", [abelian_algebra(2), abelian_algebra(3), so3_algebra(),
+                                     sl2_algebra()], ids=["abelian2", "abelian3", "so3", "sl2"])
+def test_coboundary_matrix_matches_unit_cochains_named(algebra):
+    for rep in (trivial_rep(algebra, 1), trivial_rep(algebra, 2), adjoint_rep(algebra)):
+        _assert_matrix_matches_unit_cochains(rep)
+
+
+@st.composite
+def small_representation(draw):
+    """A random antisymmetric bracket on dim 1..4 with a trivial (dim V
+    1..2), adjoint or random-matrix action; neither Jacobi nor the
+    representation property is needed for the matrix to equal delta."""
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    dim = draw(st.integers(1, 4))
+    bracket = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v = [draw(entry) for _ in range(dim)]
+            bracket[i][j], bracket[j][i] = v, [-x for x in v]
+    g = LieAlgebra(dim, bracket)
+    kind = draw(st.sampled_from(("trivial", "adjoint", "random")))
+    if kind == "trivial":
+        return trivial_rep(g, draw(st.integers(1, 2)))
+    if kind == "adjoint":
+        return adjoint_rep(g)
+    dimV = draw(st.integers(1, 2))
+    return Representation(g, dimV, [RMatrix.from_rows(
+        [[draw(entry) for _ in range(dimV)] for _ in range(dimV)]) for _ in range(dim)])
+
+
+@given(small_representation())
+@settings(max_examples=60, deadline=None)
+def test_coboundary_matrix_matches_unit_cochains_random(rep):
+    _assert_matrix_matches_unit_cochains(rep)

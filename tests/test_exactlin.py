@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lie2alg.exactlin import (DimensionMismatch, RMatrix, contract, invert, kron, rank_kernel,
-                              rat_str, rational, solve_linear)
+from lie2alg.exactlin import (DimensionMismatch, RMatrix, _rref, contract, invert, kron,
+                              pivot_columns, rank_kernel, rat_str, rational, solve_linear)
 from lie2alg.serialize import mat_from_json, mat_to_json
 
 entries = st.integers(min_value=-6, max_value=6)
@@ -171,3 +171,139 @@ def test_contract_matches_brute_force_sum(case):
             coeff *= vec[i]
         want[idx[-1]] += coeff
     assert contract(tensor, dims[-1], *vecs) == want
+
+
+# The dense Gauss-Jordan elimination that the sparse `_rref` replaced, with
+# the readers built on it, kept verbatim as the oracle: the reduced row
+# echelon form is unique, so the sparse path must give the same grid, the
+# same pivots and the same free-column kernel basis.
+
+def _dense_rref(data: list, rows: int, cols: int):
+    m = [list(r) for r in data]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            inv = Fraction(1) / Fraction(pv)
+            m[r] = [inv * x for x in m[r]]
+        row_r = m[r]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], row_r)]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _dense_rank_kernel(m: RMatrix):
+    rr, pivots = _dense_rref(m.data, m.rows, m.cols)
+    basis = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [0] * m.cols
+        v[f] = 1
+        for r, p in enumerate(pivots):
+            if rr[r][f]:
+                v[p] = -rr[r][f]
+        basis.append(v)
+    return len(pivots), basis
+
+
+def _dense_solve_linear(m: RMatrix, b: list):
+    aug = [list(row) + [bv] for row, bv in zip(m.data, b)]
+    rr, pivots = _dense_rref(aug, m.rows, m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [0] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = rr[r][m.cols]
+    return x
+
+
+def _dense_invert(m: RMatrix):
+    aug = [list(row) + list(idr) for row, idr in zip(m.data, RMatrix.identity(m.rows).data)]
+    rr, pivots = _dense_rref(aug, m.rows, 2 * m.cols)
+    if pivots[: m.cols] != list(range(m.cols)):
+        return None
+    return RMatrix(m.rows, m.cols, [row[m.cols:] for row in rr])
+
+
+fraction_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def elimination_case(draw):
+    """A matrix with 0..6 rows and columns (sparse, dense integer or
+    Fraction entries), optionally made rank-deficient or given a zero row
+    or column, and a right-hand side that is either in the column space
+    or arbitrary."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from((sparse_entries, entries, fraction_entries)))
+    data = [[draw(kind) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):  # one row a combination of two others
+        i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        c = draw(st.integers(-3, 3))
+        data[k] = [x + c * y for x, y in zip(data[i], data[j])]
+    if rows and draw(st.booleans()):
+        data[draw(st.integers(0, rows - 1))] = [0] * cols
+    if cols and draw(st.booleans()):
+        zc = draw(st.integers(0, cols - 1))
+        for row in data:
+            row[zc] = 0
+    m = RMatrix(rows, cols, data)
+    if draw(st.booleans()):
+        b = m.matvec([draw(entries) for _ in range(cols)])
+    else:
+        b = [draw(kind) for _ in range(rows)]
+    return m, b
+
+
+@given(elimination_case())
+@example((RMatrix.zeros(0, 0), []))
+@example((RMatrix.zeros(3, 0), [0, 1, 0]))
+@example((RMatrix.from_rows([[1, 2], [2, 4]]), [1, 3]))  # unsolvable
+@example((RMatrix.from_rows([[0, 0, 3], [0, 0, 0], [0, 5, 1]]), [3, 0, 2]))
+@settings(max_examples=300, deadline=None)
+def test_sparse_elimination_matches_dense_reference(case):
+    m, b = case
+    grid, pivots = _rref(m.data, m.cols)
+    ref_grid, ref_pivots = _dense_rref(m.data, m.rows, m.cols)
+    assert pivots == ref_pivots
+    assert all(x for row in grid for x in row.values())  # zero entries are dropped
+    dense = [[row.get(j, 0) for j in range(m.cols)] for row in grid]
+    assert dense + [[0] * m.cols] * (m.rows - len(grid)) == ref_grid
+    assert pivot_columns(m) == ref_pivots
+    assert rank_kernel(m) == _dense_rank_kernel(m)
+    assert solve_linear(m, b) == _dense_solve_linear(m, b)
+    if m.rows != m.cols:
+        with pytest.raises(DimensionMismatch):
+            invert(m)
+        return
+    want = _dense_invert(m)
+    if want is None:
+        with pytest.raises(ValueError):
+            invert(m)
+    else:
+        assert invert(m) == want
+
+
+@given(st.integers(1, 5).flatmap(lambda n: small_matrix(n, n)))
+@example(RMatrix.from_rows([[1, 2], [1, 3]]))
+@example(RMatrix.from_rows([[0, 1], [1, 0]]))
+@settings(max_examples=100, deadline=None)
+def test_sparse_invert_matches_dense_reference(m):
+    want = _dense_invert(m)
+    if want is None:
+        with pytest.raises(ValueError):
+            invert(m)
+    else:
+        assert invert(m) == want
