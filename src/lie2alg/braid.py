@@ -8,9 +8,10 @@ tensor powers use the flat lexicographic indexing of exactlin.kron.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .cohomology import LieAlgebra
-from .exactlin import RMatrix, kron, vsub, vunit
+from .exactlin import RMatrix, kron, vunit
 from .lie2 import SemistrictLie2Algebra, bracket_morphisms
 from .linfty import antisymmetry_violations, check_axioms
 from .report import CheckReport, CheckResult, first_violation, grid_violations
@@ -36,17 +37,21 @@ def build_B_vect(g: LieAlgebra) -> YBOperator:
     asym = antisymmetry_violations(g.bracket)
     if asym:
         raise ValueError(f"bracket is not antisymmetric at {asym[0][0]}")
-    dim = 1 + g.dim
-    b = RMatrix.zeros(dim * dim, dim * dim)
-    for i in range(dim):
-        for j in range(dim):
-            col = i * dim + j
-            b.data[j * dim + i][col] += 1  # the swap
-            if i and j:
-                for k, c in enumerate(g.bracket[i - 1][j - 1]):
-                    if c:
-                        b.data[0 * dim + (1 + k)][col] += c
-    return YBOperator(g, b)
+    return YBOperator(g, _swap_plus_bracket(g.dim, lambda i, j: g.bracket[i][j]))
+
+
+def _swap_plus_bracket(n: int, bracket) -> RMatrix:
+    """(a,x) ox (b,y) |-> (b,y) ox (a,x) + (1,0) ox (0,[x,y]) on (k + V)^2 with
+    dim V = n, where bracket(i, j) is the bracket of basis vectors i and j of V."""
+    dim = 1 + n
+
+    def cells():
+        for i, j in product(range(dim), repeat=2):
+            yield (j * dim + i, i * dim + j), 1  # the swap
+            if i and j:  # (1,0) ox (0,[x,y]): flat index (0, 1+k)
+                for k, c in enumerate(bracket(i - 1, j - 1)):
+                    yield (0 * dim + (1 + k), i * dim + j), c
+    return RMatrix.from_cells(dim * dim, dim * dim, cells())
 
 
 def yang_baxter_sides(op: YBOperator):
@@ -84,50 +89,17 @@ class TetraY:
     condition_i: CheckResult        # axiom (i), which the tetrahedron equation detects
 
 
-def _embed_obj(L: SemistrictLie2Algebra, idx: int) -> list | None:
-    """The L-part of the idx-th object basis vector of k + L (None for
-    the ground slot)."""
-    return None if idx == 0 else L.object_basis(idx - 1)
-
-
-def _morphism_of_slot(L: SemistrictLie2Algebra, idx: int) -> Morphism | None:
-    """The L-part of the idx-th morphism basis vector of k + L."""
-    if idx == 0:
-        return None
-    return Morphism(L.space, vunit(L.space.dim1, idx - 1))
-
-
 def build_braid_functor(L: SemistrictLie2Algebra, lp: TwoVectorSpace) -> LinearFunctor:
     """The braiding on objects and morphisms of (k + L) tensor itself."""
-    v = L.data
     lplp = tensor_2vs(lp, lp)
-    d0, d1 = lp.dim0, lp.dim1
 
-    f0 = RMatrix.zeros(d0 * d0, d0 * d0)
-    for i in range(d0):
-        for j in range(d0):
-            col = i * d0 + j
-            f0.data[j * d0 + i][col] += 1
-            xi, xj = _embed_obj(L, i), _embed_obj(L, j)
-            if xi is not None and xj is not None:
-                for k, c in enumerate(v.bracket00(xi, xj)):
-                    if c:
-                        f0.data[0 * d0 + (1 + k)][col] += c
-
-    f1 = RMatrix.zeros(d1 * d1, d1 * d1)
-    for p in range(d1):
-        mp = _morphism_of_slot(L, p)
-        for q in range(d1):
-            col = p * d1 + q
-            f1.data[q * d1 + p][col] += 1
-            mq = _morphism_of_slot(L, q)
-            if mp is not None and mq is not None:
-                br = bracket_morphisms(L, mp, mq)
-                for k, c in enumerate(br.vec):
-                    if c:
-                        # 1_{(1,0)} ox (0, [m_p, m_q]): flat index (0, 1+k)
-                        f1.data[0 * d1 + (1 + k)][col] += c
-    return LinearFunctor(lplp, lplp, f0, f1)
+    def bracket_arrows(p: int, q: int) -> list:
+        m = L.space.dim1
+        return bracket_morphisms(L, Morphism(L.space, vunit(m, p)),
+                                 Morphism(L.space, vunit(m, q))).vec
+    return LinearFunctor(lplp, lplp,
+                         _swap_plus_bracket(L.dim0, lambda i, j: L.data.l2_00[i][j]),
+                         _swap_plus_bracket(L.space.dim1, bracket_arrows))
 
 
 def build_Y(L: SemistrictLie2Algebra) -> TetraY:
@@ -149,22 +121,13 @@ def build_Y(L: SemistrictLie2Algebra) -> TetraY:
     yb_target = compose_functors(compose_functors(b23, b12), b23)
 
     n0 = L.dim0
-    m1 = lp.dim1  # 1 + dim L1
-    theta = RMatrix.zeros(m1 ** 3, lp.dim0 ** 3)
-    i_big = lp3.i
-    for col in range(lp.dim0 ** 3):
-        src = yb_source.f0.col(col)
-        comp = i_big.matvec(src)
-        trip = (col // (lp.dim0 ** 2), (col // lp.dim0) % lp.dim0, col % lp.dim0)
-        if all(t > 0 for t in trip):
-            arrow = v.l3_eval(*(L.object_basis(t - 1) for t in trip))
-            for c_idx, c in enumerate(arrow):
-                if c:
-                    # flat (0, 0, 1 + n0 + c_idx) in the morphism cube
-                    comp[1 + n0 + c_idx] += c
-        for r, x in enumerate(comp):
-            if x:
-                theta.data[r][col] = x
+    arrows = (((1 + n0 + m, col), c)  # flat (0, 0, 1 + n0 + m) in the morphism cube
+              for col, trip in enumerate(product(range(lp.dim0), repeat=3)) if all(trip)
+              for m, c in enumerate(v.l3_eval(*(L.object_basis(t - 1) for t in trip))))
+    # the component at x is the identity on yb_source(x) plus the Jacobiator's arrow
+    ids = [lp3.i.matvec(yb_source.f0.col(col)) for col in range(lp.dim0 ** 3)]
+    theta = (RMatrix.from_cols(ids, rows=lp.dim1 ** 3)
+             + RMatrix.from_cells(lp.dim1 ** 3, lp.dim0 ** 3, arrows))
     y = LinearNatTrans(yb_source, yb_target, theta)
     hypotheses.extend(check_nat_trans(y), prefix="y_")
     return TetraY(L, lp, braid, yb_source, yb_target, y, hypotheses,
@@ -217,9 +180,9 @@ def check_zamolodchikov(ty: TetraY) -> CheckReport:
                    and lhs.to_functor == rhs.to_functor)
             else [((), "source/target functors differ")])
     d0 = ty.space.dim0
+    diff = (lhs.theta - rhs.theta).transpose()  # row col is the residual at object col
     rep.add("component_equality", first_violation(
-        ((col // d0 ** 3, (col // d0 ** 2) % d0, (col // d0) % d0, col % d0),
-         vsub(lhs.theta.col(col), rhs.theta.col(col)))
+        ((col // d0 ** 3, (col // d0 ** 2) % d0, (col // d0) % d0, col % d0), diff.row(col))
         for col in range(d0 ** 4)))
     return rep
 

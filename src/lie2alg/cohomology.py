@@ -16,7 +16,7 @@ from .exactlin import (DimensionMismatch, RMatrix, contract, rank_kernel, solve_
 from .lie2 import SemistrictLie2Algebra, from_linfty
 from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
                      check_axioms, jacobi_violations, perm_sign, zero_l3)
-from .report import CheckReport, first_violation
+from .report import CheckReport, first_violation, grid_violations
 from .serialize import (FixtureError, as_count, mat_to_json, need, tensor_from_json,
                         tensor_to_json)
 from .twoterm import ChainMap, TwoTermComplex, skeletalize_complex
@@ -70,7 +70,7 @@ def check_representation(rep_: Representation) -> CheckReport:
             lhs = sum((rho[k].scale(c) for k, c in enumerate(g.bracket[i][j]) if c),
                       RMatrix.zeros(rep_.dimV, rep_.dimV))
             resid = lhs - (rho[i] @ rho[j] - rho[j] @ rho[i])
-            yield (i, j), [x for row in resid.data for x in row if x][:4]
+            yield (i, j), [x for _, x in grid_violations(resid)[:4]]
     rep.add("bracket_to_commutator", first_violation(residuals()))
     return rep
 
@@ -194,24 +194,24 @@ def coboundary_matrix(rep: Representation, n: int) -> RMatrix:
     g, dimV = rep.algebra, rep.dimV
     src = {key: i * dimV for i, key in enumerate(combinations(range(g.dim), n))}
     dst = list(combinations(range(g.dim), n + 1))
-    out = RMatrix.zeros(len(dst) * dimV, len(src) * dimV)
-    for i, key in enumerate(dst):
-        block = out.data[i * dimV:(i + 1) * dimV]  # the rows of this key
-        for pos in range(n + 1):
-            col0, sign = src[key[:pos] + key[pos + 1:]], (-1) ** pos
-            for a, rho_row in enumerate(rep.rho[key[pos]].data):
-                for b, x in enumerate(rho_row):
-                    if x:
-                        block[a][col0 + b] += sign * x
-        for pj, pk in combinations(range(n + 1), 2):
-            rest = key[:pj] + key[pj + 1:pk] + key[pk + 1:]
-            for m, c in enumerate(g.bracket[key[pj]][key[pk]]):
-                if c and m not in rest:
-                    sign = (-1) ** (pj + pk + sum(x < m for x in rest))  # sorting (m,) + rest
-                    col0 = src[tuple(sorted((m,) + rest))]
-                    for a in range(dimV):
-                        block[a][col0 + a] += sign * c
-    return out
+
+    def cells():
+        for i, key in enumerate(dst):
+            row0 = i * dimV  # the rows of this key
+            for pos in range(n + 1):
+                col0, sign = src[key[:pos] + key[pos + 1:]], (-1) ** pos
+                for a, rho_row in enumerate(rep.rho[key[pos]].entries):
+                    for b, x in rho_row.items():
+                        yield (row0 + a, col0 + b), sign * x
+            for pj, pk in combinations(range(n + 1), 2):
+                rest = key[:pj] + key[pj + 1:pk] + key[pk + 1:]
+                for m, c in enumerate(g.bracket[key[pj]][key[pk]]):
+                    if c and m not in rest:
+                        sign = (-1) ** (pj + pk + sum(x < m for x in rest))  # sorting (m,) + rest
+                        col0 = src[tuple(sorted((m,) + rest))]
+                        for a in range(dimV):
+                            yield (row0 + a, col0 + a), sign * c
+    return RMatrix.from_cells(len(dst) * dimV, len(src) * dimV, cells())
 
 
 def is_cocycle(w: Cochain) -> bool:
@@ -383,12 +383,8 @@ def equivalence_from_cohomologous(rep: Representation, w1: Cochain, w2: Cochain)
 def killing_form(g: LieAlgebra) -> RMatrix:
     """<x, y> = tr(ad x ad y)."""
     ads = [g.ad(i) for i in range(g.dim)]
-    out = RMatrix.zeros(g.dim, g.dim)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            prod = ads[i] @ ads[j]
-            out.data[i][j] = sum(prod.data[k][k] for k in range(g.dim))
-    return out
+    return RMatrix.from_rows([[sum(p[k, k] for k in range(g.dim)) for p in (a @ b for b in ads)]
+                              for a in ads], g.dim)
 
 
 def killing_triple_cochain(g: LieAlgebra, scale=1) -> Cochain:
@@ -398,7 +394,7 @@ def killing_triple_cochain(g: LieAlgebra, scale=1) -> Cochain:
     vals = {}
     for (i, j, k) in combinations(range(g.dim), 3):
         br = g.bracket[j][k]
-        val = scale * sum(K.data[i][m] * c for m, c in enumerate(br) if c)
+        val = scale * sum(K[i, m] * c for m, c in enumerate(br) if c)
         if val:
             vals[(i, j, k)] = [val]
     return Cochain(rep, 3, vals)
@@ -486,7 +482,7 @@ def rep_to_json(r: Representation) -> dict:
 def rep_from_json(g: LieAlgebra, obj: dict) -> Representation:
     dimV = as_count(need(obj, "dimV"), "dimV")
     rho = tensor_from_json(need(obj, "rho"), (g.dim, dimV, dimV), "rho")
-    return Representation(g, dimV, [RMatrix(dimV, dimV, m) for m in rho])
+    return Representation(g, dimV, [RMatrix.from_rows(m, dimV) for m in rho])
 
 
 def cochain_to_json(w: Cochain) -> dict:

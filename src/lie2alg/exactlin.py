@@ -1,4 +1,4 @@
-"""Exact rational scalars, dense matrices and Kronecker products.
+"""Exact rational scalars, sparse matrices and Kronecker products.
 
 Everything is over Q: entries are Python ints or `fractions.Fraction`,
 never floats.  Matrices act on column vectors, so ``a @ b`` is the usual
@@ -46,12 +46,25 @@ def rational(x) -> int | Fraction:
     raise ValueError(f"not a rational: {x!r}")
 
 
+def _int_str(n: int) -> str:
+    """str(n) at any length: past the interpreter's digit limit
+    (sys.get_int_max_str_digits) the digits are written 600 at a time."""
+    try:
+        return str(n)
+    except ValueError:
+        chunks, rest = [], abs(n)
+        while rest:
+            rest, low = divmod(rest, 10 ** 600)
+            chunks.append(f"{low:0600d}")
+        return "-" * (n < 0) + "".join(reversed(chunks)).lstrip("0")
+
+
 def rat_str(x) -> str:
     """Format an exact rational as 'p/q', or 'n' when the denominator is 1."""
     q = Fraction(x)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 # vectors are plain lists of exact numbers
@@ -107,27 +120,44 @@ def contract(tensor: list, dim: int, *vecs) -> list:
 
 
 class RMatrix:
-    """Dense matrix over Q with row-major storage."""
+    """Sparse matrix over Q: one {column: entry} dict per row, no zeros stored,
+    so products, sums, kron, transposes and matvec cost time in the nonzeros.
 
-    __slots__ = ("rows", "cols", "data")
+    A matrix is never changed after it is built, so results may share
+    row dicts with their operands; `data` is a read-only dense view.
+    """
 
-    def __init__(self, rows: int, cols: int, data: list):
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise DimensionMismatch(f"expected {rows}x{cols} grid")
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: list):
+        if len(entries) != rows:
+            raise DimensionMismatch(f"expected {rows} rows, got {len(entries)}")
+        if entries and type(entries[0]) is not dict:
+            raise TypeError("rows must be {column: entry} dicts; use RMatrix.from_rows for a grid")
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.entries = entries
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "RMatrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return cls(n, n, [{i: 1} for i in range(n)])
+
+    @classmethod
+    def from_cells(cls, rows: int, cols: int, cells) -> "RMatrix":
+        """The matrix whose (i, j) entry is the sum of the x given as ((i, j), x)."""
+        out = [{} for _ in range(rows)]
+        for (i, j), x in cells:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimensionMismatch(f"cell ({i}, {j}) outside a {rows}x{cols} matrix")
+            row = out[i]
+            x += row.pop(j, 0)
+            if x:
+                row[j] = x
+        return cls(rows, cols, out)
 
     @classmethod
     def from_rows(cls, rows: list, cols: int | None = None) -> "RMatrix":
@@ -135,95 +165,117 @@ class RMatrix:
             if not rows:
                 raise DimensionMismatch("empty row list needs an explicit column count")
             cols = len(rows[0])
-        return cls(len(rows), cols, [list(r) for r in rows])
+        if any(len(r) != cols for r in rows):
+            raise DimensionMismatch(f"expected {len(rows)}x{cols} grid")
+        return cls(len(rows), cols, [{j: x for j, x in enumerate(r) if x} for r in rows])
 
     @classmethod
-    def from_cols(cls, cols: list, rows: int | None = None) -> "RMatrix":
-        if rows is None:
-            if not cols:
-                raise DimensionMismatch("empty column list needs an explicit row count")
-            rows = len(cols[0])
-        data = [[c[i] for c in cols] for i in range(rows)]
-        return cls(rows, len(cols), data)
+    def from_cols(cls, cols: list, rows: int) -> "RMatrix":
+        return cls.from_rows(cols, rows).transpose()
+
+    @property
+    def data(self) -> tuple:
+        """Dense view: a tuple of row tuples."""
+        return tuple(tuple(self.row(i)) for i in range(self.rows))
+
+    def __getitem__(self, ij: tuple):
+        return self.entries[ij[0]].get(ij[1], 0)
 
     def col(self, j: int) -> list:
-        return [row[j] for row in self.data]
+        return [row.get(j, 0) for row in self.entries]
 
     def row(self, i: int) -> list:
-        return list(self.data[i])
+        out = [0] * self.cols
+        for j, x in self.entries[i].items():
+            out[j] = x
+        return out
 
     def transpose(self) -> "RMatrix":
-        return RMatrix(self.cols, self.rows,
-                       [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, x in row.items():
+                out[j][i] = x
+        return RMatrix(self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(self.entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RMatrix):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self.entries == other.entries)
 
     __hash__ = None
 
     def __add__(self, other: "RMatrix") -> "RMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return RMatrix(self.rows, self.cols,
-                       [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        out = []
+        for r1, r2 in zip(self.entries, other.entries):
+            row = dict(r1) if r2 else r1
+            for j, y in r2.items():
+                x = row.pop(j, 0) + y
+                if x:
+                    row[j] = x
+            out.append(row)
+        return RMatrix(self.rows, self.cols, out)
 
     def __sub__(self, other: "RMatrix") -> "RMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return RMatrix(self.rows, self.cols,
-                       [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return self + -other
 
     def __neg__(self) -> "RMatrix":
-        return RMatrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
+        return self.scale(-1)
 
     def scale(self, c) -> "RMatrix":
-        return RMatrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
+        if not c:
+            return RMatrix.zeros(self.rows, self.cols)
+        return RMatrix(self.rows, self.cols,
+                       [{j: c * x for j, x in row.items()} for row in self.entries])
 
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # skip zero entries; composites of braid-style matrices stay sparse
-        nz = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i, arow in enumerate(self.data):
-            out_i = out[i]
-            for k, a in enumerate(arow):
-                if a:
-                    for j, b in nz[k]:
-                        out_i[j] += a * b
+        brows = other.entries
+        out = []
+        for arow in self.entries:
+            if len(arow) == 1:  # a permutation-like row copies or scales one row
+                (k, a), = arow.items()
+                out.append(brows[k] if a == 1 else {j: a * b for j, b in brows[k].items()})
+                continue
+            acc = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, x in acc.items() if x})
         return RMatrix(self.rows, other.cols, out)
 
     def matvec(self, v: list) -> list:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matvec length {len(v)} vs {self.cols} columns")
-        out = [0] * self.rows
-        data = self.data
-        for k, x in enumerate(v):
-            if x:
-                for i in range(self.rows):
-                    e = data[i][k]
-                    if e:
-                        out[i] += e * x
+        out = []
+        for row in self.entries:
+            acc = 0
+            for j, e in row.items():
+                x = v[j]
+                if x:
+                    acc += e * x
+            out.append(acc)
         return out
 
     def hstack(self, other: "RMatrix") -> "RMatrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return RMatrix(self.rows, self.cols + other.cols,
-                       [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        n = self.cols
+        return RMatrix(self.rows, n + other.cols,
+                       [{**r1, **{n + j: x for j, x in r2.items()}} if r2 else r1
+                        for r1, r2 in zip(self.entries, other.entries)])
 
     def vstack(self, other: "RMatrix") -> "RMatrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return RMatrix(self.rows + other.rows, self.cols,
-                       [list(r) for r in self.data] + [list(r) for r in other.data])
+        return RMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def __repr__(self) -> str:
         return f"RMatrix({self.rows}x{self.cols})"
@@ -231,34 +283,27 @@ class RMatrix:
 
 def kron(a: RMatrix, b: RMatrix) -> RMatrix:
     """Kronecker product; (a o b)[(i,k),(j,l)] = a[i,j] b[k,l], left factor major."""
-    out = RMatrix.zeros(a.rows * b.rows, a.cols * b.cols)
-    odata = out.data
-    for i, arow in enumerate(a.data):
-        for j, av in enumerate(arow):
-            if av:
-                base_j = j * b.cols
-                for k, brow in enumerate(b.data):
-                    orow = odata[i * b.rows + k]
-                    for l, bv in enumerate(brow):
-                        if bv:
-                            orow[base_j + l] = av * bv
-    return out
+    n = b.cols
+    brows = [r.items() for r in b.entries]
+    out = []
+    for arow in a.entries:
+        shifted = [(j * n, av) for j, av in arow.items()]
+        out.extend({base + l: av * bv for base, av in shifted for l, bv in bitems}
+                   for bitems in brows)
+    return RMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
 def block_diag(a: RMatrix, b: RMatrix) -> RMatrix:
-    out = RMatrix.zeros(a.rows + b.rows, a.cols + b.cols)
-    for i in range(a.rows):
-        out.data[i][: a.cols] = list(a.data[i])
-    for i in range(b.rows):
-        out.data[a.rows + i][a.cols:] = list(b.data[i])
-    return out
+    return a.hstack(RMatrix.zeros(a.rows, b.cols)).vstack(
+        RMatrix.zeros(b.rows, a.cols).hstack(b))
 
 
-def _rref(data: list, cols: int):
-    """Reduced row echelon form by Gauss-Jordan elimination over sparse rows:
+def _rref(rows: list, cols: int):
+    """Reduced row echelon form by Gauss-Jordan elimination over sparse
+    {column: entry} rows without zeros, which are read and left as they are:
     (its nonzero rows top to bottom as {column: entry} dicts, pivot columns).
     The form is unique, so the shortest candidate row can be each pivot."""
-    pending = [{j: x for j, x in enumerate(row) if x} for row in data]
+    pending = [dict(r) for r in rows]
     done, pivots = [], []
     for c in range(cols):
         hits = [i for i, r in enumerate(pending) if c in r]
@@ -284,7 +329,7 @@ def _rref(data: list, cols: int):
 
 def pivot_columns(m: RMatrix) -> list:
     """Pivot column indices of the reduced row echelon form of m."""
-    return _rref(m.data, m.cols)[1]
+    return _rref(m.entries, m.cols)[1]
 
 
 def rank_kernel(m: RMatrix):
@@ -295,7 +340,7 @@ def rank_kernel(m: RMatrix):
     This is the deterministic echelon convention every downstream
     construction (skeletalization, classification) relies on.
     """
-    rr, pivots = _rref(m.data, m.cols)
+    rr, pivots = _rref(m.entries, m.cols)
     basis = {f: vunit(m.cols, f) for f in sorted(set(range(m.cols)) - set(pivots))}
     for p, row in zip(pivots, rr):
         for f, x in row.items():
@@ -311,13 +356,13 @@ def solve_linear(m: RMatrix, b: list):
     """
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs length {len(b)} vs {m.rows} rows")
-    aug = [list(row) + [bv] for row, bv in zip(m.data, b)]
-    rr, pivots = _rref(aug, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
+    n = m.cols
+    rr, pivots = _rref([{**row, n: bv} if bv else row for row, bv in zip(m.entries, b)], n + 1)
+    if pivots and pivots[-1] == n:
         return None
-    x = [0] * m.cols
+    x = [0] * n
     for p, row in zip(pivots, rr):
-        x[p] = row.get(m.cols, 0)
+        x[p] = row.get(n, 0)
     return x
 
 
@@ -326,8 +371,7 @@ def invert(m: RMatrix) -> RMatrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices invert")
     n = m.cols
-    aug = [list(row) + idr for row, idr in zip(m.data, RMatrix.identity(n).data)]
-    rr, pivots = _rref(aug, 2 * n)
+    rr, pivots = _rref([{**row, n + i: 1} for i, row in enumerate(m.entries)], 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return RMatrix(n, n, [[row.get(n + j, 0) for j in range(n)] for row in rr])
+    return RMatrix(n, n, [{j - n: x for j, x in row.items() if j >= n} for row in rr])

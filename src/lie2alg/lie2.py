@@ -354,9 +354,8 @@ def hom_to_linf(F: Lie2Hom) -> LInfHom:
     src, tgt = F.source.data, F.target.data
     n0s, n0t = src.dim0, tgt.dim0
     phi0 = F.functor.f0
-    phi1 = RMatrix(tgt.dim1, src.dim1,
-                   [[F.functor.f1.data[n0t + b][n0s + a] for a in range(src.dim1)]
-                    for b in range(tgt.dim1)])
+    phi1 = RMatrix.from_rows([[F.functor.f1[n0t + b, n0s + a] for a in range(src.dim1)]
+                              for b in range(tgt.dim1)], src.dim1)
     chain = ChainMap(src.complex, tgt.complex, phi0, phi1)
     return LInfHom(src, tgt, chain, [[list(v) for v in row] for row in F.f2])
 

@@ -35,7 +35,7 @@ def first_violation(pairs) -> list:
 
 def grid_violations(m: RMatrix) -> list:
     """Every nonzero cell ((row, col), entry) of a matrix residual."""
-    return [((i, j), x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x]
+    return [((i, j), row[j]) for i, row in enumerate(m.entries) for j in sorted(row)]
 
 
 @dataclass

@@ -50,11 +50,11 @@ def tensor_to_json(t):
 
 def mat_from_json(obj: dict, field: str, rows: int, cols: int) -> RMatrix:
     """Parse obj[field], a rows x cols matrix given as a list of rows."""
-    return RMatrix(rows, cols, tensor_from_json(need(obj, field), (rows, cols), field))
+    return RMatrix.from_rows(tensor_from_json(need(obj, field), (rows, cols), field), cols)
 
 
 def mat_to_json(m: RMatrix) -> list:
-    return tensor_to_json(m.data)
+    return [[rat_str(x) for x in row] for row in m.data]
 
 
 def load_json_file(path: str) -> dict:

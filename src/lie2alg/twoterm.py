@@ -154,14 +154,12 @@ def skeletalize_complex(c: TwoTermComplex) -> Skeletalization:
     # m0 = [d|_P  E_comp] is square invertible, giving project0 and tau
     d_piv = RMatrix.from_cols([c.d.col(p) for p in piv_cols], rows=c.dim0)
     m0_inv = invert(d_piv.hstack(u0))
-    v0 = RMatrix(len(comp_rows), c.dim0, m0_inv.data[rank:])
-    tau = RMatrix.zeros(c.dim1, c.dim0)
-    for idx, p in enumerate(piv_cols):
-        tau.data[p] = m0_inv.data[idx]
+    v0 = RMatrix(len(comp_rows), c.dim0, m0_inv.entries[rank:])
+    e_piv = RMatrix.from_cols([vunit(c.dim1, p) for p in piv_cols], rows=c.dim1)
+    tau = e_piv @ RMatrix(rank, c.dim0, m0_inv.entries[:rank])  # row idx of m0_inv at p
 
     # h = sum a_i k_i + sum b_p e_p: m1 = [K  E_P] square invertible
-    e_piv = RMatrix.from_cols([vunit(c.dim1, p) for p in piv_cols], rows=c.dim1)
-    v1 = RMatrix(len(kernel), c.dim1, invert(u1.hstack(e_piv)).data[:len(kernel)])
+    v1 = RMatrix(len(kernel), c.dim1, invert(u1.hstack(e_piv)).entries[:len(kernel)])
     project = ChainMap(c, skeletal, v0, v1)
 
     round_trip = compose_chain_maps(project, include)

@@ -19,8 +19,8 @@ from lie2alg.twoterm import TwoTermComplex
 
 
 def rand_mat(rng, rows, cols, lo=-3, hi=3):
-    return RMatrix(rows, cols, [[rng.randint(lo, hi) for _ in range(cols)]
-                                for _ in range(rows)])
+    return RMatrix.from_rows([[rng.randint(lo, hi) for _ in range(cols)]
+                              for _ in range(rows)], cols)
 
 
 def rand_invertible(rng, n, lo=-2, hi=2):

@@ -158,9 +158,10 @@ def test_criterion_6_equivalence_functors(rng):
         if n0 and n1:
             bad = ChainMap(c, c, g.phi0 + c.d @ rand_mat(rng, n1, n0), g.phi1)
             ok &= check_chain_map(bad).passed == check_functor(T_on_chain_map(bad)).passed
-            bump = RMatrix.zeros(th.theta.rows, th.theta.cols)
-            bump.data[n0][0] = 1  # lands in the arrow block
+            # lands in the arrow block
+            bump = RMatrix.from_cells(th.theta.rows, th.theta.cols, [((n0, 0), 1)])
             bad_nat = LinearNatTrans(th.from_functor, th.to_functor, th.theta + bump)
+            ok &= bad_nat.theta != th.theta
             ok &= check_nat_trans(bad_nat).passed == check_homotopy(
                 S_on_nat_trans(bad_nat)).passed
             bad_h = ChainHomotopy(f, g, tau + rand_mat(rng, n1, n0))

@@ -191,6 +191,28 @@ def test_oversized_integer_exit_two(tmp_path, capsys):
         assert "set_int_max_str_digits" not in err
 
 
+def test_long_computed_residual_rendered_exactly(tmp_path, capsys):
+    """Two 3,000-digit entries are accepted; their 6,000-digit product, the
+    Jacobi residual at (0, 1, 2), is past the interpreter's conversion
+    limit and is still printed in full."""
+    a, b = "7" * 3000, "3" * 3000
+    obj = json.load(open(fx("ghbar_so3_1.json")))
+    obj["d"][0][0], obj["l3"][0][1][2] = a, [b]
+    f = tmp_path / "long_residual.json"
+    f.write_text(json.dumps(obj))
+    assert run(["--json", "check-linfty", str(f)])[0] == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    jacobi = checks["g_jacobi_up_to_d"]
+    assert jacobi["location"] == [0, 1, 2]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = str(int(a) * int(b))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) == 6000 and jacobi["residual"][0] == want
+
+
 def test_skeletalize_command(tmp_path):
     f = tmp_path / "cx.json"
     f.write_text(json.dumps({"dim0": 2, "dim1": 2,

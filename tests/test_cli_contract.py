@@ -1,9 +1,8 @@
 """The CLI contract under malformed input: `cli.run` returns exit code 0, 1
 or 2 on any mutated copy of a valid input, and never raises.
 
-Each subcommand except `tetrahedron` gets mutated copies of the bundled
-fixtures it accepts, or of a small so3 cochain, representation or
-homomorphism built from them.
+Each subcommand gets mutated copies of the bundled fixtures it accepts, or
+of a small so3 cochain, representation or homomorphism built from them.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ CASES = [
     (["ybe", "IN"], ALGEBRAS),
     (["skeletalize", "IN", "-o", "OUT"], TWO_TERM),
     (["classify", "IN"], TWO_TERM),
+    (["tetrahedron", "IN"], TWO_TERM),
     (["fixtures", "--copy-to", "IN"], ("so3",)),
 ]
 

@@ -104,7 +104,7 @@ def test_sl_algebra_from_elementary_matrices():
                                       for j in range(3)] for i in range(3)]
     # the Killing form of sl3 is 6 tr(xy): nondegenerate, <E_12, E_21> = 6
     k = killing_form(sl_algebra(3))
-    assert k.data[0][2] == 6 and k.data[6][6] == 12
+    assert k[0, 2] == 6 and k[6, 6] == 12
     assert rank_kernel(k)[0] == 8
 
 
@@ -112,6 +112,14 @@ def test_sl3_whitehead():
     g = sl_algebra(3)
     assert [cohomology_dim(trivial_rep(g, 1), n) for n in range(4)] == [1, 0, 0, 1]
     assert [cohomology_dim(adjoint_rep(g), n) for n in range(4)] == [0, 0, 0, 0]
+
+
+def test_sl4_whitehead():
+    """H^0..H^3 of sl4 with trivial coefficients, and H^0..H^2 with adjoint
+    ones: delta_2 of the adjoint is 6,825 x 1,575, held sparse."""
+    g = sl_algebra(4)
+    assert [cohomology_dim(trivial_rep(g, 1), n) for n in range(4)] == [1, 0, 0, 1]
+    assert [cohomology_dim(adjoint_rep(g), n) for n in range(3)] == [0, 0, 0]
 
 
 def test_classify_ghbar_sl3_nontrivial_class():
@@ -189,15 +197,15 @@ def test_killing_values_and_invariance():
     assert k == RMatrix.identity(3).scale(-2)
     sl2 = sl2_algebra()
     k2 = killing_form(sl2)
-    assert k2.data == [[8, 0, 0], [0, 0, 4], [0, 4, 0]]
+    assert k2 == RMatrix.from_rows([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
     for g_, k_ in ((g, k), (sl2, k2)):
         # symmetry and <[x,y],z> = <x,[y,z]> on all basis triples
         assert k_ == k_.transpose()
         for i in range(3):
             for j in range(3):
                 for l in range(3):
-                    lhs = sum(g_.bracket[i][j][m] * k_.data[m][l] for m in range(3))
-                    rhs = sum(k_.data[i][m] * g_.bracket[j][l][m] for m in range(3))
+                    lhs = sum(g_.bracket[i][j][m] * k_[m, l] for m in range(3))
+                    rhs = sum(k_[i, m] * g_.bracket[j][l][m] for m in range(3))
                     assert lhs == rhs
     assert killing_form(abelian_algebra(3)).is_zero()
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lie2alg.exactlin import (DimensionMismatch, RMatrix, _rref, contract, invert, kron,
-                              pivot_columns, rank_kernel, rat_str, rational, solve_linear)
+from lie2alg.exactlin import (DimensionMismatch, RMatrix, _rref, block_diag, contract, invert,
+                              kron, pivot_columns, rank_kernel, rat_str, rational,
+                              solve_linear)
 from lie2alg.serialize import mat_from_json, mat_to_json
 
 entries = st.integers(min_value=-6, max_value=6)
@@ -66,7 +67,7 @@ def test_solve_shape_error():
 def test_kron_identity_factor_block_diagonal():
     a = RMatrix.from_rows([[1, 2], [3, 4]])
     k = kron(RMatrix.identity(2), a)
-    assert k.data == [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 1, 2], [0, 0, 3, 4]]
+    assert k == RMatrix.from_rows([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 1, 2], [0, 0, 3, 4]])
 
 
 def test_kron_zero_factor():
@@ -75,7 +76,8 @@ def test_kron_zero_factor():
 
 
 def test_kron_direct_expansion():
-    assert kron(RMatrix.from_rows([[2]]), RMatrix.from_rows([[1, 1]])).data == [[2, 2]]
+    k = kron(RMatrix.from_rows([[2]]), RMatrix.from_rows([[1, 1]]))
+    assert k == RMatrix.from_rows([[2, 2]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,6 +132,15 @@ def test_invert_round_trip():
     assert m @ invert(m) == RMatrix.identity(2)
     with pytest.raises(ValueError):
         invert(RMatrix.from_rows([[1, 2], [2, 4]]))
+
+
+def test_dense_view_is_read_only():
+    m = RMatrix.from_rows([[0, 1], [2, 0]])
+    assert m.data == ((0, 1), (2, 0)) and m.entries == [{1: 1}, {0: 2}]
+    with pytest.raises(TypeError):
+        m.data[0][0] = 5
+    with pytest.raises(TypeError):
+        RMatrix(2, 2, [[0, 1], [2, 0]])  # a grid goes through from_rows
 
 
 def test_matrix_json_round_trip():
@@ -234,7 +245,7 @@ def _dense_invert(m: RMatrix):
     rr, pivots = _dense_rref(aug, m.rows, 2 * m.cols)
     if pivots[: m.cols] != list(range(m.cols)):
         return None
-    return RMatrix(m.rows, m.cols, [row[m.cols:] for row in rr])
+    return RMatrix.from_rows([row[m.cols:] for row in rr], m.cols)
 
 
 fraction_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -259,7 +270,7 @@ def elimination_case(draw):
         zc = draw(st.integers(0, cols - 1))
         for row in data:
             row[zc] = 0
-    m = RMatrix(rows, cols, data)
+    m = RMatrix.from_rows(data, cols)
     if draw(st.booleans()):
         b = m.matvec([draw(entries) for _ in range(cols)])
     else:
@@ -275,7 +286,7 @@ def elimination_case(draw):
 @settings(max_examples=300, deadline=None)
 def test_sparse_elimination_matches_dense_reference(case):
     m, b = case
-    grid, pivots = _rref(m.data, m.cols)
+    grid, pivots = _rref(m.entries, m.cols)
     ref_grid, ref_pivots = _dense_rref(m.data, m.rows, m.cols)
     assert pivots == ref_pivots
     assert all(x for row in grid for x in row.values())  # zero entries are dropped
@@ -307,3 +318,82 @@ def test_sparse_invert_matches_dense_reference(m):
             invert(m)
     else:
         assert invert(m) == want
+
+
+# The dense product, Kronecker product and matrix-vector product that the
+# sparse RMatrix replaced, kept verbatim over list-of-lists grids as the
+# oracle for the sparse ones.
+
+def _dense_matmul(a: list, b: list, b_cols: int) -> list:
+    nz = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = [[0] * b_cols for _ in range(len(a))]
+    for i, arow in enumerate(a):
+        out_i = out[i]
+        for k, x in enumerate(arow):
+            if x:
+                for j, y in nz[k]:
+                    out_i[j] += x * y
+    return out
+
+
+def _dense_kron(a: list, b: list, a_cols: int, b_cols: int) -> list:
+    out = [[0] * (a_cols * b_cols) for _ in range(len(a) * len(b))]
+    for i, arow in enumerate(a):
+        for j, av in enumerate(arow):
+            if av:
+                base_j = j * b_cols
+                for k, brow in enumerate(b):
+                    orow = out[i * len(b) + k]
+                    for l, bv in enumerate(brow):
+                        if bv:
+                            orow[base_j + l] = av * bv
+    return out
+
+
+def _dense_matvec(a: list, v: list) -> list:
+    out = [0] * len(a)
+    for k, x in enumerate(v):
+        if x:
+            for i in range(len(a)):
+                e = a[i][k]
+                if e:
+                    out[i] += e * x
+    return out
+
+
+def _grid(m: RMatrix) -> list:
+    return [list(row) for row in m.data]
+
+
+@st.composite
+def product_case(draw):
+    """Matrices a (r x k), b (k x c) and c (s x t) and a vector of length k;
+    any dimension may be 0, entries mostly zero, some cancelling."""
+    r, k, c, s, t = (draw(st.integers(0, 5)) for _ in range(5))
+
+    def grid(rows, cols):
+        return [[draw(sparse_entries) for _ in range(cols)] for _ in range(rows)]
+    return (RMatrix.from_rows(grid(r, k), k), RMatrix.from_rows(grid(k, c), c),
+            RMatrix.from_rows(grid(s, t), t), [draw(sparse_entries) for _ in range(k)])
+
+
+@given(product_case())
+@example((RMatrix.from_rows([[1, 1]]), RMatrix.from_rows([[1], [-1]]),
+          RMatrix.zeros(0, 2), [2, 2]))  # a product that cancels to zero
+@settings(max_examples=100, deadline=None)
+def test_sparse_products_match_dense_reference(case):
+    a, b, c, v = case
+    ab = a @ b
+    assert _grid(ab) == _dense_matmul(_grid(a), _grid(b), b.cols)
+    assert ab == RMatrix.from_rows(_grid(ab), b.cols)  # no zero is stored
+    assert _grid(kron(a, c)) == _dense_kron(_grid(a), _grid(c), a.cols, c.cols)
+    assert _grid(kron(c, b)) == _dense_kron(_grid(c), _grid(b), c.cols, b.cols)
+    assert a.matvec(v) == _dense_matvec(_grid(a), v)
+    ga, gb = _grid(a), _grid(b)
+    assert _grid(a.transpose()) == [[row[j] for row in ga] for j in range(a.cols)]
+    assert _grid(a - a.scale(2) + a) == [[0] * a.cols for _ in range(a.rows)]
+    assert (a - a).is_zero() and (-a + a).is_zero()
+    assert _grid(a.hstack(RMatrix.zeros(a.rows, 2))) == [row + [0, 0] for row in ga]
+    assert _grid(b.vstack(b)) == gb + gb
+    assert _grid(block_diag(a, c)) == (
+        [row + [0] * c.cols for row in ga] + [[0] * a.cols + row for row in _grid(c)])

@@ -1,9 +1,10 @@
 """Golden `--json` reports of the command line.
 
-Every subcommand except `tetrahedron` runs on every bundled fixture it
-accepts, and its stdout must match `golden_reports.json` byte for byte
-once `elapsed_s` is masked and the fixture directory in `command` is
-replaced by a placeholder.  A refactor that claims unchanged reports is
+Every subcommand runs on every bundled fixture it accepts (`tetrahedron`
+on one passing and one failing fixture, the two the benchmark sweeps),
+and its stdout must match `golden_reports.json` byte for byte once
+`elapsed_s` is masked and the fixture directory in `command` is replaced
+by a placeholder.  A refactor that claims unchanged reports is
 held to this; a change that means to alter a report regenerates the file
 with
 
@@ -37,6 +38,8 @@ def golden_cases() -> list:
         cases += [["killing", g], ["ybe", g],
                   ["build-ghbar", "--hbar=1", g], ["build-ghbar", "--hbar=1/2", g]]
         cases += [["cohomology", "--degree", str(n), g] for n in range(4)]
+    cases += [["tetrahedron", f"{FIXTURES}/{name}.json"]
+              for name in ("ghbar_so3_1", "broken_abelian4")]
     return cases + [["check-dcm", f"{FIXTURES}/dcm_so3_adjoint.json"], ["fixtures"]]
 
 

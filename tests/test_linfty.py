@@ -241,8 +241,8 @@ def parallel_homs_with_two_hom(rng):
     by a nonzero 2-homomorphism: shifting phi2 by the coboundary of a
     1-cochain tau is witnessed by tau itself."""
     f = twist_hom(rng)
-    tau = RMatrix(1, 3, [[rng.randint(-2, 2) for _ in range(3)]])
-    delta_tau = [[[-sum(tau.data[0][m] * c for m, c in enumerate(f.source.l2_00[i][j]))]
+    tau = RMatrix.from_rows([[rng.randint(-2, 2) for _ in range(3)]])
+    delta_tau = [[[-sum(tau[0, m] * c for m, c in enumerate(f.source.l2_00[i][j]))]
                   for j in range(3)] for i in range(3)]
     shifted = [[vsub(f.phi2[i][j], delta_tau[i][j]) for j in range(3)] for i in range(3)]
     g = LInfHom(f.source, f.target, f.chain, shifted)
@@ -259,8 +259,8 @@ def test_nonzero_two_hom_passes(rng):
 def test_two_hom_compositions_match_two_vect_images(rng):
     f, g, t1 = parallel_homs_with_two_hom(rng)
     # a second 2-hom starting where t1 ends: shift g's phi2 again
-    tau2 = RMatrix(1, 3, [[rng.randint(-2, 2) for _ in range(3)]])
-    delta_tau2 = [[[-sum(tau2.data[0][m] * c
+    tau2 = RMatrix.from_rows([[rng.randint(-2, 2) for _ in range(3)]])
+    delta_tau2 = [[[-sum(tau2[0, m] * c
                          for m, c in enumerate(g.source.l2_00[i][j]))]
                    for j in range(3)] for i in range(3)]
     h = LInfHom(g.source, g.target, g.chain,

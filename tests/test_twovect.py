@@ -43,7 +43,7 @@ def chain_map_with_tau(rng, c):
 def test_ground_field_shape():
     k = ground_field()
     assert (k.dim0, k.dim1) == (1, 1)
-    assert k.s.data == k.t.data == k.i.data == [[1]]
+    assert k.s == k.t == k.i == RMatrix.from_rows([[1]])
     assert check_space(k).passed
 
 
@@ -95,8 +95,8 @@ def test_functor_T_of_trivial_complex():
     c = TwoTermComplex(1, 1, RMatrix.zeros(1, 1))
     v = functor_T(c)
     assert (v.dim0, v.dim1) == (1, 2)
-    assert v.s.data == [[1, 0]] and v.t.data == [[1, 0]]
-    assert v.i.data == [[1], [0]]
+    assert v.s == v.t == RMatrix.from_rows([[1, 0]])
+    assert v.i == RMatrix.from_rows([[1], [0]])
 
 
 def test_S_of_T_is_canonical_identity(rng):
@@ -108,7 +108,7 @@ def test_S_of_T_is_canonical_identity(rng):
 
 def test_S_of_T_single_entry():
     c = TwoTermComplex(1, 1, RMatrix.from_rows([[2]]))
-    assert functor_S(functor_T(c)).d.data == [[2]]
+    assert functor_S(functor_T(c)).d == RMatrix.from_rows([[2]])
 
 
 def test_T_of_S_explicit_iso(rng):
@@ -152,9 +152,10 @@ def test_transport_preserves_failures(rng):
     th = T_on_homotopy(h)
     # perturb theta into (0, ker d): rows stay valid, naturality and the
     # transported homotopy both break
-    bump = RMatrix.zeros(th.theta.rows, th.theta.cols)
-    bump.data[2 + 1][0] = 1  # arrow slot of the kernel direction of d
+    # arrow slot of the kernel direction of d
+    bump = RMatrix.from_cells(th.theta.rows, th.theta.cols, [((2 + 1, 0), 1)])
     bad_nat = LinearNatTrans(th.from_functor, th.to_functor, th.theta + bump)
+    assert bad_nat.theta != th.theta
     rep = check_nat_trans(bad_nat)
     assert rep.result("source_row").passed and rep.result("target_row").passed
     assert not rep.result("naturality").passed
@@ -215,9 +216,10 @@ def test_nat_trans_from_homotopy_passes_and_breaks(rng):
     th = T_on_homotopy(h)
     assert check_nat_trans(th).passed
     # corrupt one target row entry
-    bad_theta = RMatrix(th.theta.rows, th.theta.cols,
-                        [list(r) for r in th.theta.data])
-    bad_theta.data[0][0] += 1
+    grid = [list(r) for r in th.theta.data]
+    grid[0][0] += 1
+    bad_theta = RMatrix.from_rows(grid, th.theta.cols)
+    assert bad_theta != th.theta
     bad = LinearNatTrans(th.from_functor, th.to_functor, bad_theta)
     rep = check_nat_trans(bad)
     assert not rep.passed
