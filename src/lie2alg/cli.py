@@ -139,9 +139,21 @@ def cmd_check_dcm(args, rep: Report) -> None:
     rep.reports.append(lie2.check_crossed_module(m))
 
 
+# Largest number of nonzeros that delta_(n-1) and delta_n of `cohomology
+# --degree n` may hold together, by cohomology.coboundary_nnz_bound, unless
+# --max-nnz says otherwise.  H^3(sl4, adjoint) bounds at 145,600 (its delta_3
+# has 82,544) and takes about 25 s at 111 MB peak RSS; H^4 bounds at 524,160.
+COHOMOLOGY_MAX_NNZ = 200_000
+
+
 def cmd_cohomology(args, rep: Report) -> None:
     g = _load_algebra(args.gfile)
     r = _load_rep(g, args.rep)
+    n = args.degree
+    nnz = cohomology.coboundary_nnz_bound(r, n - 1) + cohomology.coboundary_nnz_bound(r, n)
+    if nnz > args.max_nnz:
+        raise FixtureError(f"cohomology: delta_{n - 1} and delta_{n} may hold up to {nnz} "
+                           f"nonzeros, over the limit of {args.max_nnz}; --max-nnz raises it")
     rep.reports.append(cohomology.check_representation(r))
     dim = cohomology.cohomology_dim(r, args.degree)
     rep.payload = {"degree": args.degree, "dimension": dim}
@@ -303,7 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("check-lie2", cmd_check_lie2, file)
     add("check-dcm", cmd_check_dcm, file)
     add("cohomology", cmd_cohomology, arg("--degree", type=int, required=True), gfile,
-        arg("--rep"))
+        arg("--rep"),
+        arg("--max-nnz", type=int, default=COHOMOLOGY_MAX_NNZ,
+            help="largest number of nonzeros of delta_(n-1) and delta_n to build "
+                 f"(default {COHOMOLOGY_MAX_NNZ})"))
     add("is-cocycle", cmd_is_cocycle, file)
     add("coboundary", cmd_coboundary, file, out)
     add("build-ghbar", cmd_build_ghbar, arg("--hbar", required=True), gfile, out)

@@ -280,38 +280,77 @@ def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
     """The unshuffle identity at the given arity, on all graded basis tuples.
 
     Each term carries chi(sigma) and the factor (-1)^{i(j-1)}; higher
-    arities than 4 vanish identically for two-term data.
+    arities than 4 vanish identically for two-term data.  The terms and
+    their signs depend only on the tuple's degrees, so they are listed
+    once per degree pattern; the inner brackets are read from tables of
+    l_i on basis tuples and contracted into the outer ones.
     """
     if not 1 <= arity <= 4:
         raise ValueError("arity must be between 1 and 4")
     rep = CheckReport(f"generalized_jacobi_{arity}")
+    dims = (v.dim0, v.dim1)
     elems = [(0, i) for i in range(v.dim0)] + [(1, a) for a in range(v.dim1)]
+    units = [[vunit(n, ix) for ix in range(n)] for n in dims]
+    tables, patterns = {}, {}
+
+    def degree(k, degrees):
+        """Degree of l_k on arguments of these degrees, None outside 0/1."""
+        out = _graded_bracket(v, k, [(dg, vzeros(dims[dg])) for dg in degrees])
+        return None if out is None else out[0]
+
+    def table(k, degrees):
+        """l_k on the basis tuples of these degrees, indexed by the tuple's
+        basis indices."""
+        if (k, degrees) not in tables:
+            def build(idx):
+                if len(idx) < k:
+                    return [build(idx + [ix]) for ix in range(dims[degrees[len(idx)]])]
+                return _graded_bracket(v, k, [_graded_element(v, dg, ix)
+                                              for dg, ix in zip(degrees, idx)])[1]
+            tables[k, degrees] = build([])
+        return tables[k, degrees]
+
+    def terms(degrees):
+        """(coefficient, inner slots, inner table, outer slots, outer table,
+        output degree) for each unshuffle term that lands in degrees 0/1."""
+        out = []
+        for i in range(1, arity + 1):
+            j = arity + 1 - i
+            sign_ij = -1 if (i * (j - 1)) % 2 else 1
+            for sigma in unshuffles(i, arity):
+                inner_degrees = tuple(degrees[p] for p in sigma[:i])
+                inner = degree(i, inner_degrees)
+                if inner is None:
+                    continue
+                outer_degrees = (inner,) + tuple(degrees[p] for p in sigma[i:])
+                deg = degree(j, outer_degrees)
+                if deg is None:
+                    continue
+                chi = koszul_chi(SignedPermutation(sigma, degrees))
+                out.append((chi * sign_ij, sigma[:i], table(i, inner_degrees),
+                            sigma[i:], table(j, outer_degrees), deg))
+        return out
+
+    def residual(combo):
+        """Both degree parts of the unshuffle sum at one graded basis tuple."""
+        degrees = tuple(dg for dg, _ in combo)
+        if degrees not in patterns:
+            patterns[degrees] = terms(degrees)
+        args = [units[dg][ix] for dg, ix in combo]
+        acc = [vzeros(v.dim0), vzeros(v.dim1)]
+        for coef, inner_slots, inner, outer_slots, outer, deg in patterns[degrees]:
+            for p in inner_slots:
+                inner = inner[combo[p][1]]
+            part = acc[deg]
+            for m, x in enumerate(contract(outer, dims[deg], inner,
+                                           *[args[p] for p in outer_slots])):
+                if x:
+                    part[m] += coef * x
+        return acc[0] + acc[1]
+
     rep.add("unshuffle_identity", first_violation(
-        (combo, _unshuffle_residual(v, combo)) for combo in product(elems, repeat=arity)))
+        (combo, residual(combo)) for combo in product(elems, repeat=arity)))
     return rep
-
-
-def _unshuffle_residual(v: TwoTermLInfinity, combo: tuple) -> list:
-    """Both degree parts of the unshuffle sum at one graded basis tuple."""
-    arity = len(combo)
-    degrees = tuple(dg for dg, _ in combo)
-    args = [_graded_element(v, dg, ix) for dg, ix in combo]
-    acc = {0: vzeros(v.dim0), 1: vzeros(v.dim1)}
-    for i in range(1, arity + 1):
-        j = arity + 1 - i
-        sign_ij = -1 if (i * (j - 1)) % 2 else 1
-        for sigma in unshuffles(i, arity):
-            chi = koszul_chi(SignedPermutation(sigma, degrees))
-            inner = _graded_bracket(v, i, [args[p] for p in sigma[:i]])
-            if inner is None:
-                continue
-            outer_args = [inner] + [args[p] for p in sigma[i:]]
-            term = _graded_bracket(v, j, outer_args)
-            if term is None:
-                continue
-            deg, vec = term
-            acc[deg] = vadd(acc[deg], vscale(chi * sign_ij, vec))
-    return acc[0] + acc[1]
 
 
 # ---------------------------------------------------------------------------

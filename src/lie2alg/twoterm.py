@@ -138,7 +138,9 @@ def skeletalize_complex(c: TwoTermComplex) -> Skeletalization:
     so the construction is reproducible and exact.
     """
     rank, kernel = rank_kernel(c.d)
-    piv_cols = pivot_columns(c.d)
+    # each echelon kernel vector is last nonzero at its free column
+    free = {max(j for j, x in enumerate(k) if x) for k in kernel}
+    piv_cols = [p for p in range(c.dim1) if p not in free]
     piv_rows = pivot_columns(c.d.transpose())  # basis rows of the column space
     comp_rows = [q for q in range(c.dim0) if q not in set(piv_rows)]
 

@@ -326,6 +326,47 @@ def test_tetrahedron_size_preflight(tmp_path, capsys, monkeypatch):
         run(["tetrahedron", str(f), "--max-basis", "10000"])
 
 
+def test_cohomology_size_preflight(tmp_path, capsys, monkeypatch):
+    """H^4(sl4, adjoint) may hold 524,160 nonzeros in delta_3 and delta_4,
+    over the default limit: exit 2 before any coboundary matrix is built.
+    H^3 is admitted, and --max-nnz lifts the limit."""
+    from lie2alg import cli, cohomology
+    from lie2alg.cohomology import adjoint_rep, algebra_to_json, rep_to_json, sl_algebra
+
+    class Built(Exception):
+        pass
+
+    def coboundary_matrix(rep, n):
+        raise Built
+    monkeypatch.setattr(cohomology, "coboundary_matrix", coboundary_matrix)
+    g = sl_algebra(4)
+    gfile, rfile = tmp_path / "sl4.json", tmp_path / "adjoint.json"
+    gfile.write_text(json.dumps(algebra_to_json(g)))
+    rfile.write_text(json.dumps(rep_to_json(adjoint_rep(g))))
+    base = ["cohomology", str(gfile), "--rep", str(rfile)]
+    assert run(base + ["--degree", "4"])[0] == 2
+    err = capsys.readouterr().err
+    assert "524160" in err and f"limit of {cli.COHOMOLOGY_MAX_NNZ}" in err
+    assert run(base + ["--degree", "4", "--max-nnz", "524159"])[0] == 2
+    with pytest.raises(Built):
+        run(base + ["--degree", "4", "--max-nnz", "524160"])
+    with pytest.raises(Built):
+        run(base + ["--degree", "3"])
+
+
+def test_coboundary_nnz_bound_holds():
+    """The preflight's bound is never below the nonzeros of delta_n."""
+    from lie2alg.cohomology import (adjoint_rep, coboundary_matrix, coboundary_nnz_bound,
+                                    sl_algebra, so3_algebra, trivial_rep)
+    reps = [adjoint_rep(sl_algebra(3)), trivial_rep(sl_algebra(3), 2),
+            adjoint_rep(so3_algebra()), adjoint_rep(sl_algebra(4))]
+    for rep in reps:
+        for n in range(-1, 4 if rep.algebra.dim < 15 else 2):
+            nnz = sum(len(row) for row in coboundary_matrix(rep, n).entries) if n >= 0 else 0
+            assert nnz <= coboundary_nnz_bound(rep, n)
+    assert coboundary_nnz_bound(adjoint_rep(sl_algebra(4)), 3) == 121472
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "lie2alg.cli", "killing", fx("so3.json")],
                           capture_output=True, text=True)

@@ -86,6 +86,10 @@ def test_kernel_vectors_annihilated(m):
     _, basis = rank_kernel(m)
     for v in basis:
         assert all(x == 0 for x in m.matvec(v))
+    # each echelon kernel vector is last nonzero at its free column, which
+    # is how skeletalize_complex reads the pivot columns off the kernel
+    free = [max(j for j, x in enumerate(v) if x) for v in basis]
+    assert free == [j for j in range(m.cols) if j not in pivot_columns(m)]
 
 
 @settings(max_examples=25, deadline=None)

@@ -181,6 +181,20 @@ def test_skeletalize_random_sweep(rng):
         assert check_homotopy(sk.homotopy).passed
 
 
+def test_skeletalize_eliminates_d_once(monkeypatch):
+    """One elimination of d and one of its transpose, then the two inverses."""
+    from lie2alg import exactlin
+    shapes, rref = [], exactlin._rref
+
+    def logged(rows, cols):
+        shapes.append((len(rows), cols))
+        return rref(rows, cols)
+    monkeypatch.setattr(exactlin, "_rref", logged)
+    sk = skeletalize_complex(TwoTermComplex(3, 2, RMatrix.from_rows([[1, 2], [2, 4], [0, 1]])))
+    assert shapes == [(3, 2), (2, 3), (3, 6), (2, 4)]
+    assert check_homotopy(sk.homotopy).passed
+
+
 def test_complex_json_round_trip():
     c = TwoTermComplex(2, 1, RMatrix.from_rows([[1], [-2]]))
     assert complex_from_json(complex_to_json(c)) == c
