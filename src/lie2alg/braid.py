@@ -15,11 +15,10 @@ from .exactlin import RMatrix, kron, vunit
 from .lie2 import SemistrictLie2Algebra, bracket_morphisms
 from .linfty import antisymmetry_violations, check_axioms
 from .report import CheckReport, CheckResult, first_violation, grid_violations
-from .twovect import (CellId, CellLeaf, CellTensor, CellVert, CellWhiskerL,
-                      CellWhiskerR, LinearFunctor, LinearNatTrans, Morphism,
-                      TwoVectorSpace, check_nat_trans, compose_functors,
-                      direct_sum, eval_cell_expr, ground_field, identity_functor,
-                      tensor_2vs, tensor_functor)
+from .twovect import (CellLeaf, CellVert, CellWhiskerL, CellWhiskerR, LinearFunctor,
+                      LinearNatTrans, Morphism, TwoVectorSpace, check_nat_trans, compose_functors,
+                      direct_sum, eval_cell_expr, ground_field, identity_functor, identity_nat,
+                      tensor_2vs, tensor_functor, tensor_nat)
 
 
 @dataclass
@@ -146,8 +145,8 @@ def tetrahedron_sides(ty: TetraY):
     b23 = tensor_functor(tensor_functor(id_lp, b), id_lp)
     b34 = tensor_functor(id_lplp, b)
 
-    y1 = CellTensor(CellLeaf(ty.y), CellId(id_lp))    # Y ox 1
-    y2 = CellTensor(CellId(id_lp), CellLeaf(ty.y))    # 1 ox Y
+    y1 = CellLeaf(tensor_nat(ty.y, identity_nat(id_lp)))    # Y ox 1, built once
+    y2 = CellLeaf(tensor_nat(identity_nat(id_lp), ty.y))    # 1 ox Y, built once
 
     def chain(*fs):
         out = fs[0]
@@ -155,16 +154,17 @@ def tetrahedron_sides(ty: TetraY):
             out = compose_functors(out, f)
         return out
 
+    b_432, b_234 = chain(b34, b23, b12), chain(b12, b23, b34)
     lhs = CellVert(CellVert(CellVert(
-        CellWhiskerR(y1, chain(b34, b23, b12)),
+        CellWhiskerR(y1, b_432),
         CellWhiskerR(CellWhiskerL(chain(b23, b12), y2), b12)),
         CellWhiskerR(CellWhiskerL(chain(b23, b34), y1), b34)),
-        CellWhiskerR(y2, chain(b12, b23, b34)))
+        CellWhiskerR(y2, b_234))
     rhs = CellVert(CellVert(CellVert(
-        CellWhiskerL(chain(b12, b23, b34), y1),
+        CellWhiskerL(b_234, y1),
         CellWhiskerR(CellWhiskerL(b12, y2), chain(b12, b23))),
         CellWhiskerR(CellWhiskerL(b34, y1), chain(b34, b23))),
-        CellWhiskerL(chain(b34, b23, b12), y2))
+        CellWhiskerL(b_432, y2))
     return lhs, rhs
 
 

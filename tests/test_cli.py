@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -303,8 +304,8 @@ def test_tetrahedron_broken_names_condition_i(capsys):
 
 
 def test_tetrahedron_size_preflight(tmp_path, capsys, monkeypatch):
-    """g_hbar(sl3) has a morphism basis of 10^4 on (k+L)^4, over the
-    default limit: exit 2 before anything is built.  --max-basis lifts it."""
+    """g_hbar(sl4) has a morphism basis of 17^4 = 83,521 on (k+L)^4, over
+    the default limit: exit 2 before anything is built.  --max-basis lifts it."""
     from lie2alg import braid, cli
     from lie2alg.cohomology import build_g_hbar, sl_algebra
     from lie2alg.linfty import linf_to_json
@@ -315,15 +316,30 @@ def test_tetrahedron_size_preflight(tmp_path, capsys, monkeypatch):
     def build_y(L):
         raise Built
     monkeypatch.setattr(braid, "build_Y", build_y)
-    f = tmp_path / "ghbar_sl3.json"
-    f.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(3), 1).data)))
-    assert cli.TETRA_MAX_BASIS >= 6 ** 4  # broken_abelian4, the largest fixture
+    f = tmp_path / "ghbar_sl4.json"
+    f.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(4), 1).data)))
+    assert cli.TETRA_MAX_BASIS >= 10 ** 4  # g_hbar(sl3)
     assert run(["tetrahedron", str(f)])[0] == 2
     err = capsys.readouterr().err
-    assert "10000" in err and f"limit of {cli.TETRA_MAX_BASIS}" in err
-    assert run(["tetrahedron", str(f), "--max-basis", "9999"])[0] == 2
+    assert "83521" in err and f"limit of {cli.TETRA_MAX_BASIS}" in err
+    assert run(["tetrahedron", str(f), "--max-basis", "83520"])[0] == 2
     with pytest.raises(Built):
-        run(["tetrahedron", str(f), "--max-basis", "10000"])
+        run(["tetrahedron", str(f), "--max-basis", "83521"])
+
+
+def test_tetrahedron_ghbar_sl3_passes(tmp_path):
+    """The g_hbar(sl3) sweep, 6,561 objects on a morphism basis of 10^4,
+    runs under the default limit and passes within criterion 5's bound."""
+    from lie2alg.cohomology import build_g_hbar, sl_algebra
+    from lie2alg.linfty import linf_to_json
+
+    f = tmp_path / "ghbar_sl3.json"
+    f.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(3), 1).data)))
+    start = time.monotonic()
+    code, rep = run(["tetrahedron", str(f)])
+    assert time.monotonic() - start < 60.0
+    assert code == 0 and rep.passed
+    assert rep.reports[1].result("component_equality").passed
 
 
 def test_cohomology_size_preflight(tmp_path, capsys, monkeypatch):

@@ -1,38 +1,116 @@
-"""Randomized equality of the tabulated sweeps with the per-tuple ones they
+"""Randomized equality of the structure checks with the sweeps they
 replaced.
 
 `check_jacobiator_identity_categorical` and `generalized_jacobi` evaluate
-their structure maps from tables built once per call.  The per-tuple
-sweeps they replaced are kept below verbatim as oracles: on random
-two-term structures, valid ones and ones with a single perturbed entry,
-both must give the same report, first failing tuple and exact residual
-included.
+their structure maps from tables built once per call, `check_axioms`
+sweeps (g) and (i) on increasing tuples once (a) and (d) hold, and
+`lie2._compose_padded` is the closed form of a pad-and-compose loop.  The
+per-tuple sweeps, the product-order axiom sweep and the loop are kept
+below verbatim as oracles: on random two-term structures, valid ones and
+ones with a single perturbed entry, both must give the same report, first
+failing tuple and exact residual included.
 """
 
 from __future__ import annotations
 
 import copy
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lie2alg.cohomology import (Cochain, Representation, abelian_algebra, build_two_slot,
-                                coboundary, sl2_algebra, so3_algebra, trivial_rep)
-from lie2alg.exactlin import RMatrix, vadd, vscale, vsub, vzeros
+from lie2alg.cohomology import (Cochain, Representation, abelian_algebra, build_g_hbar,
+                                build_two_slot, classify, coboundary, sl2_algebra,
+                                so3_algebra, trivial_rep)
+from lie2alg.exactlin import RMatrix, contract, vadd, vscale, vsub, vunit, vzeros
 from lie2alg.lie2 import (SemistrictLie2Algebra, _as_object, _compose_padded,
                           bracket_morphisms, check_jacobiator_identity_categorical,
                           from_linfty, jacobiator)
 from lie2alg.linfty import (SignedPermutation, TwoTermLInfinity, _graded_bracket,
-                            _graded_element, generalized_jacobi, koszul_chi, unshuffles)
+                            _graded_element, antisymmetry_violations, check_axioms,
+                            generalized_jacobi, koszul_chi, perm_sign, unshuffles, zero_l3)
 from lie2alg.report import CheckReport, first_violation
 from lie2alg.twoterm import TwoTermComplex
-from lie2alg.twovect import identity_morphism
+from lie2alg.twovect import Morphism, compose_morphisms, identity_morphism
 from conftest import broken_abelian4, conjugate, inflate
 
 
 # ---------------------------------------------------------------------------
 # the per-tuple sweeps, verbatim
+
+def check_axioms_product_sweep(v: TwoTermLInfinity) -> CheckReport:
+    """Verify conditions (a)-(i) entry-wise on basis tuples.
+
+    (b) and (c) hold by representation and are reported as vacuous
+    passes.
+    """
+    rep = CheckReport("two_term_l_infinity")
+    n0, n1 = v.dim0, v.dim1
+    d, b, l2_01, l3 = v.d, v.l2_00, v.l2_01, v.l3
+    e0 = [vunit(n0, i) for i in range(n0)]
+    e1 = [vunit(n1, a) for a in range(n1)]
+
+    rep.add("a_bracket_antisymmetry", antisymmetry_violations(b))
+    rep.add_pass("b_mixed_antisymmetry")   # determined by storage
+    rep.add_pass("c_bracket_degree_two")   # no V2, nothing to store
+    rep.add("d_l3_antisymmetry", first_violation(
+        ((i, j, k), r) for i, j, k in product(range(n0), repeat=3)
+        for r in (vadd(l3[i][j][k], l3[j][i][k]), vadd(l3[i][j][k], l3[i][k][j]))))
+
+    dcol = [d.col(a) for a in range(n1)]
+    rep.add("e_differential_action", first_violation(
+        ((i, a), vsub(d.matvec(l2_01[i][a]), contract(b[i], n0, dcol[a])))
+        for i in range(n0) for a in range(n1)))
+    # [dh,k] = [h,dk] means l2(dh, k) = -l2(dk, h)
+    rep.add("f_differential_symmetry", first_violation(
+        ((a, c), vadd(v.act(dcol[a], e1[c]), v.act(dcol[c], e1[a])))
+        for a in range(n1) for c in range(n1)))
+
+    # [i,[j,k]] = -[[j,k],i]
+    rep.add("g_jacobi_up_to_d", first_violation(
+        ((i, j, k), vsub(d.matvec(l3[i][j][k]),
+                         vsub(vsub(v.bracket00(b[i][k], e0[j]), v.bracket00(b[i][j], e0[k])),
+                              v.bracket00(b[j][k], e0[i]))))
+        for i, j, k in product(range(n0), repeat=3)))
+
+    def h_residuals():
+        for a, i, j in product(range(n1), range(n0), range(n0)):
+            rhs = vsub(vsub(contract(l2_01[i], n1, l2_01[j][a]),
+                            contract(l2_01[j], n1, l2_01[i][a])), v.act(b[i][j], e1[a]))
+            yield (a, i, j), vsub(v.l3_eval(dcol[a], e0[i], e0[j]), rhs)
+    rep.add("h_l3_naturality", first_violation(h_residuals()))
+
+    def i_residuals(tuples):
+        for p, q, r, s in tuples:
+            plus = [v.l3_eval(b[p][r], e0[q], e0[s]), v.l3_eval(b[q][s], e0[p], e0[r]),
+                    contract(l2_01[r], n1, l3[p][q][s]), contract(l2_01[p], n1, l3[q][r][s])]
+            minus = [contract(l2_01[s], n1, l3[p][q][r]), contract(l2_01[q], n1, l3[p][r][s]),
+                     v.l3_eval(b[p][q], e0[r], e0[s]), v.l3_eval(b[p][s], e0[q], e0[r]),
+                     v.l3_eval(b[q][r], e0[p], e0[s]), v.l3_eval(b[r][s], e0[p], e0[q])]
+            yield (p, q, r, s), [sum(x) - sum(y) for x, y in zip(zip(*plus), zip(*minus))]
+    rep.add("i_jacobiator_coherence", first_violation(i_residuals(
+        product(range(n0), repeat=4))))
+    return rep
+
+
+def compose_padded_loop(L: SemistrictLie2Algebra, stages: list) -> Morphism:
+    """Compose stage sums in diagram order, adding the unique identity
+    summand that makes each composite well-defined."""
+    cur = None
+    for named in stages:
+        total = named[0]
+        for m in named[1:]:
+            total = total + m
+        if cur is None:
+            cur = total
+            continue
+        pad = vsub(cur.target(), total.source())
+        total = total + identity_morphism(L.space, pad)
+        cur = compose_morphisms(cur, total)
+    return cur
+
 
 def octagon_sides(L: SemistrictLie2Algebra, w, x, y, z):
     """Both composites of the Jacobiator-identity octagon at objects w,x,y,z."""
@@ -48,12 +126,12 @@ def octagon_sides(L: SemistrictLie2Algebra, w, x, y, z):
     def Br(f, g):
         return bracket_morphisms(L, f, g)
 
-    lhs = _compose_padded(L, [
+    lhs = compose_padded_loop(L, [
         [J(b(wv, xv), yv, zv)],
         [Br(J(wv, xv, zv), one(yv))],
         [J(wv, b(xv, zv), yv), J(b(wv, zv), xv, yv), J(wv, xv, b(yv, zv))],
     ])
-    rhs = _compose_padded(L, [
+    rhs = compose_padded_loop(L, [
         [Br(J(wv, xv, yv), one(zv))],
         [J(b(wv, yv), xv, zv), J(wv, b(xv, yv), zv)],
         [Br(J(wv, yv, zv), one(xv))],
@@ -231,3 +309,86 @@ def test_sweeps_match_past_the_first_tuple():
     assert new.violations == check_jacobiator_identity_categorical_per_tuple(L).result(
         "octagon").violations
     assert new.first_violation[0] == (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# check_axioms against the product-order sweep
+
+sparse_entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+@st.composite
+def antisymmetric_structures(draw):
+    """l2_00 antisymmetric and l3 totally antisymmetric, so (a) and (d)
+    hold; sparse random d, l2_01 and values let (e)-(i) pass or fail.
+    Half of them have d = 0 and a zero action, so only (g) and (i) can
+    fail."""
+    n0, n1 = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    entries = sparse_entries if draw(st.booleans()) else st.just(0)
+    d = RMatrix.from_rows([[draw(entries) for _ in range(n1)] for _ in range(n0)], n1)
+    l2_00 = [[[0] * n0 for _ in range(n0)] for _ in range(n0)]
+    for i, j in combinations(range(n0), 2):
+        l2_00[i][j] = [draw(sparse_entries) for _ in range(n0)]
+        l2_00[j][i] = [-x for x in l2_00[i][j]]
+    l2_01 = [[[draw(entries) for _ in range(n1)] for _ in range(n1)] for _ in range(n0)]
+    l3 = zero_l3(n0, n1)
+    for key in combinations(range(n0), 3):
+        val = [draw(sparse_entries) for _ in range(n1)]
+        for perm in permutations(range(3)):
+            i, j, k = (key[p] for p in perm)
+            l3[i][j][k] = [perm_sign(perm) * x for x in val]
+    return TwoTermLInfinity(TwoTermComplex(n0, n1, d), l2_00, l2_01, l3)
+
+
+def test_axioms_match_product_sweep_on_fixtures():
+    """A passing g_hbar and broken_abelian4, which fails (i) only at
+    (e1, e2, e3, e4): the same report as the product-order sweep."""
+    good, bad = build_g_hbar(so3_algebra(), 2).data, broken_abelian4()
+    for v in (good, bad):
+        assert check_axioms(v).to_json() == check_axioms_product_sweep(v).to_json()
+    assert check_axioms(good).passed
+    assert check_axioms(bad).first_failure.first_violation[0] == (0, 1, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(antisymmetric_structures())
+def test_axioms_match_product_sweep_on_antisymmetric_structures(v):
+    """(a) and (d) hold, so (g) and (i) sweep increasing tuples only: the
+    same report, and classify names the same first failing axiom."""
+    full = check_axioms_product_sweep(v)
+    assert full.result("a_bracket_antisymmetry").passed
+    assert full.result("d_l3_antisymmetry").passed
+    assert check_axioms(v).to_json() == full.to_json()
+    if not full.passed:
+        with pytest.raises(ValueError, match=f"structure fails axiom {full.first_failure.name}$"):
+            classify(from_linfty(v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(perturbed(antisymmetric_structures()), structures))
+def test_axioms_match_product_sweep_on_perturbed_structures(v):
+    """One moved entry may break (a) or (d), and then (g) and (i) sweep
+    every tuple; either way the report is the product sweep's."""
+    assert check_axioms(v).to_json() == check_axioms_product_sweep(v).to_json()
+
+
+# ---------------------------------------------------------------------------
+# the closed-form composite against the pad-and-compose loop
+
+@st.composite
+def stage_lists(draw):
+    """T(C) of a random complex and one to four stages of one to three
+    morphisms with arbitrary vectors, so that consecutive stage sums are
+    composable only after padding."""
+    L = from_linfty(draw(random_structures()))
+    x = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    vec = st.lists(x, min_size=L.space.dim1, max_size=L.space.dim1)
+    morphisms = st.lists(vec.map(lambda u: Morphism(L.space, u)), min_size=1, max_size=3)
+    return L, draw(st.lists(morphisms, min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stage_lists())
+def test_compose_closed_form_matches_padded_loop(case):
+    L, stages = case
+    assert _compose_padded(L, stages) == compose_padded_loop(L, stages)
