@@ -208,7 +208,7 @@ def cmd_ybe(args, rep: Report) -> None:
 # Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` builds
 # unless --max-basis says otherwise.  The functor matrices are sparse, with
 # a few entries per column; g_hbar(sl3), whose basis of 10^4 is the largest
-# measured, passes in about 4 s at 180 MB peak RSS (Python 3.11, 2 CPUs).
+# measured, passes in about 2.5 s at 180 MB peak RSS (Python 3.11, 2 CPUs).
 TETRA_MAX_BASIS = 10000
 
 

@@ -99,40 +99,27 @@ def unshuffles(j: int, n: int) -> list:
     return out
 
 
-@dataclass
-class SignedPermutation:
-    """A permutation together with the degrees of the arguments it moves."""
-
-    perm: tuple
-    degrees: tuple
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError(f"not a permutation: {self.perm}")
-        if len(self.degrees) != len(self.perm):
-            raise ValueError("degree list length mismatch")
-
-
 def perm_sign(perm: tuple) -> int:
     inv = sum(1 for u in range(len(perm)) for v in range(u + 1, len(perm))
               if perm[u] > perm[v])
     return -1 if inv % 2 else 1
 
 
-def koszul_epsilon(p: SignedPermutation) -> int:
-    """Sign from moving graded arguments past each other, (-1)^{pq} per swap."""
+def koszul_epsilon(perm: tuple, degrees: tuple) -> int:
+    """Sign from moving graded arguments past each other, (-1)^{pq} per swap;
+    perm[u] is the original position of the argument now at u, and
+    degrees[k] the degree of the argument originally at k."""
     eps = 1
-    perm, deg = p.perm, p.degrees
     for u in range(len(perm)):
         for v in range(u + 1, len(perm)):
-            if perm[u] > perm[v] and deg[perm[u]] * deg[perm[v]] % 2:
+            if perm[u] > perm[v] and degrees[perm[u]] * degrees[perm[v]] % 2:
                 eps = -eps
     return eps
 
 
-def koszul_chi(p: SignedPermutation) -> int:
+def koszul_chi(perm: tuple, degrees: tuple) -> int:
     """chi(sigma) = sgn(sigma) * epsilon(sigma)."""
-    return perm_sign(p.perm) * koszul_epsilon(p)
+    return perm_sign(perm) * koszul_epsilon(perm, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +258,7 @@ def _antisymmetry_residuals(v: TwoTermLInfinity, arity: int):
             continue  # the whole orbit lands outside degrees 0/1
         for perm in permutations(range(arity)):
             # chi is stated for the original order of the permuted word
-            chi = koszul_chi(SignedPermutation(perm, tuple(dg for dg, _ in combo)))
+            chi = koszul_chi(perm, tuple(dg for dg, _ in combo))
             permuted = _graded_bracket(v, arity, [args[p] for p in perm])
             yield (combo, perm), vsub(permuted[1], vscale(chi, base[1]))
 
@@ -326,7 +313,7 @@ def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
                 deg = degree(j, outer_degrees)
                 if deg is None:
                     continue
-                chi = koszul_chi(SignedPermutation(sigma, degrees))
+                chi = koszul_chi(sigma, degrees)
                 out.append((chi * sign_ij, sigma[:i], table(i, inner_degrees),
                             sigma[i:], table(j, outer_degrees), deg))
         return out

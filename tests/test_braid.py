@@ -6,6 +6,7 @@ from lie2alg.braid import (build_B_vect, build_Y, check_ybe,
 from lie2alg.cohomology import (Cochain, LieAlgebra, abelian_algebra, build_two_slot, check_lie_algebra, so3_algebra, sl2_algebra, trivial_rep)
 from lie2alg.exactlin import RMatrix, rank_kernel, vzeros
 from lie2alg.lie2 import from_linfty
+from lie2alg.report import grid_violations
 from lie2alg.twovect import check_functor, check_nat_trans
 from conftest import broken_abelian4, broken_jacobi3, rand_antisymmetric_bracket
 
@@ -66,7 +67,12 @@ def test_ybe_bi_implication_random(rng):
     for _ in range(10):
         n = rng.randint(1, 4)
         g = LieAlgebra(n, rand_antisymmetric_bracket(rng, n))
-        assert check_ybe(build_B_vect(g)).passed == check_lie_algebra(g).result("jacobi").passed
+        op = build_B_vect(g)
+        res = check_ybe(op).result("yang_baxter_equation")
+        assert res.passed == check_lie_algebra(g).result("jacobi").passed
+        # the reported cell is the first nonzero cell of the whole residual
+        lhs, rhs = yang_baxter_sides(op)
+        assert res.violations == grid_violations(lhs - rhs)[:1]
 
 
 def test_ybe_matrix_dimension():
@@ -115,7 +121,7 @@ def test_Y_identity_components_for_strict():
     sp = ty.y.from_functor.target
     for col in range(ty.y.theta.cols):
         comp = ty.y.theta.col(col)
-        src = ty.yb_source.f0.col(col)
+        src = ty.y.from_functor.f0.col(col)
         assert comp == sp.i.matvec(src)
 
 
@@ -123,7 +129,7 @@ def test_Y_component_value_on_ghbar(tetra_so3_1):
     ty = tetra_so3_1
     col = (1 * 4 + 2) * 4 + 3  # (0,e1) ox (0,e2) ox (0,e3)
     comp = ty.y.theta.col(col)
-    src = ty.yb_source.f0.col(col)
+    src = ty.y.from_functor.f0.col(col)
     arrow = [a - b for a, b in zip(comp, ty.y.from_functor.target.i.matvec(src))]
     expected = vzeros(125)
     expected[4] = -2  # (ground, ground, l3-slot): j of the Jacobiator arrow
@@ -137,7 +143,7 @@ def test_Y_identity_on_ground_slots(tetra_so3_1):
         trip = (col // 16, (col // 4) % 4, col % 4)
         if 0 in trip:
             comp = ty.y.theta.col(col)
-            assert comp == sp.i.matvec(ty.yb_source.f0.col(col))
+            assert comp == sp.i.matvec(ty.y.from_functor.f0.col(col))
 
 
 def test_tetrahedron_strict_passes():

@@ -6,12 +6,11 @@ import pytest
 from lie2alg.cohomology import (Cochain, abelian_algebra, build_g_hbar, classify,
                                 build_two_slot, so3_algebra, sl2_algebra, trivial_rep)
 from lie2alg.exactlin import RMatrix, vsub
-from lie2alg.linfty import (LInfHom, LInfTwoHom, SignedPermutation,
-                            TwoTermLInfinity, check_axioms, check_graded_antisymmetry,
-                            check_hom, check_two_hom, compose_homs, generalized_jacobi,
-                            horizontal_two_hom, identity_hom, identity_two_hom,
-                            koszul_chi, koszul_epsilon, linf_from_json, linf_to_json,
-                            unshuffles, vertical_two_hom, zero_phi2)
+from lie2alg.linfty import (LInfHom, LInfTwoHom, TwoTermLInfinity, check_axioms,
+                            check_graded_antisymmetry, check_hom, check_two_hom, compose_homs,
+                            generalized_jacobi, horizontal_two_hom, identity_hom,
+                            identity_two_hom, koszul_chi, koszul_epsilon, linf_from_json,
+                            linf_to_json, unshuffles, vertical_two_hom, zero_phi2)
 from lie2alg.lie2 import from_linfty
 from lie2alg.twoterm import ChainHomotopy, ChainMap, TwoTermComplex
 from lie2alg.twovect import (S_on_nat_trans, T_on_homotopy, vertical_nat,
@@ -45,11 +44,11 @@ def test_unshuffle_counts():
 
 
 def test_koszul_signs():
-    assert koszul_chi(SignedPermutation((0, 1), (0, 0))) == 1
-    assert koszul_chi(SignedPermutation((1, 0), (0, 0))) == -1
-    assert koszul_chi(SignedPermutation((1, 0), (1, 1))) == 1
-    assert koszul_chi(SignedPermutation((1, 0), (0, 1))) == -1
-    assert koszul_epsilon(SignedPermutation((1, 0), (1, 1))) == -1
+    assert koszul_chi((0, 1), (0, 0)) == 1
+    assert koszul_chi((1, 0), (0, 0)) == -1
+    assert koszul_chi((1, 0), (1, 1)) == 1
+    assert koszul_chi((1, 0), (0, 1)) == -1
+    assert koszul_epsilon((1, 0), (1, 1)) == -1
 
 
 def test_axioms_ghbar_all_pass():

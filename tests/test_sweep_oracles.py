@@ -3,11 +3,14 @@ replaced.
 
 `check_jacobiator_identity_categorical` and `generalized_jacobi` evaluate
 their structure maps from tables built once per call, `check_axioms`
-sweeps (g) and (i) on increasing tuples once (a) and (d) hold, and
-`lie2._compose_padded` is the closed form of a pad-and-compose loop.  The
-per-tuple sweeps, the product-order axiom sweep and the loop are kept
-below verbatim as oracles: on random two-term structures, valid ones and
-ones with a single perturbed entry, both must give the same report, first
+sweeps (g) and (i) on increasing tuples once (a) and (d) hold,
+`lie2._compose_padded` is the closed form of a pad-and-compose loop,
+`braid.build_Y` builds Y's identity part as one sparse product, and
+`braid.check_zamolodchikov` sweeps only the objects whose components
+differ.  The per-tuple sweeps, the product-order axiom sweep, the loop,
+the per-column Y and the dense-row tetrahedron sweep are kept below
+verbatim as oracles: on random two-term structures, valid ones and ones
+with a single perturbed entry, both must give the same report, first
 failing tuple and exact residual included.
 """
 
@@ -21,19 +24,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lie2alg.cohomology import (Cochain, Representation, abelian_algebra, build_g_hbar,
-                                build_two_slot, classify, coboundary, sl2_algebra,
-                                so3_algebra, trivial_rep)
+from lie2alg.braid import (TetraY, build_braid_functor, build_Y, check_zamolodchikov,
+                           tetrahedron_sides)
+from lie2alg.cohomology import (Cochain, Representation, abelian_algebra, build_cross_product,
+                                build_g_hbar, build_two_slot, classify, coboundary,
+                                sl2_algebra, so3_algebra, trivial_rep)
 from lie2alg.exactlin import RMatrix, contract, vadd, vscale, vsub, vunit, vzeros
 from lie2alg.lie2 import (SemistrictLie2Algebra, _as_object, _compose_padded,
                           bracket_morphisms, check_jacobiator_identity_categorical,
                           from_linfty, jacobiator)
-from lie2alg.linfty import (SignedPermutation, TwoTermLInfinity, _graded_bracket,
-                            _graded_element, antisymmetry_violations, check_axioms,
+from lie2alg.linfty import (TwoTermLInfinity, _graded_bracket, _graded_element,
+                            antisymmetry_violations, check_axioms,
                             generalized_jacobi, koszul_chi, perm_sign, unshuffles, zero_l3)
 from lie2alg.report import CheckReport, first_violation
 from lie2alg.twoterm import TwoTermComplex
-from lie2alg.twovect import Morphism, compose_morphisms, identity_morphism
+from lie2alg.twovect import (Morphism, compose_functors, compose_morphisms, direct_sum,
+                             eval_cell_expr, ground_field, identity_functor, identity_morphism,
+                             tensor_2vs, tensor_functor)
 from conftest import broken_abelian4, conjugate, inflate
 
 
@@ -174,7 +181,7 @@ def _unshuffle_residual(v: TwoTermLInfinity, combo: tuple) -> list:
         j = arity + 1 - i
         sign_ij = -1 if (i * (j - 1)) % 2 else 1
         for sigma in unshuffles(i, arity):
-            chi = koszul_chi(SignedPermutation(sigma, degrees))
+            chi = koszul_chi(sigma, degrees)
             inner = _graded_bracket(v, i, [args[p] for p in sigma[:i]])
             if inner is None:
                 continue
@@ -185,6 +192,48 @@ def _unshuffle_residual(v: TwoTermLInfinity, combo: tuple) -> list:
             deg, vec = term
             acc[deg] = vadd(acc[deg], vscale(chi * sign_ij, vec))
     return acc[0] + acc[1]
+
+
+def y_theta_per_column(L: SemistrictLie2Algebra) -> RMatrix:
+    """Y's components as build_Y assembled them: the identity on
+    yb_source(x) one column at a time, plus the Jacobiator's arrow."""
+    v = L.data
+    lp = direct_sum(ground_field(), L.space).space
+    braid = build_braid_functor(L, lp)
+    lp3 = tensor_2vs(tensor_2vs(lp, lp), lp)
+    id_lp = identity_functor(lp)
+    b12 = tensor_functor(braid, id_lp)
+    b23 = tensor_functor(id_lp, braid)
+    yb_source = compose_functors(compose_functors(b12, b23), b12)
+
+    n0 = L.dim0
+    arrows = (((1 + n0 + m, col), c)  # flat (0, 0, 1 + n0 + m) in the morphism cube
+              for col, trip in enumerate(product(range(lp.dim0), repeat=3)) if all(trip)
+              for m, c in enumerate(v.l3_eval(*(L.object_basis(t - 1) for t in trip))))
+    # the component at x is the identity on yb_source(x) plus the Jacobiator's arrow
+    ids = [lp3.i.matvec(yb_source.f0.col(col)) for col in range(lp.dim0 ** 3)]
+    theta = (RMatrix.from_cols(ids, rows=lp.dim1 ** 3)
+             + RMatrix.from_cells(lp.dim1 ** 3, lp.dim0 ** 3, arrows))
+    return theta
+
+
+def check_zamolodchikov_dense_rows(ty: TetraY) -> CheckReport:
+    """Evaluate both sides of the tetrahedron equation and compare the
+    components on every basis object of the fourth tensor power."""
+    rep = CheckReport("zamolodchikov_tetrahedron")
+    lhs_expr, rhs_expr = tetrahedron_sides(ty)
+    lhs = eval_cell_expr(lhs_expr)
+    rhs = eval_cell_expr(rhs_expr)
+    rep.add("endpoint_functors",
+            [] if (lhs.from_functor == rhs.from_functor
+                   and lhs.to_functor == rhs.to_functor)
+            else [((), "source/target functors differ")])
+    d0 = ty.space.dim0
+    diff = (lhs.theta - rhs.theta).transpose()  # row col is the residual at object col
+    rep.add("component_equality", first_violation(
+        ((col // d0 ** 3, (col // d0 ** 2) % d0, (col // d0) % d0, col % d0), diff.row(col))
+        for col in range(d0 ** 4)))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +358,21 @@ def test_sweeps_match_past_the_first_tuple():
     assert new.violations == check_jacobiator_identity_categorical_per_tuple(L).result(
         "octagon").violations
     assert new.first_violation[0] == (0, 1, 2, 3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(
+    st.fractions(-3, 3, max_denominator=4).map(lambda h: build_g_hbar(so3_algebra(), h).data),
+    st.builds(lambda: build_cross_product().data),
+    perturbed(st.builds(broken_abelian4))))
+def test_tetrahedron_matches_per_column_and_dense_row_sweeps(v):
+    """g_hbar(so3) at random hbar, the cross product, and broken_abelian4
+    with at most one moved entry: the same Y and the same report, first
+    failing object and exact residual included."""
+    L = from_linfty(v)
+    ty = build_Y(L)
+    assert ty.y.theta == y_theta_per_column(L)
+    assert check_zamolodchikov(ty).to_json() == check_zamolodchikov_dense_rows(ty).to_json()
 
 
 # ---------------------------------------------------------------------------
