@@ -15,7 +15,9 @@ negative fixtures can be reported on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 from .exactlin import (DimensionMismatch, RMatrix, contract, vadd, vneg, vscale, vsub, vunit,
                        vzeros)
@@ -212,6 +214,46 @@ AXIOM_NAMES = ["a_bracket_antisymmetry", "b_mixed_antisymmetry", "c_bracket_degr
 
 
 # ---------------------------------------------------------------------------
+# clearing denominators for the quadratic sweeps
+
+def _denominators(t: list) -> set:
+    return {q for x in t for q in (_denominators(x) if isinstance(x, list) else {x.denominator})}
+
+
+def _times(t: list, D: int) -> list:
+    """t with every entry multiplied by D, a multiple of its denominator, as ints."""
+    return [_times(x, D) if isinstance(x, list) else x.numerator * (D // x.denominator)
+            for x in t]
+
+
+def integral(v: TwoTermLInfinity) -> tuple:
+    """(D, D v): the least common denominator D of every entry of d, l2_00,
+    l2_01 and l3, and the structure with all four multiplied by D, over
+    the integers.  When D = 1 the second item is v itself.
+
+    A residual that is a sum of products of two structure maps is a
+    homogeneous quadratic polynomial in the structure constants, so on
+    D v it is exactly D^2 times the residual on v, whether or not v
+    satisfies any axiom: a sweep over D v fails at the same first tuple,
+    and its residual divided by D^2 (`unscaled`) is the one on v.
+    """
+    d = [v.d.row(i) for i in range(v.dim0)]
+    D = lcm(*_denominators([d, v.l2_00, v.l2_01, v.l3]))
+    if D == 1:
+        return 1, v
+    cx = TwoTermComplex(v.dim0, v.dim1, RMatrix.from_rows(_times(d, D), v.dim1))
+    return D, TwoTermLInfinity(cx, _times(v.l2_00, D), _times(v.l2_01, D), _times(v.l3, D))
+
+
+def unscaled(violations: list, D: int) -> list:
+    """The violations of a quadratic sweep over integral(v)[1], with each
+    residual divided by D^2: the violations of the same sweep over v."""
+    if D == 1:
+        return violations
+    return [(loc, [Fraction(x, D * D) for x in resid]) for loc, resid in violations]
+
+
+# ---------------------------------------------------------------------------
 # the generalized Jacobi oracle
 
 def _graded_element(v: TwoTermLInfinity, deg: int, idx: int):
@@ -271,10 +313,16 @@ def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
     their signs depend only on the tuple's degrees, so they are listed
     once per degree pattern; the inner brackets are read from tables of
     l_i on basis tuples and contracted into the outer ones.
+
+    Every term is one l_i contracted into another, so the residual is a
+    homogeneous quadratic polynomial in the structure constants: the
+    sweep runs over the integers on D v (`integral`) and divides the
+    first violation's residual by D^2.
     """
     if not 1 <= arity <= 4:
         raise ValueError("arity must be between 1 and 4")
     rep = CheckReport(f"generalized_jacobi_{arity}")
+    D, v = integral(v)
     dims = (v.dim0, v.dim1)
     elems = [(0, i) for i in range(v.dim0)] + [(1, a) for a in range(v.dim1)]
     units = [[vunit(n, ix) for ix in range(n)] for n in dims]
@@ -335,8 +383,8 @@ def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
                     part[m] += coef * x
         return acc[0] + acc[1]
 
-    rep.add("unshuffle_identity", first_violation(
-        (combo, residual(combo)) for combo in product(elems, repeat=arity)))
+    rep.add("unshuffle_identity", unscaled(first_violation(
+        (combo, residual(combo)) for combo in product(elems, repeat=arity)), D))
     return rep
 
 

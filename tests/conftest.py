@@ -111,6 +111,16 @@ def broken_abelian4() -> TwoTermLInfinity:
     return v
 
 
+def broken_abelian4_thirds() -> TwoTermLInfinity:
+    """broken_abelian4 with l3 = (1/3) e1* ^ e2* ^ e3*: fails exactly (i)
+    at (e1, e2, e3, e4), with residual 1/3."""
+    v = broken_abelian4()
+    for i, j, k, sign in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
+                          (1, 0, 2, -1), (0, 2, 1, -1), (2, 1, 0, -1)):
+        v.l3[i][j][k][0] = Fraction(sign, 3)
+    return v
+
+
 def broken_jacobi3() -> LieAlgebra:
     b = [[vzeros(3) for _ in range(3)] for _ in range(3)]
     b[0][1][2], b[1][0][2] = 1, -1

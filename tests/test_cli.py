@@ -91,6 +91,25 @@ def test_check_lie2_agreement_on_broken(capsys):
     assert names["octagon"] is False
 
 
+def test_check_lie2_fractional_broken_reports_exact_residual(tmp_path, capsys):
+    """The octagon sweeps D v over the integers; the --json residual is
+    still the per-tuple oracle's, in the structure's own rationals."""
+    from conftest import broken_abelian4_thirds
+    from lie2alg.lie2 import from_linfty
+    from lie2alg.linfty import linf_to_json
+    from test_sweep_oracles import check_jacobiator_identity_categorical_per_tuple
+    v = broken_abelian4_thirds()
+    f = tmp_path / "broken_abelian4_thirds.json"
+    f.write_text(json.dumps(linf_to_json(v)))
+    code, _ = run(["--json", "check-lie2", str(f)])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    oracle = check_jacobiator_identity_categorical_per_tuple(from_linfty(v))
+    want = oracle.result("octagon").to_json()
+    assert checks["octagon"]["location"] == want["location"] == [0, 1, 2, 3]
+    assert checks["octagon"]["residual"] == want["residual"] == ["0", "0", "0", "0", "1/3"]
+
+
 def test_check_dcm(capsys):
     assert run(["check-dcm", fx("dcm_so3_adjoint.json")])[0] == 0
 

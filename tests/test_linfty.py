@@ -9,8 +9,9 @@ from lie2alg.exactlin import RMatrix, vsub
 from lie2alg.linfty import (LInfHom, LInfTwoHom, TwoTermLInfinity, check_axioms,
                             check_graded_antisymmetry, check_hom, check_two_hom, compose_homs,
                             generalized_jacobi, horizontal_two_hom, identity_hom,
-                            identity_two_hom, koszul_chi, koszul_epsilon, linf_from_json,
-                            linf_to_json, unshuffles, vertical_two_hom, zero_phi2)
+                            identity_two_hom, integral, koszul_chi, koszul_epsilon, linf_from_json,
+                            linf_to_json, unscaled, unshuffles, vertical_two_hom,
+                            zero_phi2)
 from lie2alg.lie2 import from_linfty
 from lie2alg.twoterm import ChainHomotopy, ChainMap, TwoTermComplex
 from lie2alg.twovect import (S_on_nat_trans, T_on_homotopy, vertical_nat,
@@ -293,3 +294,31 @@ def test_shape_validation():
     cx = TwoTermComplex(2, 1, RMatrix.zeros(2, 1))
     with pytest.raises(Exception):
         TwoTermLInfinity(cx, [[[0, 0]]], [], [])
+
+
+def test_integral_clears_denominators_with_the_least_d():
+    v = broken_abelian4()
+    v.complex = TwoTermComplex(4, 1, RMatrix.from_rows([[Fraction(1, 2)], [0], [0], [0]]))
+    v.l2_01[3][0][0] = Fraction(2, 3)
+    v.l3[0][1][2][0] = Fraction(-3, 4)
+    before = copy.deepcopy(v)
+    D, w = integral(v)
+    assert D == 12                       # lcm(2, 3, 4), not their product
+    assert v == before                   # the input is left as it was
+    assert w.d == RMatrix.from_rows([[6], [0], [0], [0]])
+    assert (w.l2_01[3][0][0], w.l3[0][1][2][0], w.l3[1][2][0][0]) == (8, -9, 12)
+    entries = ([x for row in w.d.entries for x in row.values()]
+               + [x for t in w.l2_00 + w.l2_01 for vec in t for x in vec]
+               + [x for a in w.l3 for b in a for vec in b for x in vec])
+    assert all(type(x) is int for x in entries)
+    assert unscaled([((0,), [6, 0])], D) == [((0,), [Fraction(1, 24), 0])]
+
+
+def test_integral_returns_integer_structures_themselves():
+    v = broken_abelian4()
+    v.l2_01[3][0][0] = Fraction(4, 2)    # a Fraction whose denominator is 1
+    assert integral(v)[0] == 1 and integral(v)[1] is v
+    g = lie_algebra_as_one_term(so3_algebra())
+    assert integral(g)[1] is g
+    violations = [((0,), [Fraction(1, 3)])]
+    assert unscaled(violations, 1) is violations

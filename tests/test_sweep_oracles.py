@@ -7,11 +7,14 @@ sweeps (g) and (i) on increasing tuples once (a) and (d) hold,
 `lie2._compose_padded` is the closed form of a pad-and-compose loop,
 `braid.build_Y` builds Y's identity part as one sparse product, and
 `braid.check_zamolodchikov` sweeps only the objects whose components
-differ.  The per-tuple sweeps, the product-order axiom sweep, the loop,
-the per-column Y and the dense-row tetrahedron sweep are kept below
-verbatim as oracles: on random two-term structures, valid ones and ones
-with a single perturbed entry, both must give the same report, first
-failing tuple and exact residual included.
+differ.  `generalized_jacobi` and the octagon sweep the structure with
+its denominators cleared (`linfty.integral`), so the strategies below
+draw rational entries as well as integers.  The per-tuple sweeps, the
+product-order axiom sweep, the loop, the per-column Y and the dense-row
+tetrahedron sweep are kept below verbatim as oracles: on random
+two-term structures, valid ones and ones with a single perturbed entry,
+both must give the same report, first failing tuple and exact residual
+included.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ from lie2alg.lie2 import (SemistrictLie2Algebra, _as_object, _compose_padded,
                           bracket_morphisms, check_jacobiator_identity_categorical,
                           from_linfty, jacobiator)
 from lie2alg.linfty import (TwoTermLInfinity, _graded_bracket, _graded_element,
-                            antisymmetry_violations, check_axioms,
+                            antisymmetry_violations, check_axioms, integral,
                             generalized_jacobi, koszul_chi, perm_sign, unshuffles, zero_l3)
 from lie2alg.report import CheckReport, first_violation
 from lie2alg.twoterm import TwoTermComplex
 from lie2alg.twovect import (Morphism, compose_functors, compose_morphisms, direct_sum,
                              eval_cell_expr, ground_field, identity_functor, identity_morphism,
                              tensor_2vs, tensor_functor)
-from conftest import broken_abelian4, conjugate, inflate
+from conftest import broken_abelian4, broken_abelian4_thirds, conjugate, inflate
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +243,7 @@ def check_zamolodchikov_dense_rows(ty: TetraY) -> CheckReport:
 # random two-term structures: dim V0 in 1..4, dim V1 in 1..2
 
 small = st.integers(-2, 2)
+rationals = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)]
 
 
 @st.composite
@@ -280,7 +284,17 @@ def valid_structures(draw):
         v = inflate(v, 1, RMatrix.from_rows([[draw(st.sampled_from([-2, -1, 1, 2]))]]))
     if draw(st.booleans()):
         v = conjugate(v, unipotent(draw, v.dim0), unipotent(draw, v.dim1))
+    if draw(st.booleans()):
+        # rescale the V1 basis, as the benchmark's conjugated copy does
+        v = conjugate(v, RMatrix.identity(v.dim0), diagonal(draw, v.dim1))
     return v
+
+
+def diagonal(draw, n):
+    """A diagonal matrix with nonzero rational entries."""
+    scale = st.sampled_from([1, 2, -1] + rationals)
+    return RMatrix.from_rows([[draw(scale) if i == j else 0 for j in range(n)]
+                              for i in range(n)], n)
 
 
 def unipotent(draw, n):
@@ -293,7 +307,7 @@ def unipotent(draw, n):
 def random_structures(draw):
     """Sparse arbitrary entries: most axioms fail, at early and late tuples."""
     n0, n1 = draw(st.integers(1, 4)), draw(st.integers(1, 2))
-    x = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+    x = st.sampled_from([0, 0, 0, 0, 1, -1, 2] + (rationals if draw(st.booleans()) else []))
     d = RMatrix.from_rows([[draw(x) for _ in range(n1)] for _ in range(n0)], n1)
     l2_00 = [[[draw(x) for _ in range(n0)] for _ in range(n0)] for _ in range(n0)]
     l2_01 = [[[draw(x) for _ in range(n1)] for _ in range(n1)] for _ in range(n0)]
@@ -308,7 +322,7 @@ def perturbed(draw, base):
     v = copy.deepcopy(draw(base))
     n0, n1 = v.dim0, v.dim1
     which = draw(st.sampled_from(["none", "l2_00", "l2_01", "l3", "d"]))
-    delta = draw(st.sampled_from([-1, 1, 2]))
+    delta = draw(st.sampled_from([-1, 1, 2, Fraction(1, 2)]))
     idx0 = st.integers(0, n0 - 1)
     idx1 = st.integers(0, n1 - 1)
     if which == "l2_00":
@@ -333,16 +347,20 @@ structures = st.one_of(perturbed(valid_structures()), perturbed(random_structure
 @given(structures)
 def test_generalized_jacobi_matches_per_tuple_sweep(v):
     for arity in range(1, 5):
-        assert (generalized_jacobi(v, arity).to_json()
-                == generalized_jacobi_per_tuple(v, arity).to_json())
+        new, old = generalized_jacobi(v, arity), generalized_jacobi_per_tuple(v, arity)
+        assert new.to_json() == old.to_json()
+        assert (new.result("unshuffle_identity").violations
+                == old.result("unshuffle_identity").violations)
 
 
 @settings(max_examples=100, deadline=None)
 @given(structures)
 def test_octagon_matches_per_tuple_sweep(v):
     L = from_linfty(v)
-    assert (check_jacobiator_identity_categorical(L).to_json()
-            == check_jacobiator_identity_categorical_per_tuple(L).to_json())
+    new = check_jacobiator_identity_categorical(L)
+    old = check_jacobiator_identity_categorical_per_tuple(L)
+    assert new.to_json() == old.to_json()
+    assert new.result("octagon").violations == old.result("octagon").violations
 
 
 def test_sweeps_match_past_the_first_tuple():
@@ -358,6 +376,22 @@ def test_sweeps_match_past_the_first_tuple():
     assert new.violations == check_jacobiator_identity_categorical_per_tuple(L).result(
         "octagon").violations
     assert new.first_violation[0] == (0, 1, 2, 3)
+
+
+def test_integer_sweeps_match_past_the_first_tuple_with_fractions():
+    """With D = 3 both sweeps run over the integers and still stop at
+    the oracles' late tuple, with the oracles' residual 1/3."""
+    v = broken_abelian4_thirds()
+    assert integral(v)[0] == 3
+    new = generalized_jacobi(v, 4).result("unshuffle_identity")
+    assert new.violations == generalized_jacobi_per_tuple(v, 4).result(
+        "unshuffle_identity").violations
+    assert new.first_violation == (((0, 0), (0, 1), (0, 2), (0, 3)), [0, 0, 0, 0, Fraction(1, 3)])
+    L = from_linfty(v)
+    new = check_jacobiator_identity_categorical(L).result("octagon")
+    assert new.violations == check_jacobiator_identity_categorical_per_tuple(L).result(
+        "octagon").violations
+    assert new.first_violation == ((0, 1, 2, 3), [0, 0, 0, 0, Fraction(1, 3)])
 
 
 @settings(max_examples=12, deadline=None)
