@@ -18,7 +18,7 @@ from importlib import resources
 
 from . import braid, cohomology, lie2, linfty, twoterm
 from .exactlin import DimensionMismatch, rational
-from .report import CheckReport
+from .report import CheckReport, first_violation
 from .serialize import (FixtureError, load_json_file, mat_from_json, mat_to_json, need,
                         tensor_from_json)
 
@@ -163,11 +163,10 @@ def cmd_cohomology(args, rep: Report) -> None:
 def cmd_is_cocycle(args, rep: Report) -> None:
     w = _load_cochain(args.file)
     out = CheckReport("cocycle")
-    ok = cohomology.is_cocycle(w)
-    out.add("delta_vanishes", [] if ok else
-            [((), cohomology.cochain_to_coords(cohomology.coboundary(w))[:6])])
+    out.add("delta_vanishes", first_violation(sorted(cohomology.coboundary(w).values.items())))
     rep.reports.append(out)
-    rep.payload = {"is_cocycle": ok, "is_coboundary": cohomology.is_coboundary(w) if ok else False}
+    rep.payload = {"is_cocycle": out.passed,
+                   "is_coboundary": out.passed and cohomology.is_coboundary(w)}
 
 
 def cmd_coboundary(args, rep: Report) -> None:

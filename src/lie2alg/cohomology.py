@@ -13,10 +13,10 @@ from itertools import combinations, product
 from math import comb
 
 from .exactlin import (DimensionMismatch, RMatrix, contract, rank_kernel, solve_linear, vadd,
-                       vneg, vscale, vsub, vunit, vzeros)
+                       vneg, vscale, vzeros)
 from .lie2 import SemistrictLie2Algebra, from_linfty
 from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
-                     check_axioms, jacobi_violations, perm_sign, zero_l3)
+                     check_axioms, jacobi_violations, l3_compatibility_residuals, perm_sign)
 from .report import CheckReport, first_violation, grid_violations
 from .serialize import (FixtureError, as_count, mat_to_json, need, tensor_from_json,
                         tensor_to_json)
@@ -139,37 +139,6 @@ def _prune(vals: dict) -> dict:
     return {k: v for k, v in vals.items() if any(x != 0 for x in v)}
 
 
-def coboundary(w: Cochain) -> Cochain:
-    """The Chevalley-Eilenberg differential, degree n to n+1.
-
-    (delta w)(v_1..v_{n+1}) = sum_i (-1)^{i+1} rho(v_i) w(.. v_i-hat ..)
-    + sum_{j<k} (-1)^{j+k} w([v_j, v_k], .. hats ..), 1-based signs.
-    """
-    rep = w.rep
-    g = rep.algebra
-    n = w.degree
-    out = {}
-    for key in combinations(range(g.dim), n + 1):
-        acc = vzeros(rep.dimV)
-        for pos in range(n + 1):
-            rest = key[:pos] + key[pos + 1:]
-            term = rep.rho[key[pos]].matvec(w.value(rest))
-            acc = vadd(acc, vscale(-1 if pos % 2 else 1, term))
-        for pj in range(n + 1):
-            for pk in range(pj + 1, n + 1):
-                rest = tuple(x for q, x in enumerate(key) if q not in (pj, pk))
-                br = g.bracket[key[pj]][key[pk]]
-                term = vzeros(rep.dimV)
-                for m, c in enumerate(br):
-                    if c:
-                        term = vadd(term, vscale(c, w.evaluate((m,) + rest)))
-                sign = -1 if (pj + pk + 2) % 2 else 1  # (-1)^{j+k}, 1-based
-                acc = vadd(acc, vscale(sign, term))
-        if any(x != 0 for x in acc):
-            out[key] = acc
-    return Cochain(rep, n + 1, out)
-
-
 def cochain_basis(rep: Representation, n: int) -> list:
     """Ordered basis of C^n: (increasing tuple, V index) pairs."""
     return [(key, v) for key in combinations(range(rep.algebra.dim), n)
@@ -188,31 +157,55 @@ def coords_to_cochain(rep: Representation, n: int, coords: list) -> Cochain:
     return Cochain(rep, n, vals)
 
 
-def coboundary_matrix(rep: Representation, n: int) -> RMatrix:
-    """Matrix of delta: C^n -> C^{n+1} in the ordered bases, assembled by
-    visiting each (n+1)-key once and writing the terms of `coboundary`
-    straight into the columns of the n-keys they read."""
+def _coboundary_cells(rep: Representation, n: int):
+    """The nonzero cells ((row, col), x) of the Chevalley-Eilenberg
+    differential delta: C^n -> C^{n+1} in the ordered bases,
+
+    (delta w)(v_1..v_{n+1}) = sum_i (-1)^{i+1} rho(v_i) w(.. v_i-hat ..)
+    + sum_{j<k} (-1)^{j+k} w([v_j, v_k], .. hats ..), 1-based signs,
+
+    found by visiting each (n+1)-key once and writing its terms straight
+    into the columns of the n-keys they read.  A cell may come more than
+    once; its entry is the sum."""
     g, dimV = rep.algebra, rep.dimV
     src = {key: i * dimV for i, key in enumerate(combinations(range(g.dim), n))}
-    dst = list(combinations(range(g.dim), n + 1))
+    for i, key in enumerate(combinations(range(g.dim), n + 1)):
+        row0 = i * dimV  # the rows of this key
+        for pos in range(n + 1):
+            col0, sign = src[key[:pos] + key[pos + 1:]], (-1) ** pos
+            for a, rho_row in enumerate(rep.rho[key[pos]].entries):
+                for b, x in rho_row.items():
+                    yield (row0 + a, col0 + b), sign * x
+        for pj, pk in combinations(range(n + 1), 2):
+            rest = key[:pj] + key[pj + 1:pk] + key[pk + 1:]
+            for m, c in enumerate(g.bracket[key[pj]][key[pk]]):
+                if c and m not in rest:
+                    sign = (-1) ** (pj + pk + sum(x < m for x in rest))  # sorting (m,) + rest
+                    col0 = src[tuple(sorted((m,) + rest))]
+                    for a in range(dimV):
+                        yield (row0 + a, col0 + a), sign * c
 
-    def cells():
-        for i, key in enumerate(dst):
-            row0 = i * dimV  # the rows of this key
-            for pos in range(n + 1):
-                col0, sign = src[key[:pos] + key[pos + 1:]], (-1) ** pos
-                for a, rho_row in enumerate(rep.rho[key[pos]].entries):
-                    for b, x in rho_row.items():
-                        yield (row0 + a, col0 + b), sign * x
-            for pj, pk in combinations(range(n + 1), 2):
-                rest = key[:pj] + key[pj + 1:pk] + key[pk + 1:]
-                for m, c in enumerate(g.bracket[key[pj]][key[pk]]):
-                    if c and m not in rest:
-                        sign = (-1) ** (pj + pk + sum(x < m for x in rest))  # sorting (m,) + rest
-                        col0 = src[tuple(sorted((m,) + rest))]
-                        for a in range(dimV):
-                            yield (row0 + a, col0 + a), sign * c
-    return RMatrix.from_cells(len(dst) * dimV, len(src) * dimV, cells())
+
+def coboundary_matrix(rep: Representation, n: int) -> RMatrix:
+    """Matrix of delta: C^n -> C^{n+1} in the ordered bases, summed from
+    `_coboundary_cells`."""
+    dim, dimV = rep.algebra.dim, rep.dimV
+    return RMatrix.from_cells(comb(dim, n + 1) * dimV, comb(dim, n) * dimV,
+                              _coboundary_cells(rep, n))
+
+
+def coboundary(w: Cochain) -> Cochain:
+    """The Chevalley-Eilenberg differential of one cochain, degree n to
+    n+1: the cells of `_coboundary_cells` applied to the coordinates of w
+    as they stream by, so delta is never held and memory stays in
+    proportion to the input and the output."""
+    rep, n = w.rep, w.degree
+    x = cochain_to_coords(w)
+    out = [0] * (comb(rep.algebra.dim, n + 1) * rep.dimV)
+    for (i, j), c in _coboundary_cells(rep, n):
+        if x[j]:
+            out[i] += c * x[j]
+    return coords_to_cochain(rep, n + 1, out)
 
 
 def coboundary_nnz_bound(rep: Representation, n: int) -> int:
@@ -290,7 +283,7 @@ def build_two_slot(rep: Representation, n: int, w: Cochain):
                                 l2_01, l3)
     report = CheckReport("two_slot")
     report.extend(check_representation(rep))
-    report.add("cocycle", [] if is_cocycle(w) else [((), cochain_to_coords(coboundary(w))[:4])])
+    report.add("cocycle", first_violation(sorted(coboundary(w).values.items())))
     return TwoSlotRecord(rep, n, w, report)
 
 
@@ -310,11 +303,16 @@ def classify(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
     """Skeletalize the complex, transport the brackets along the
     equivalence, and read off (g, V, rho, [l3]).
 
-    The transported pieces are forced by requiring the inclusion to be
-    an L-infinity homomorphism: its phi2 is -tau([u., u.]), and l3 on
-    the skeleton is the projected seven-term combination.  Everything
-    is verified before returning; a structure that fails an axiom is
-    refused with a ValueError naming the first failing one.
+    The inclusion must be an L-infinity homomorphism, which forces the
+    transported pieces: its phi2 is -tau([u., u.]), and its l3 equation
+    (`l3_compatibility_residuals`), swept with the skeleton's l3 set to
+    zero, leaves the residual -u1 l3, so l3 = -v1 (residual).  Only
+    increasing triples are read.  That is exact: a structure that fails
+    an axiom is refused with a ValueError naming the first failing one
+    before anything is transported, and on one that passes the
+    transported l3 is alternating, so `build_two_slot` fills every other
+    triple with the value the equation gives there.  Everything is
+    verified before returning.
     """
     v = L.data
     axioms = check_axioms(v)
@@ -324,45 +322,29 @@ def classify(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
     u0, u1 = sk.include.phi0, sk.include.phi1
     v0, v1 = sk.project.phi0, sk.project.phi1
     tau = sk.homotopy.tau
-    n0 = sk.skeletal.dim0
-    n1 = sk.skeletal.dim1
-
+    n0, n1 = sk.skeletal.dim0, sk.skeletal.dim1
     ue = [u0.col(i) for i in range(n0)]  # images of the skeleton's basis
     bracket = [[v0.matvec(v.bracket00(ue[i], ue[j])) for j in range(n0)] for i in range(n0)]
-    l2_01 = [[v1.matvec(v.act(ue[i], u1.col(a))) for a in range(n1)] for i in range(n0)]
+    rho = [v1 @ RMatrix.from_cols([v.act(ue[i], u1.col(a)) for a in range(n1)], rows=v.dim1)
+           for i in range(n0)]
     phi2 = [[vneg(tau.matvec(v.bracket00(ue[i], ue[j]))) for j in range(n0)]
             for i in range(n0)]
-
-    l3 = zero_l3(n0, n1)
-    eb = [vunit(n0, i) for i in range(n0)]
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                r = v.l3_eval(ue[i], ue[j], ue[k])
-                r = vadd(r, v.act(ue[i], phi2[j][k]))
-                r = vsub(r, v.act(ue[j], phi2[i][k]))  # [phi2(x,z), u0 y]
-                r = vadd(r, contract(phi2[i], v.dim1, bracket[j][k]))
-                r = vadd(r, contract(phi2, v.dim1, bracket[i][k], eb[j]))
-                r = vadd(r, v.act(ue[k], phi2[i][j]))  # -[phi2(x,y), u0 z]
-                r = vsub(r, contract(phi2, v.dim1, bracket[i][j], eb[k]))
-                if any(x != 0 for x in v.d.matvec(r)):
-                    raise AssertionError("transported l3 falls outside ker(d)")
-                l3[i][j][k] = v1.matvec(r)
-
-    skeletal = TwoTermLInfinity(sk.skeletal, bracket, l2_01, l3)
     algebra = LieAlgebra(n0, bracket)
-    rep = Representation(algebra, n1,
-                         [RMatrix.from_cols([l2_01[i][a] for a in range(n1)], rows=n1)
-                          for i in range(n0)])
+    rep = Representation(algebra, n1, rho)
+    chain = ChainMap(sk.skeletal, v.complex, u0, u1)
+
+    flat = LInfHom(build_two_slot(rep, 1, Cochain(rep, 3)), v, chain, phi2)
     vals = {}
-    for key in combinations(range(n0), 3):
-        val = l3[key[0]][key[1]][key[2]]
+    for key, resid in l3_compatibility_residuals(flat, combinations(range(n0), 3)):
+        r = vneg(resid)
+        if any(x != 0 for x in v.d.matvec(r)):
+            raise AssertionError("transported l3 falls outside ker(d)")
+        val = v1.matvec(r)
         if any(x != 0 for x in val):
             vals[key] = val
     cocycle = Cochain(rep, 3, vals)
-    witness = LInfHom(skeletal, v,
-                      ChainMap(sk.skeletal, v.complex, u0, u1),
-                      phi2)
+    skeletal = build_two_slot(rep, 1, cocycle)
+    witness = LInfHom(skeletal, v, chain, phi2)
     if not check_axioms(skeletal).passed:
         raise AssertionError("transported structure fails the axioms")
     if not is_cocycle(cocycle):

@@ -6,6 +6,10 @@ import time
 import pytest
 
 from lie2alg.cli import fixture_dir, run
+from lie2alg.cohomology import (adjoint_rep, algebra_to_json, cochain_to_json, rep_to_json,
+                                sl_algebra, trivial_rep)
+from conftest import rand_cochain
+from test_sweep_oracles import coboundary_pointwise
 
 
 def fx(name: str) -> str:
@@ -137,6 +141,35 @@ def test_is_cocycle_and_coboundary_commands(tmp_path, capsys):
     code, rep = run(["is-cocycle", str(f3)])
     assert code == 0
     assert rep.payload == {"is_cocycle": True, "is_coboundary": False}
+
+
+def test_is_cocycle_reports_first_nonzero_key_of_delta(tmp_path, capsys):
+    """delta of the unit 2-cochain of sl3 on (H_0, H_1) vanishes on the
+    first 10 keys; the report names the first key where it does not."""
+    cochain = {"algebra": algebra_to_json(sl_algebra(3)), "degree": 2, "values": {"6<7": ["1"]}}
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps(cochain))
+    code, rep = run(["--json", "is-cocycle", str(f)])
+    assert code == 1
+    assert rep.payload == {"is_cocycle": False, "is_coboundary": False}
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check == {"name": "delta_vanishes", "passed": False,
+                     "location": [0, 2, 7], "residual": ["-1"]}
+    run(["is-cocycle", str(f)])
+    assert "at (0, 2, 7): residual [\"-1\"]" in capsys.readouterr().out
+
+
+def test_coboundary_command_matches_pointwise_oracle(tmp_path, rng, capsys):
+    g = sl_algebra(3)
+    for r in (trivial_rep(g, 1), adjoint_rep(g)):
+        for degree in range(4):
+            w = rand_cochain(rng, r, degree)
+            f = tmp_path / "w.json"
+            f.write_text(json.dumps({"algebra": algebra_to_json(g), "rep": rep_to_json(r),
+                                     **cochain_to_json(w)}))
+            assert run(["--json", "coboundary", str(f)])[0] == 0
+            payload = json.loads(capsys.readouterr().out)["payload"]
+            assert payload == cochain_to_json(coboundary_pointwise(w))
 
 
 def test_build_ghbar_and_check(tmp_path):

@@ -20,6 +20,7 @@ from lie2alg.linfty import check_axioms, check_hom
 from conftest import (broken_jacobi3, delta_twist_pair, inflate,
                       quadruple_preserving_conjugation, rand_cochain,
                       rand_invertible, conjugate)
+from test_sweep_oracles import coboundary_pointwise
 
 
 def test_named_algebras_valid():
@@ -294,15 +295,15 @@ def test_json_round_trips(rng):
     assert cochain_from_json(rep, cochain_to_json(w0)).values == w0.values
 
 
-# coboundary() is the per-cochain differential; its images of the unit
-# cochains are the oracle for the directly assembled coboundary_matrix.
+# The pointwise differential kept in test_sweep_oracles is the oracle for
+# both coboundary_matrix and coboundary, which share one set of cells.
 
 def _unit_cochain_images(rep, n):
     cols = []
     for key, v in cochain_basis(rep, n):
         vals = [0] * rep.dimV
         vals[v] = 1
-        cols.append(cochain_to_coords(coboundary(Cochain(rep, n, {key: vals}))))
+        cols.append(cochain_to_coords(coboundary_pointwise(Cochain(rep, n, {key: vals}))))
     return cols
 
 
@@ -349,3 +350,33 @@ def small_representation(draw):
 @settings(max_examples=60, deadline=None)
 def test_coboundary_matrix_matches_unit_cochains_random(rep):
     _assert_matrix_matches_unit_cochains(rep)
+
+
+@st.composite
+def rational_cochains(draw):
+    """A cochain of degree 0..dim+1 over small_representation(), with
+    rational values on a random set of keys."""
+    rep = draw(small_representation())
+    degree = draw(st.integers(0, rep.algebra.dim + 1))
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.fractions(min_value=-2, max_value=2, max_denominator=4))
+    keys = draw(st.lists(st.sampled_from(list(Cochain(rep, degree).keys())), unique=True)
+                if degree <= rep.algebra.dim else st.just([]))
+    return Cochain(rep, degree, {key: [draw(entry) for _ in range(rep.dimV)] for key in keys})
+
+
+@given(rational_cochains())
+@settings(max_examples=150, deadline=None)
+def test_coboundary_matches_pointwise_oracle(w):
+    assert coboundary(w).values == coboundary_pointwise(w).values
+
+
+def test_two_slot_cocycle_report_names_first_nonzero_key():
+    """For n > 1 build_two_slot only validates; a cochain that is not
+    closed is reported at the first key where its delta is nonzero."""
+    rep = trivial_rep(sl_algebra(3), 1)
+    w = Cochain(rep, 4, {(4, 5, 6, 7): [1]})
+    dw = coboundary_pointwise(w).values
+    check = build_two_slot(rep, 2, w).report.result("cocycle")
+    assert not check.passed
+    assert check.first_violation == (min(dw), dw[min(dw)])

@@ -15,6 +15,14 @@ tetrahedron sweep are kept below verbatim as oracles: on random
 two-term structures, valid ones and ones with a single perturbed entry,
 both must give the same report, first failing tuple and exact residual
 included.
+
+`cohomology.coboundary` streams the cells of `coboundary_matrix`, and
+`cohomology.classify` reads the skeleton's l3 off the homomorphism's l3
+equation (`linfty.l3_compatibility_residuals`) on increasing triples.
+The pointwise differential and the classification that wrote out the
+seven-term combination at every triple are kept below verbatim too:
+the same cochain, and the same quadruple and witness or the same
+refusal.
 """
 
 from __future__ import annotations
@@ -29,18 +37,20 @@ from hypothesis import strategies as st
 
 from lie2alg.braid import (TetraY, build_braid_functor, build_Y, check_zamolodchikov,
                            tetrahedron_sides)
-from lie2alg.cohomology import (Cochain, Representation, abelian_algebra, build_cross_product,
-                                build_g_hbar, build_two_slot, classify, coboundary,
-                                sl2_algebra, so3_algebra, trivial_rep)
-from lie2alg.exactlin import RMatrix, contract, vadd, vscale, vsub, vunit, vzeros
+from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Representation,
+                                abelian_algebra, build_cross_product, build_g_hbar,
+                                build_two_slot, classify, coboundary, is_cocycle, sl2_algebra,
+                                so3_algebra, trivial_rep)
+from lie2alg.exactlin import RMatrix, contract, vadd, vneg, vscale, vsub, vunit, vzeros
 from lie2alg.lie2 import (SemistrictLie2Algebra, _as_object, _compose_padded,
                           bracket_morphisms, check_jacobiator_identity_categorical,
                           from_linfty, jacobiator)
-from lie2alg.linfty import (TwoTermLInfinity, _graded_bracket, _graded_element,
+from lie2alg.linfty import (LInfHom, TwoTermLInfinity, _graded_bracket, _graded_element,
                             antisymmetry_violations, check_axioms, integral,
-                            generalized_jacobi, koszul_chi, perm_sign, unshuffles, zero_l3)
+                            generalized_jacobi, koszul_chi, linf_to_json, perm_sign, unshuffles,
+                            zero_l3)
 from lie2alg.report import CheckReport, first_violation
-from lie2alg.twoterm import TwoTermComplex
+from lie2alg.twoterm import ChainMap, TwoTermComplex, skeletalize_complex
 from lie2alg.twovect import (Morphism, compose_functors, compose_morphisms, direct_sum,
                              eval_cell_expr, ground_field, identity_functor, identity_morphism,
                              tensor_2vs, tensor_functor)
@@ -237,6 +247,101 @@ def check_zamolodchikov_dense_rows(ty: TetraY) -> CheckReport:
         ((col // d0 ** 3, (col // d0 ** 2) % d0, (col // d0) % d0, col % d0), diff.row(col))
         for col in range(d0 ** 4)))
     return rep
+
+
+def coboundary_pointwise(w: Cochain) -> Cochain:
+    """The Chevalley-Eilenberg differential, degree n to n+1.
+
+    (delta w)(v_1..v_{n+1}) = sum_i (-1)^{i+1} rho(v_i) w(.. v_i-hat ..)
+    + sum_{j<k} (-1)^{j+k} w([v_j, v_k], .. hats ..), 1-based signs.
+    """
+    rep = w.rep
+    g = rep.algebra
+    n = w.degree
+    out = {}
+    for key in combinations(range(g.dim), n + 1):
+        acc = vzeros(rep.dimV)
+        for pos in range(n + 1):
+            rest = key[:pos] + key[pos + 1:]
+            term = rep.rho[key[pos]].matvec(w.value(rest))
+            acc = vadd(acc, vscale(-1 if pos % 2 else 1, term))
+        for pj in range(n + 1):
+            for pk in range(pj + 1, n + 1):
+                rest = tuple(x for q, x in enumerate(key) if q not in (pj, pk))
+                br = g.bracket[key[pj]][key[pk]]
+                term = vzeros(rep.dimV)
+                for m, c in enumerate(br):
+                    if c:
+                        term = vadd(term, vscale(c, w.evaluate((m,) + rest)))
+                sign = -1 if (pj + pk + 2) % 2 else 1  # (-1)^{j+k}, 1-based
+                acc = vadd(acc, vscale(sign, term))
+        if any(x != 0 for x in acc):
+            out[key] = acc
+    return Cochain(rep, n + 1, out)
+
+
+def classify_product_transport(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
+    """Skeletalize the complex, transport the brackets along the
+    equivalence, and read off (g, V, rho, [l3]).
+
+    The transported pieces are forced by requiring the inclusion to be
+    an L-infinity homomorphism: its phi2 is -tau([u., u.]), and l3 on
+    the skeleton is the projected seven-term combination.  Everything
+    is verified before returning; a structure that fails an axiom is
+    refused with a ValueError naming the first failing one.
+    """
+    v = L.data
+    axioms = check_axioms(v)
+    if not axioms.passed:
+        raise ValueError(f"structure fails axiom {axioms.first_failure.name}")
+    sk = skeletalize_complex(v.complex)
+    u0, u1 = sk.include.phi0, sk.include.phi1
+    v0, v1 = sk.project.phi0, sk.project.phi1
+    tau = sk.homotopy.tau
+    n0 = sk.skeletal.dim0
+    n1 = sk.skeletal.dim1
+
+    ue = [u0.col(i) for i in range(n0)]  # images of the skeleton's basis
+    bracket = [[v0.matvec(v.bracket00(ue[i], ue[j])) for j in range(n0)] for i in range(n0)]
+    l2_01 = [[v1.matvec(v.act(ue[i], u1.col(a))) for a in range(n1)] for i in range(n0)]
+    phi2 = [[vneg(tau.matvec(v.bracket00(ue[i], ue[j]))) for j in range(n0)]
+            for i in range(n0)]
+
+    l3 = zero_l3(n0, n1)
+    eb = [vunit(n0, i) for i in range(n0)]
+    for i in range(n0):
+        for j in range(n0):
+            for k in range(n0):
+                r = v.l3_eval(ue[i], ue[j], ue[k])
+                r = vadd(r, v.act(ue[i], phi2[j][k]))
+                r = vsub(r, v.act(ue[j], phi2[i][k]))  # [phi2(x,z), u0 y]
+                r = vadd(r, contract(phi2[i], v.dim1, bracket[j][k]))
+                r = vadd(r, contract(phi2, v.dim1, bracket[i][k], eb[j]))
+                r = vadd(r, v.act(ue[k], phi2[i][j]))  # -[phi2(x,y), u0 z]
+                r = vsub(r, contract(phi2, v.dim1, bracket[i][j], eb[k]))
+                if any(x != 0 for x in v.d.matvec(r)):
+                    raise AssertionError("transported l3 falls outside ker(d)")
+                l3[i][j][k] = v1.matvec(r)
+
+    skeletal = TwoTermLInfinity(sk.skeletal, bracket, l2_01, l3)
+    algebra = LieAlgebra(n0, bracket)
+    rep = Representation(algebra, n1,
+                         [RMatrix.from_cols([l2_01[i][a] for a in range(n1)], rows=n1)
+                          for i in range(n0)])
+    vals = {}
+    for key in combinations(range(n0), 3):
+        val = l3[key[0]][key[1]][key[2]]
+        if any(x != 0 for x in val):
+            vals[key] = val
+    cocycle = Cochain(rep, 3, vals)
+    witness = LInfHom(skeletal, v,
+                      ChainMap(sk.skeletal, v.complex, u0, u1),
+                      phi2)
+    if not check_axioms(skeletal).passed:
+        raise AssertionError("transported structure fails the axioms")
+    if not is_cocycle(cocycle):
+        raise AssertionError("transported l3 is not a cocycle")
+    return ClassifyingQuadruple(algebra, rep, cocycle, skeletal, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -490,3 +595,45 @@ def stage_lists(draw):
 def test_compose_closed_form_matches_padded_loop(case):
     L, stages = case
     assert _compose_padded(L, stages) == compose_padded_loop(L, stages)
+
+
+# ---------------------------------------------------------------------------
+# classify against the transport written out at every triple
+
+def _raised(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@st.composite
+def transported_structures(draw):
+    """A valid structure always inflated by an acyclic summand and then
+    conjugated, so that the skeleton's inclusion is not the identity and,
+    on a nonabelian algebra, the witness's phi2 is often nonzero."""
+    v = inflate(draw(valid_structures()), 1,
+                RMatrix.from_rows([[draw(st.sampled_from([-2, -1, 1, 2]))]]))
+    return conjugate(v, unipotent(draw, v.dim0), unipotent(draw, v.dim1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(valid_structures(), perturbed(valid_structures()),
+                 transported_structures(), perturbed(transported_structures())))
+def test_classify_matches_product_transport(v):
+    """Valid structures, some inflated and conjugated so that the
+    transport is not the identity, and ones with a single moved entry:
+    the same quadruple, skeletal structure and witness, or the same
+    refusal."""
+    L = from_linfty(v)
+    (new, new_err), (old, old_err) = _raised(classify, L), _raised(classify_product_transport, L)
+    assert new_err == old_err
+    if old is None:
+        return
+    assert new.algebra == old.algebra
+    assert new.rep == old.rep
+    assert new.cocycle.values == old.cocycle.values
+    assert linf_to_json(new.skeletal) == linf_to_json(old.skeletal)
+    assert new.witness.chain.phi0 == old.witness.chain.phi0
+    assert new.witness.chain.phi1 == old.witness.chain.phi1
+    assert new.witness.phi2 == old.witness.phi2
