@@ -9,7 +9,9 @@ sweeps (g) and (i) on increasing tuples once (a) and (d) hold,
 `braid.check_zamolodchikov` sweeps only the objects whose components
 differ.  `generalized_jacobi` and the octagon sweep the structure with
 its denominators cleared (`linfty.integral`), so the strategies below
-draw rational entries as well as integers.  The per-tuple sweeps, the
+draw rational entries as well as integers.  Once (a) and (d) hold both
+sweep sorted tuples only, so the strategies draw structures where both
+hold and ones where one of them fails.  The per-tuple sweeps, the
 product-order axiom sweep, the loop, the per-column Y and the dense-row
 tetrahedron sweep are kept below verbatim as oracles: on random
 two-term structures, valid ones and ones with a single perturbed entry,
@@ -19,10 +21,12 @@ included.
 `cohomology.coboundary` streams the cells of `coboundary_matrix`, and
 `cohomology.classify` reads the skeleton's l3 off the homomorphism's l3
 equation (`linfty.l3_compatibility_residuals`) on increasing triples.
-The pointwise differential and the classification that wrote out the
-seven-term combination at every triple are kept below verbatim too:
-the same cochain, and the same quadruple and witness or the same
-refusal.
+That equation reads the target's l3 on phi0 from a table built once per
+call.  The pointwise differential, the classification that wrote out
+the seven-term combination at every triple and the l3 equation that
+evaluated l3 on phi0 afresh at every triple are kept below verbatim
+too: the same cochain, the same quadruple and witness or the same
+refusal, and the same `check_hom` report.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ from lie2alg.lie2 import (SemistrictLie2Algebra, _as_object, _compose_padded,
                           bracket_morphisms, check_jacobiator_identity_categorical,
                           from_linfty, jacobiator)
 from lie2alg.linfty import (LInfHom, TwoTermLInfinity, _graded_bracket, _graded_element,
-                            antisymmetry_violations, check_axioms, integral,
-                            generalized_jacobi, koszul_chi, linf_to_json, perm_sign, unshuffles,
-                            zero_l3)
-from lie2alg.report import CheckReport, first_violation
+                            antisymmetry_violations, check_axioms, check_hom, integral,
+                            generalized_jacobi, is_alternating, koszul_chi, linf_to_json,
+                            perm_sign, unshuffles, zero_l3)
+from lie2alg.report import CheckReport, CheckResult, first_violation
 from lie2alg.twoterm import ChainMap, TwoTermComplex, skeletalize_complex
 from lie2alg.twovect import (Morphism, compose_functors, compose_morphisms, direct_sum,
                              eval_cell_expr, ground_field, identity_functor, identity_morphism,
@@ -344,6 +348,33 @@ def classify_product_transport(L: SemistrictLie2Algebra) -> ClassifyingQuadruple
     return ClassifyingQuadruple(algebra, rep, cocycle, skeletal, witness)
 
 
+def l3_compatibility_residuals_per_triple(f: LInfHom, triples):
+    """Yield ((i, j, k), lhs - rhs) of the l3 equation of a homomorphism,
+
+    phi2([x,y], z) - [phi0 z, phi2(x,y)] + phi1 l3(x,y,z)
+      = l3(phi0 x, phi0 y, phi0 z) + [phi0 x, phi2(y,z)] - [phi0 y, phi2(x,z)]
+        + phi2(x, [y,z]) + phi2([x,z], y),
+
+    at each basis triple of `triples`.  `check_hom` sweeps every triple.
+    `cohomology.classify` reads the skeleton's l3 off it on increasing
+    triples, with the source's l3 set to zero; that suffices because the
+    input has passed the axioms, so the transported l3 is alternating."""
+    src, dst = f.source, f.target
+    m1 = dst.dim1
+    phi0, phi1, phi2 = f.chain.phi0, f.chain.phi1, f.phi2
+    e = [vunit(src.dim0, i) for i in range(src.dim0)]
+    fe = [phi0.col(i) for i in range(src.dim0)]
+    for i, j, k in triples:
+        lhs = vadd(vsub(contract(phi2, m1, src.l2_00[i][j], e[k]),
+                        dst.act(fe[k], phi2[i][j])),
+                   phi1.matvec(src.l3[i][j][k]))
+        rhs = vadd(vsub(vadd(dst.l3_eval(fe[i], fe[j], fe[k]), dst.act(fe[i], phi2[j][k])),
+                        dst.act(fe[j], phi2[i][k])),
+                   vadd(contract(phi2[i], m1, src.l2_00[j][k]),
+                        contract(phi2, m1, src.l2_00[i][k], e[j])))
+        yield (i, j, k), vsub(lhs, rhs)
+
+
 # ---------------------------------------------------------------------------
 # random two-term structures: dim V0 in 1..4, dim V1 in 1..2
 
@@ -445,11 +476,37 @@ def perturbed(draw, base):
     return v
 
 
+sparse_entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+@st.composite
+def antisymmetric_structures(draw):
+    """l2_00 antisymmetric and l3 totally antisymmetric, so (a) and (d)
+    hold; sparse random d, l2_01 and values let (e)-(i) pass or fail.
+    Half of them have d = 0 and a zero action, so only (g) and (i) can
+    fail."""
+    n0, n1 = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    entries = sparse_entries if draw(st.booleans()) else st.just(0)
+    d = RMatrix.from_rows([[draw(entries) for _ in range(n1)] for _ in range(n0)], n1)
+    l2_00 = [[[0] * n0 for _ in range(n0)] for _ in range(n0)]
+    for i, j in combinations(range(n0), 2):
+        l2_00[i][j] = [draw(sparse_entries) for _ in range(n0)]
+        l2_00[j][i] = [-x for x in l2_00[i][j]]
+    l2_01 = [[[draw(entries) for _ in range(n1)] for _ in range(n1)] for _ in range(n0)]
+    l3 = zero_l3(n0, n1)
+    for key in combinations(range(n0), 3):
+        val = [draw(sparse_entries) for _ in range(n1)]
+        for perm in permutations(range(3)):
+            i, j, k = (key[p] for p in perm)
+            l3[i][j][k] = [perm_sign(perm) * x for x in val]
+    return TwoTermLInfinity(TwoTermComplex(n0, n1, d), l2_00, l2_01, l3)
+
+
 structures = st.one_of(perturbed(valid_structures()), perturbed(random_structures()))
 
 
 @settings(max_examples=40, deadline=None)
-@given(structures)
+@given(st.one_of(structures, antisymmetric_structures(), perturbed(antisymmetric_structures())))
 def test_generalized_jacobi_matches_per_tuple_sweep(v):
     for arity in range(1, 5):
         new, old = generalized_jacobi(v, arity), generalized_jacobi_per_tuple(v, arity)
@@ -459,7 +516,7 @@ def test_generalized_jacobi_matches_per_tuple_sweep(v):
 
 
 @settings(max_examples=100, deadline=None)
-@given(structures)
+@given(st.one_of(structures, antisymmetric_structures(), perturbed(antisymmetric_structures())))
 def test_octagon_matches_per_tuple_sweep(v):
     L = from_linfty(v)
     new = check_jacobiator_identity_categorical(L)
@@ -499,6 +556,25 @@ def test_integer_sweeps_match_past_the_first_tuple_with_fractions():
     assert new.first_violation == ((0, 1, 2, 3), [0, 0, 0, 0, Fraction(1, 3)])
 
 
+def test_repeated_degree_one_index_is_swept():
+    """n0 = 1, n1 = 2, d = (1 0) and [e, f0] = f1: (a), (d) and (e) hold,
+    (f) fails at (0, 0), and the unshuffle identity at arity 2 first fails
+    at (f0, f0), where a repeated degree-1 index does not zero the
+    residual; a sweep that never repeats a degree-1 index would pass."""
+    l2_01 = [[[0, 1], [0, 0]]]
+    v = TwoTermLInfinity(TwoTermComplex(1, 2, RMatrix.from_rows([[1, 0]], 2)),
+                         [[[0]]], l2_01, zero_l3(1, 2))
+    axioms = check_axioms(v)
+    for name in ("a_bracket_antisymmetry", "d_l3_antisymmetry", "e_differential_action"):
+        assert axioms.result(name).passed
+    assert axioms.result("f_differential_symmetry").first_violation[0] == (0, 0)
+    assert is_alternating(v)
+    new = generalized_jacobi(v, 2).result("unshuffle_identity")
+    assert new.violations == generalized_jacobi_per_tuple(v, 2).result(
+        "unshuffle_identity").violations
+    assert new.first_violation == (((1, 0), (1, 0)), [0, 0, -2])
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.one_of(
     st.fractions(-3, 3, max_denominator=4).map(lambda h: build_g_hbar(so3_algebra(), h).data),
@@ -516,32 +592,6 @@ def test_tetrahedron_matches_per_column_and_dense_row_sweeps(v):
 
 # ---------------------------------------------------------------------------
 # check_axioms against the product-order sweep
-
-sparse_entries = st.sampled_from([0, 0, 0, 1, -1, 2])
-
-
-@st.composite
-def antisymmetric_structures(draw):
-    """l2_00 antisymmetric and l3 totally antisymmetric, so (a) and (d)
-    hold; sparse random d, l2_01 and values let (e)-(i) pass or fail.
-    Half of them have d = 0 and a zero action, so only (g) and (i) can
-    fail."""
-    n0, n1 = draw(st.integers(1, 4)), draw(st.integers(1, 2))
-    entries = sparse_entries if draw(st.booleans()) else st.just(0)
-    d = RMatrix.from_rows([[draw(entries) for _ in range(n1)] for _ in range(n0)], n1)
-    l2_00 = [[[0] * n0 for _ in range(n0)] for _ in range(n0)]
-    for i, j in combinations(range(n0), 2):
-        l2_00[i][j] = [draw(sparse_entries) for _ in range(n0)]
-        l2_00[j][i] = [-x for x in l2_00[i][j]]
-    l2_01 = [[[draw(entries) for _ in range(n1)] for _ in range(n1)] for _ in range(n0)]
-    l3 = zero_l3(n0, n1)
-    for key in combinations(range(n0), 3):
-        val = [draw(sparse_entries) for _ in range(n1)]
-        for perm in permutations(range(3)):
-            i, j, k = (key[p] for p in perm)
-            l3[i][j][k] = [perm_sign(perm) * x for x in val]
-    return TwoTermLInfinity(TwoTermComplex(n0, n1, d), l2_00, l2_01, l3)
-
 
 def test_axioms_match_product_sweep_on_fixtures():
     """A passing g_hbar and broken_abelian4, which fails (i) only at
@@ -637,3 +687,53 @@ def test_classify_matches_product_transport(v):
     assert new.witness.chain.phi0 == old.witness.chain.phi0
     assert new.witness.chain.phi1 == old.witness.chain.phi1
     assert new.witness.phi2 == old.witness.phi2
+
+
+# ---------------------------------------------------------------------------
+# check_hom's tabulated l3 against the per-triple evaluation
+
+@st.composite
+def homomorphisms(draw):
+    """A classify witness, from a skeleton with n0 < m0, or random maps
+    between random structures, whose target l3 is rarely antisymmetric;
+    then one entry of phi2 or of the target's l3 may be moved."""
+    if draw(st.booleans()):
+        f = classify(from_linfty(draw(transported_structures()))).witness
+    else:
+        src, dst = draw(random_structures()), draw(random_structures())
+        x = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+        phi0 = RMatrix.from_rows([[draw(x) for _ in range(src.dim0)]
+                                  for _ in range(dst.dim0)], src.dim0)
+        phi1 = RMatrix.from_rows([[draw(x) for _ in range(src.dim1)]
+                                  for _ in range(dst.dim1)], src.dim1)
+        phi2 = [[[draw(x) for _ in range(dst.dim1)] for _ in range(src.dim0)]
+                for _ in range(src.dim0)]
+        f = LInfHom(src, dst, ChainMap(src.complex, dst.complex, phi0, phi1), phi2)
+    n0, m0, m1 = f.source.dim0, f.target.dim0, f.target.dim1
+    delta = draw(st.sampled_from([-1, 1, Fraction(1, 2)]))
+    which = draw(st.sampled_from(["none", "phi2", "l3"]))
+    if which == "phi2":
+        phi2 = copy.deepcopy(f.phi2)
+        phi2[draw(st.integers(0, n0 - 1))][draw(st.integers(0, n0 - 1))][
+            draw(st.integers(0, m1 - 1))] += delta
+        f = LInfHom(f.source, f.target, f.chain, phi2)
+    elif which == "l3":
+        dst = copy.deepcopy(f.target)
+        idx = st.integers(0, m0 - 1)
+        dst.l3[draw(idx)][draw(idx)][draw(idx)][draw(st.integers(0, m1 - 1))] += delta
+        f = LInfHom(f.source, dst, f.chain, f.phi2)
+    return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(homomorphisms())
+def test_check_hom_matches_per_triple_l3_sweep(f):
+    """The same check_hom report, and the same first l3 violation with its
+    exact residual, as evaluating l3 on phi0 afresh at every triple."""
+    new = check_hom(f)
+    old = first_violation(l3_compatibility_residuals_per_triple(
+        f, product(range(f.source.dim0), repeat=3)))
+    assert new.result("l3_compatibility").violations == old
+    oracle = CheckReport(new.name,
+                         new.checks[:-1] + [CheckResult("l3_compatibility", not old, old)])
+    assert new.to_json() == oracle.to_json()
