@@ -142,7 +142,10 @@ def cmd_check_dcm(args, rep: Report) -> None:
 # Largest number of nonzeros that delta_(n-1) and delta_n of `cohomology
 # --degree n` may hold together, by cohomology.coboundary_nnz_bound, unless
 # --max-nnz says otherwise.  H^3(sl4, adjoint) bounds at 145,600 (its delta_3
-# has 82,544) and takes about 25 s at 111 MB peak RSS; H^4 bounds at 524,160.
+# has 82,544) and takes 1.9 s at 112 MB peak RSS.  H^4 bounds at 524,160 and
+# takes 13 s at 990 MB, so memory, not time, keeps it out by default: its
+# elimination peaks at 140 MB, the rest is the dense kernel basis of delta_4.
+# (CLI runs on 2 CPUs, Python 3.11.)
 COHOMOLOGY_MAX_NNZ = 200_000
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -298,33 +299,83 @@ def block_diag(a: RMatrix, b: RMatrix) -> RMatrix:
         RMatrix.zeros(b.rows, a.cols).hstack(b))
 
 
+def _primitive(row: dict) -> dict:
+    """The row scaled to integers with no common factor: times the lcm of
+    its denominators, then divided by the gcd of its entries."""
+    den = lcm(*(x.denominator for x in row.values()))
+    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g != 1 else out
+
+
 def _rref(rows: list, cols: int):
-    """Reduced row echelon form by Gauss-Jordan elimination over sparse
-    {column: entry} rows without zeros, which are read and left as they are:
-    (its nonzero rows top to bottom as {column: entry} dicts, pivot columns).
-    The form is unique, so the shortest candidate row can be each pivot."""
-    pending = [dict(r) for r in rows]
-    done, pivots = [], []
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination
+    over sparse {column: entry} rows without zeros, which are read and left
+    as they are: (its nonzero rows top to bottom as {column: entry} dicts,
+    pivot columns).
+
+    Each row is kept as a primitive integer row, so elimination replaces a
+    row by (p/g) row - (f/g) pivot row, g = gcd(p, f), and divides by the
+    pivot only when the row is final.  `index` maps each column to the ids
+    of the rows that hold it, pending or done, as dict keys (smaller than a
+    set), so a column's holders cost time in proportion to the nonzeros.  The form is unique, so the
+    shortest pending holder (the lowest id on a tie) can be each pivot."""
+    store = {i: _primitive(r) for i, r in enumerate(rows) if r}
+    index = {}
+    for i, row in store.items():
+        for j in row:
+            index.setdefault(j, {})[i] = None
+    done, pivots, finished = [], [], set()
     for c in range(cols):
-        hits = [i for i, r in enumerate(pending) if c in r]
-        if not hits:
+        # pending rows hold no column below c, so no later step reads or
+        # changes column c, and its holders leave the index here
+        holders = index.pop(c, ())
+        candidates = [i for i in holders if i not in finished]
+        if not candidates:
             continue
-        best = min(hits, key=lambda i: len(pending[i]))
-        row, pending[best] = pending[best], {}
-        if row[c] != 1:
-            inv = Fraction(1) / row[c]
-            row = {j: inv * x for j, x in row.items()}
-        for other in [pending[i] for i in hits if i != best] + [r for r in done if c in r]:
-            f = other[c]
-            for j, y in row.items():
-                x = other.get(j, 0) - f * y
-                if x:
-                    other[j] = x
+        best = min(candidates, key=lambda i: (len(store[i]), i))
+        row = store[best]
+        p = row[c]
+        rest = [(j, y, index[j]) for j, y in row.items() if j != c]
+        for t in holders:
+            if t == best:
+                continue
+            other = store[t]
+            f = other.pop(c)
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j in other:
+                    other[j] *= a
+            for j, y, hold in rest:
+                x = other.get(j)
+                if x is None:
+                    other[j] = -b * y
+                    hold[t] = None
                 else:
-                    del other[j]
-        done.append(row)
+                    x -= b * y
+                    if x:
+                        other[j] = x
+                    else:
+                        del other[j]
+                        del hold[t]
+            if not other:
+                del store[t]
+                continue
+            g = gcd(*other.values())
+            if g != 1:
+                for j in other:
+                    other[j] //= g
+        finished.add(best)
+        done.append(best)
         pivots.append(c)
-    return done, pivots
+    out = []
+    for i, c in zip(done, pivots):
+        row = store[i]
+        p = row[c]
+        out.append(row if p == 1 else
+                   {j: x // p if x % p == 0 else Fraction(x, p) for j, x in row.items()})
+    return out, pivots
 
 
 def pivot_columns(m: RMatrix) -> list:

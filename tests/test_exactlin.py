@@ -1,15 +1,21 @@
 import random
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lie2alg import exactlin
+from lie2alg.cohomology import (adjoint_rep, build_g_hbar, classify, coboundary_matrix,
+                                cochain_to_coords, sl_algebra)
 from lie2alg.exactlin import (DimensionMismatch, RMatrix, _rref, block_diag, contract, invert,
                               kron, pivot_columns, rank_kernel, rat_str, rational,
                               solve_linear)
+from lie2alg.lie2 import from_linfty
 from lie2alg.serialize import mat_from_json, mat_to_json
+from conftest import conjugate, rand_invertible
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -322,6 +328,142 @@ def test_sparse_invert_matches_dense_reference(m):
             invert(m)
     else:
         assert invert(m) == want
+
+
+# The sparse elimination that the fraction-free `_rref` replaced, kept
+# verbatim as the oracle: it scans every pending row for each column and
+# works over Fractions.  The reduced row echelon form is unique, so both
+# must give the same rows and pivots, and the readers built on `_rref`
+# (rank_kernel, solve_linear, invert) the same answers.
+
+def _row_scan_rref(rows: list, cols: int):
+    """Reduced row echelon form by Gauss-Jordan elimination over sparse
+    {column: entry} rows without zeros, which are read and left as they are:
+    (its nonzero rows top to bottom as {column: entry} dicts, pivot columns).
+    The form is unique, so the shortest candidate row can be each pivot."""
+    pending = [dict(r) for r in rows]
+    done, pivots = [], []
+    for c in range(cols):
+        hits = [i for i, r in enumerate(pending) if c in r]
+        if not hits:
+            continue
+        best = min(hits, key=lambda i: len(pending[i]))
+        row, pending[best] = pending[best], {}
+        if row[c] != 1:
+            inv = Fraction(1) / row[c]
+            row = {j: inv * x for j, x in row.items()}
+        for other in [pending[i] for i in hits if i != best] + [r for r in done if c in r]:
+            f = other[c]
+            for j, y in row.items():
+                x = other.get(j, 0) - f * y
+                if x:
+                    other[j] = x
+                else:
+                    del other[j]
+        done.append(row)
+        pivots.append(c)
+    return done, pivots
+
+
+def _readers(m: RMatrix, b: list, square: RMatrix):
+    """What rank_kernel, solve_linear and invert give, an error as its type."""
+    try:
+        inverse = invert(square)
+    except ValueError as e:
+        inverse = type(e)
+    return rank_kernel(m), solve_linear(m, b), inverse
+
+
+@st.composite
+def wide_elimination_case(draw):
+    """A matrix of up to 40 x 25 whose rows are mostly combinations of a few
+    sparse generator rows, so that columns have many holders and rows are
+    duplicated, dependent or cancel to zero during elimination; entries are
+    ints and Fractions with mixed denominators.  Also a right-hand side in
+    the column space or arbitrary, and a square matrix to invert: the
+    leading square block plus a multiple of the identity, often singular.
+    The entries come from a drawn seed, so that an example stays small."""
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 25))
+    gens = draw(st.integers(1, 8))
+    density = draw(st.sampled_from((0.1, 0.3, 0.7)))
+    shift = draw(st.sampled_from((0, 0, 1, Fraction(-5, 2))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def entry():
+        x = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
+        return int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+
+    def sparse_row():
+        return [entry() if rng.random() < density else 0 for _ in range(cols)]
+    basis = [sparse_row() for _ in range(gens)]
+    data = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.15:
+            data.append(sparse_row())
+        elif kind < 0.3 and data:
+            data.append(list(rng.choice(data)))
+        elif kind < 0.35:
+            data.append([0] * cols)
+        else:
+            row = [0] * cols
+            for g in rng.sample(basis, rng.randint(1, min(3, gens))):
+                k = rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+                row = [x + k * y for x, y in zip(row, g)]
+            data.append(row)
+    m = RMatrix.from_rows(data, cols)
+    if rng.random() < 0.5:
+        b = m.matvec([entry() for _ in range(cols)])
+    else:
+        b = [entry() for _ in range(rows)]
+    n = min(rows, cols)
+    square = RMatrix(n, n, [{j: x for j, x in row.items() if j < n}
+                            for row in m.entries[:n]]) + RMatrix.identity(n).scale(shift)
+    return m, b, square
+
+
+@given(wide_elimination_case())
+@example((RMatrix.from_rows([[1, 2, 0], [1, 2, 0], [2, 4, 0], [0, 1, 1]]), [1, 1, 2, 0],
+          RMatrix.from_rows([[1, 2], [1, 2]])))  # duplicated rows that cancel
+@example((RMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)],
+                             [2, 0]]), [1, Fraction(3, 2), 0],
+          RMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [2, 0]])))
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_row_scan_reference(case):
+    m, b, square = case
+    before = [dict(row) for row in m.entries]
+    got = _rref(m.entries, m.cols), _readers(m, b, square)
+    assert m.entries == before  # the input rows are read and left as they are
+    with patch.object(exactlin, "_rref", _row_scan_rref):
+        want = _row_scan_rref(m.entries, m.cols), _readers(m, b, square)
+    assert got == want
+
+
+def _coboundary_system_of_conjugated_ghbar_sl3():
+    """The augmented system that is_coboundary solves for the classifying
+    cocycle of g_hbar(sl3) under a dense change of basis: 56 x 29, with
+    Fraction entries."""
+    p0 = rand_invertible(random.Random(5), 8)
+    moved = conjugate(build_g_hbar(sl_algebra(3), 1).data, p0, RMatrix.from_rows([[3]]))
+    quad = classify(from_linfty(moved))
+    m = coboundary_matrix(quad.rep, 2)
+    n = m.cols
+    b = cochain_to_coords(quad.cocycle)
+    return [{**row, n: bv} if bv else row for row, bv in zip(m.entries, b)], n + 1
+
+
+def test_elimination_matches_row_scan_reference_on_cohomology():
+    """Identical rows and pivots on delta_0..delta_3 of sl3 and delta_2 of
+    sl4 with adjoint coefficients, and on one is_coboundary system."""
+    sl3, sl4 = adjoint_rep(sl_algebra(3)), adjoint_rep(sl_algebra(4))
+    systems = [(d.entries, d.cols) for d in
+               [coboundary_matrix(sl3, n) for n in range(4)] + [coboundary_matrix(sl4, 2)]]
+    systems.append(_coboundary_system_of_conjugated_ghbar_sl3())
+    for rows, cols in systems:
+        assert _rref(rows, cols) == _row_scan_rref(rows, cols)
+    rows, cols = systems[-1]
+    assert any(type(x) is Fraction for row in rows for x in row.values())
+    assert _rref(rows, cols)[1][-1] == cols - 1  # the class [K] is not zero
 
 
 # The dense product, Kronecker product and matrix-vector product that the
