@@ -8,6 +8,7 @@ loads JSON fixtures, runs checks and renders a report.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -142,7 +143,7 @@ def cmd_check_dcm(args, rep: Report) -> None:
 # Largest number of nonzeros that delta_(n-1) and delta_n of `cohomology
 # --degree n` may hold together, by cohomology.coboundary_nnz_bound, unless
 # --max-nnz says otherwise.  H^3(sl4, adjoint) bounds at 145,600 (its delta_3
-# has 82,544) and takes 1.9 s at 112 MB peak RSS.  H^4 bounds at 524,160 and
+# has 82,544) and takes 1.7 s at 112 MB peak RSS.  H^4 bounds at 524,160 and
 # takes 13 s at 990 MB, so memory, not time, keeps it out by default: its
 # elimination peaks at 140 MB, the rest is the dense kernel basis of delta_4.
 # (CLI runs on 2 CPUs, Python 3.11.)
@@ -207,11 +208,15 @@ def cmd_ybe(args, rep: Report) -> None:
     rep.reports.append(braid.check_ybe(braid.build_B_vect(g)))
 
 
-# Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` builds
-# unless --max-basis says otherwise.  The functor matrices are sparse, with
-# a few entries per column; g_hbar(sl3), whose basis of 10^4 is the largest
-# measured, passes in about 2.5 s at 180 MB peak RSS (Python 3.11, 2 CPUs).
-TETRA_MAX_BASIS = 10000
+# Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` sweeps
+# unless --max-basis says otherwise.  The sweep holds one object's
+# components at a time, so the limit bounds time, not memory: g_hbar(sl3)
+# (basis 10^4) passes in 1.4 s at 23 MB peak RSS and g_hbar(sl4)
+# (17^4 = 83,521) in 12.5 s at 72 MB.  g_hbar(sl5) (26^4 = 456,976) would
+# take about a minute, extrapolated from its first 20,000 of 390,625
+# objects, after a build_Y that peaks at about 370 MB.  (CLI runs on
+# 2 CPUs, Python 3.11.)
+TETRA_MAX_BASIS = 100_000
 
 
 def cmd_tetrahedron(args, rep: Report) -> None:
@@ -292,7 +297,10 @@ def cmd_fixtures(args, rep: Report) -> None:
         rep.notes.append(f"copied {len(names)} fixtures to {args.copy_to}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    every run gets a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="lie2alg",
         description="Exact verification of two-term L-infinity structures, "
@@ -304,34 +312,33 @@ def build_parser() -> argparse.ArgumentParser:
     def arg(*flags, **kw):
         return flags, kw
 
-    def add(name, fn, *params):
+    def add(name, *params):  # `run` calls cmd_<name> for the subcommand name
         sp = sub.add_parser(name)
         for flags, kw in params:
             sp.add_argument(*flags, **kw)
-        sp.set_defaults(fn=fn)
 
     file, gfile, out = arg("file"), arg("gfile"), arg("-o", "--out")
-    add("check-linfty", cmd_check_linfty, file)
-    add("check-hom", cmd_check_hom, file)
-    add("check-2hom", cmd_check_2hom, file)
-    add("check-lie2", cmd_check_lie2, file)
-    add("check-dcm", cmd_check_dcm, file)
-    add("cohomology", cmd_cohomology, arg("--degree", type=int, required=True), gfile,
+    add("check-linfty", file)
+    add("check-hom", file)
+    add("check-2hom", file)
+    add("check-lie2", file)
+    add("check-dcm", file)
+    add("cohomology", arg("--degree", type=int, required=True), gfile,
         arg("--rep"),
         arg("--max-nnz", type=int, default=COHOMOLOGY_MAX_NNZ,
             help="largest number of nonzeros of delta_(n-1) and delta_n to build "
                  f"(default {COHOMOLOGY_MAX_NNZ})"))
-    add("is-cocycle", cmd_is_cocycle, file)
-    add("coboundary", cmd_coboundary, file, out)
-    add("build-ghbar", cmd_build_ghbar, arg("--hbar", required=True), gfile, out)
-    add("killing", cmd_killing, gfile)
-    add("ybe", cmd_ybe, gfile)
-    add("tetrahedron", cmd_tetrahedron, file,
+    add("is-cocycle", file)
+    add("coboundary", file, out)
+    add("build-ghbar", arg("--hbar", required=True), gfile, out)
+    add("killing", gfile)
+    add("ybe", gfile)
+    add("tetrahedron", file,
         arg("--max-basis", type=int, default=TETRA_MAX_BASIS,
-            help=f"largest morphism basis of (k+L)^4 to build (default {TETRA_MAX_BASIS})"))
-    add("skeletalize", cmd_skeletalize, file, out)
-    add("classify", cmd_classify, file)
-    add("fixtures", cmd_fixtures, arg("--copy-to"))
+            help=f"largest morphism basis of (k+L)^4 to sweep (default {TETRA_MAX_BASIS})"))
+    add("skeletalize", file, out)
+    add("classify", file)
+    add("fixtures", arg("--copy-to"))
     return p
 
 
@@ -342,13 +349,15 @@ def run(argv: list) -> tuple:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return (0 if exc.code in (0, None) else 2), None
-    if not getattr(args, "fn", None):
+    if args.command is None:
         parser.print_help()
         return 2, None
     rep = Report(command=list(argv))
     start = time.monotonic()
     try:
-        args.fn(args, rep)
+        # looked up at each run, so that a command re-bound after the parser
+        # is built (a benchmark's tracing wrapper) is the one that runs
+        globals()["cmd_" + args.command.replace("-", "_")](args, rep)
         if getattr(args, "out", None):
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(rep.payload, fh, indent=1)

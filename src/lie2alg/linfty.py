@@ -167,14 +167,15 @@ def basis_tuples(n: int, k: int, alternating: bool):
 
 def jacobi_violations(bracket: list) -> list:
     """First (i, j, k) where [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
-    is nonzero."""
+    is nonzero.  The Jacobiator is alternating when the bracket is
+    antisymmetric, and then only increasing triples are swept."""
     n = len(bracket)
     e = [vunit(n, i) for i in range(n)]
     return first_violation(
         ((i, j, k), vadd(vadd(contract(bracket, n, bracket[i][j], e[k]),
                               contract(bracket, n, bracket[j][k], e[i])),
                          contract(bracket, n, bracket[k][i], e[j])))
-        for i, j, k in product(range(n), repeat=3))
+        for i, j, k in basis_tuples(n, 3, not antisymmetry_violations(bracket)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,46 @@ def test_check_linfty_pass(capsys):
     assert "PASS" in out
 
 
+def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
+    """The parser is built once per process.  Runs with different
+    subcommands, a non-default option, its default again, parse errors
+    and no subcommand give the same exit codes, standard output and
+    standard error as runs that each build a fresh parser."""
+    from lie2alg import cli
+
+    argvs = [["--json", "killing", fx("so3.json")],
+             ["--json", "cohomology", "--degree", "2", fx("so3.json"), "--max-nnz", "0"],
+             ["cohomology", fx("sl2.json")],
+             ["--json", "cohomology", "--degree", "2", fx("so3.json")],
+             ["--json", "ybe", fx("broken_jacobi3.json")],
+             ["--bogus"],
+             [],
+             ["--json", "tetrahedron", fx("ghbar_so3_0.json"), "--max-basis", "10"],
+             ["--json", "check-linfty", fx("broken_abelian4.json")]]
+
+    def outcomes():
+        out = []
+        for argv in argvs:
+            code, _ = run(argv)
+            std = capsys.readouterr()
+            report = json.loads(std.out) if argv and argv[0] == "--json" and code != 2 else None
+            if report is not None:
+                report.pop("elapsed_s")
+            out.append((code, report if report is not None else std.out, std.err))
+        return out
+    cached = outcomes()
+    assert cli.build_parser() is cli.build_parser()
+    # a command re-bound after the parser is built is the one that runs
+    calls = []
+    ybe = cli.cmd_ybe
+    monkeypatch.setattr(cli, "cmd_ybe", lambda args, rep: calls.append(ybe(args, rep)))
+    assert run(argvs[4])[0] == 1 and len(calls) == 1
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outcomes() == cached
+    assert [code for code, _, _ in cached] == [0, 2, 2, 0, 1, 2, 2, 2, 1]
+
+
 def test_check_linfty_broken_names_condition(capsys):
     code, rep = run(["check-linfty", fx("broken_abelian4.json")])
     assert code == 1
@@ -356,7 +396,7 @@ def test_tetrahedron_broken_names_condition_i(capsys):
 
 
 def test_tetrahedron_size_preflight(tmp_path, capsys, monkeypatch):
-    """g_hbar(sl4) has a morphism basis of 17^4 = 83,521 on (k+L)^4, over
+    """g_hbar(sl5) has a morphism basis of 26^4 = 456,976 on (k+L)^4, over
     the default limit: exit 2 before anything is built.  --max-basis lifts it."""
     from lie2alg import braid, cli
     from lie2alg.cohomology import build_g_hbar, sl_algebra
@@ -368,15 +408,15 @@ def test_tetrahedron_size_preflight(tmp_path, capsys, monkeypatch):
     def build_y(L):
         raise Built
     monkeypatch.setattr(braid, "build_Y", build_y)
-    f = tmp_path / "ghbar_sl4.json"
-    f.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(4), 1).data)))
-    assert cli.TETRA_MAX_BASIS >= 10 ** 4  # g_hbar(sl3)
+    f = tmp_path / "ghbar_sl5.json"
+    f.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(5), 1).data)))
+    assert cli.TETRA_MAX_BASIS >= 17 ** 4  # g_hbar(sl4)
     assert run(["tetrahedron", str(f)])[0] == 2
     err = capsys.readouterr().err
-    assert "83521" in err and f"limit of {cli.TETRA_MAX_BASIS}" in err
-    assert run(["tetrahedron", str(f), "--max-basis", "83520"])[0] == 2
+    assert "456976" in err and f"limit of {cli.TETRA_MAX_BASIS}" in err
+    assert run(["tetrahedron", str(f), "--max-basis", "456975"])[0] == 2
     with pytest.raises(Built):
-        run(["tetrahedron", str(f), "--max-basis", "83521"])
+        run(["tetrahedron", str(f), "--max-basis", "456976"])
 
 
 def test_tetrahedron_ghbar_sl3_passes(tmp_path):

@@ -5,15 +5,18 @@ replaced.
 their structure maps from tables built once per call, `check_axioms`
 sweeps (g) and (i) on increasing tuples once (a) and (d) hold,
 `lie2._compose_padded` is the closed form of a pad-and-compose loop,
-`braid.build_Y` builds Y's identity part as one sparse product, and
-`braid.check_zamolodchikov` sweeps only the objects whose components
-differ.  `generalized_jacobi` and the octagon sweep the structure with
+`braid.build_Y` builds Y's identity part as one sparse product,
+`braid.check_zamolodchikov` computes both sides one object at a time with
+no matrix on the fourth tensor power, and `check_lie_algebra` and
+`check_representation` sweep increasing tuples once the bracket is
+antisymmetric.  `generalized_jacobi` and the octagon sweep the structure with
 its denominators cleared (`linfty.integral`), so the strategies below
 draw rational entries as well as integers.  Once (a) and (d) hold both
 sweep sorted tuples only, so the strategies draw structures where both
 hold and ones where one of them fails.  The per-tuple sweeps, the
-product-order axiom sweep, the loop, the per-column Y and the dense-row
-tetrahedron sweep are kept below verbatim as oracles: on random
+product-order axiom sweep, the loop, the per-column Y, the materialised
+and the dense-row tetrahedron sweeps and the product-order Lie algebra
+and representation sweeps are kept below verbatim as oracles: on random
 two-term structures, valid ones and ones with a single perturbed entry,
 both must give the same report, first failing tuple and exact residual
 included.
@@ -33,31 +36,34 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lie2alg.braid import (TetraY, build_braid_functor, build_Y, check_zamolodchikov,
-                           tetrahedron_sides)
+from lie2alg.braid import (TETRA_LHS, TETRA_RHS, TetraY, build_braid_functor, build_Y,
+                           cell_functors, check_zamolodchikov, same_braid_word,
+                           tetrahedron_components, tetrahedron_sides)
 from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Representation,
-                                abelian_algebra, build_cross_product, build_g_hbar,
-                                build_two_slot, classify, coboundary, is_cocycle, sl2_algebra,
-                                so3_algebra, trivial_rep)
+                                abelian_algebra, adjoint_rep, build_cross_product, build_g_hbar,
+                                build_two_slot, check_lie_algebra, check_representation,
+                                classify, coboundary, is_cocycle, sl2_algebra, so3_algebra,
+                                trivial_rep)
 from lie2alg.exactlin import RMatrix, contract, vadd, vneg, vscale, vsub, vunit, vzeros
 from lie2alg.lie2 import (SemistrictLie2Algebra, _as_object, _compose_padded,
                           bracket_morphisms, check_jacobiator_identity_categorical,
                           from_linfty, jacobiator)
 from lie2alg.linfty import (LInfHom, TwoTermLInfinity, _graded_bracket, _graded_element,
                             antisymmetry_violations, check_axioms, check_hom, integral,
-                            generalized_jacobi, is_alternating, koszul_chi, linf_to_json,
-                            perm_sign, unshuffles, zero_l3)
-from lie2alg.report import CheckReport, CheckResult, first_violation
+                            generalized_jacobi, is_alternating, jacobi_violations, koszul_chi,
+                            linf_to_json, perm_sign, unshuffles, zero_l3)
+from lie2alg.report import CheckReport, CheckResult, first_violation, grid_violations
 from lie2alg.twoterm import ChainMap, TwoTermComplex, skeletalize_complex
-from lie2alg.twovect import (Morphism, compose_functors, compose_morphisms, direct_sum,
-                             eval_cell_expr, ground_field, identity_functor, identity_morphism,
-                             tensor_2vs, tensor_functor)
+from lie2alg.twovect import (CellVert, Morphism, compose_functors, compose_morphisms,
+                             direct_sum, eval_cell_expr, ground_field, identity_functor,
+                             identity_morphism, tensor_2vs, tensor_functor, vertical_nat)
 from conftest import broken_abelian4, broken_abelian4_thirds, conjugate, inflate
 
 
@@ -250,6 +256,59 @@ def check_zamolodchikov_dense_rows(ty: TetraY) -> CheckReport:
     rep.add("component_equality", first_violation(
         ((col // d0 ** 3, (col // d0 ** 2) % d0, (col // d0) % d0, col % d0), diff.row(col))
         for col in range(d0 ** 4)))
+    return rep
+
+
+def check_zamolodchikov_materialised(ty: TetraY) -> CheckReport:
+    """Evaluate both sides of the tetrahedron equation and compare the
+    components on every basis object of the fourth tensor power."""
+    rep = CheckReport("zamolodchikov_tetrahedron")
+    lhs_expr, rhs_expr = tetrahedron_sides(ty)
+    lhs = eval_cell_expr(lhs_expr)
+    rhs = eval_cell_expr(rhs_expr)
+    rep.add("endpoint_functors",
+            [] if (lhs.from_functor == rhs.from_functor
+                   and lhs.to_functor == rhs.to_functor)
+            else [((), "source/target functors differ")])
+    d0 = ty.space.dim0
+    diff = (lhs.theta - rhs.theta).transpose()  # row col is the residual at object col
+    rep.add("component_equality", first_violation(
+        ((col // d0 ** 3, (col // d0 ** 2) % d0, (col // d0) % d0, col % d0), diff.row(col))
+        for col, row in enumerate(diff.entries) if row))
+    return rep
+
+
+def jacobi_violations_product_sweep(bracket: list) -> list:
+    """First (i, j, k) where [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+    is nonzero."""
+    n = len(bracket)
+    e = [vunit(n, i) for i in range(n)]
+    return first_violation(
+        ((i, j, k), vadd(vadd(contract(bracket, n, bracket[i][j], e[k]),
+                              contract(bracket, n, bracket[j][k], e[i])),
+                         contract(bracket, n, bracket[k][i], e[j])))
+        for i, j, k in product(range(n), repeat=3))
+
+
+def check_lie_algebra_product_sweep(g: LieAlgebra) -> CheckReport:
+    rep = CheckReport("lie_algebra")
+    rep.add("antisymmetry", antisymmetry_violations(g.bracket))
+    rep.add("jacobi", jacobi_violations_product_sweep(g.bracket))
+    return rep
+
+
+def check_representation_product_sweep(rep_: Representation) -> CheckReport:
+    rep = CheckReport("representation")
+    rep.extend(check_lie_algebra_product_sweep(rep_.algebra), prefix="algebra_")
+    g, rho = rep_.algebra, rep_.rho
+
+    def residuals():
+        for i, j in product(range(g.dim), repeat=2):
+            lhs = sum((rho[k].scale(c) for k, c in enumerate(g.bracket[i][j]) if c),
+                      RMatrix.zeros(rep_.dimV, rep_.dimV))
+            resid = lhs - (rho[i] @ rho[j] - rho[j] @ rho[i])
+            yield (i, j), [x for _, x in grid_violations(resid)[:4]]
+    rep.add("bracket_to_commutator", first_violation(residuals()))
     return rep
 
 
@@ -575,6 +634,11 @@ def test_repeated_degree_one_index_is_swept():
     assert new.first_violation == (((1, 0), (1, 0)), [0, 0, -2])
 
 
+def vertical_cells(e) -> list:
+    """The cells of a vertical composite, first to last."""
+    return vertical_cells(e.first) + vertical_cells(e.second) if isinstance(e, CellVert) else [e]
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.one_of(
     st.fractions(-3, 3, max_denominator=4).map(lambda h: build_g_hbar(so3_algebra(), h).data),
@@ -583,11 +647,112 @@ def test_repeated_degree_one_index_is_swept():
 def test_tetrahedron_matches_per_column_and_dense_row_sweeps(v):
     """g_hbar(so3) at random hbar, the cross product, and broken_abelian4
     with at most one moved entry: the same Y and the same report, first
-    failing object and exact residual included."""
+    failing object and exact residual included.  Both sides' components
+    equal the columns of the materialised sides at every object, past the
+    first failing one too, and the braid words decide every functor
+    comparison the materialised sides make as the matrices do."""
     L = from_linfty(v)
     ty = build_Y(L)
     assert ty.y.theta == y_theta_per_column(L)
-    assert check_zamolodchikov(ty).to_json() == check_zamolodchikov_dense_rows(ty).to_json()
+    report = check_zamolodchikov(ty).to_json()
+    assert report == check_zamolodchikov_materialised(ty).to_json()
+    assert report == check_zamolodchikov_dense_rows(ty).to_json()
+
+    # each side evaluated cell by cell, as eval_cell_expr evaluates it
+    cells = [[eval_cell_expr(c) for c in vertical_cells(e)] for e in tetrahedron_sides(ty)]
+    lhs, rhs = (reduce(vertical_nat, side).theta.transpose().entries for side in cells)
+    assert list(tetrahedron_components(ty)) == [(u, lhs[u], rhs[u])
+                                                for u in range(ty.space.dim0 ** 4)]
+
+    # each cell's endpoint words against its materialised endpoint functors
+    words = [[cell_functors(c) for c in side] for side in (TETRA_LHS, TETRA_RHS)]
+    pairs = [((0, 0, 0), (1, 0, 0)), ((0, -1, 1), (1, -1, 1))]   # the endpoint check
+    pairs += [((k, n, 1), (k, n + 1, 0)) for k in range(2) for n in range(3)]  # the middles
+    for a, b in pairs:
+        (ka, na, ea), (kb, nb, eb) = a, b
+        fa = (cells[ka][na].from_functor, cells[ka][na].to_functor)[ea]
+        fb = (cells[kb][nb].from_functor, cells[kb][nb].to_functor)[eb]
+        assert same_braid_word(words[ka][na][ea], words[kb][nb][eb]) == (fa == fb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=5))
+def test_braid_words_decided_modulo_b12_b34(word):
+    """same_braid_word is equality modulo b12 b34 = b34 b12: against the
+    class of the word reached by swapping adjacent b12 and b34, among all
+    words of its length."""
+    seen, todo = {tuple(word)}, [tuple(word)]
+    while todo:
+        w = todo.pop()
+        for i in range(len(w) - 1):
+            if {w[i], w[i + 1]} == {0, 2}:
+                swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                if swapped not in seen:
+                    seen.add(swapped)
+                    todo.append(swapped)
+    for other in product(range(3), repeat=len(word)):
+        assert same_braid_word(tuple(word), other) == (other in seen)
+
+
+# ---------------------------------------------------------------------------
+# check_lie_algebra and check_representation against the product sweeps
+
+@st.composite
+def brackets(draw):
+    """A bracket on Q^n, n <= 4: antisymmetric (so3, sl2 or the l2_00 of an
+    antisymmetric structure, where Jacobi may fail), one of those with one
+    entry moved, or arbitrary entries."""
+    kind = draw(st.sampled_from(["antisymmetric", "perturbed", "random"]))
+    if kind == "random":
+        return draw(random_structures()).l2_00
+    b = copy.deepcopy(draw(st.one_of(st.builds(lambda: so3_algebra().bracket),
+                                     st.builds(lambda: sl2_algebra().bracket),
+                                     antisymmetric_structures().map(lambda v: v.l2_00))))
+    if kind == "perturbed":
+        idx = st.integers(0, len(b) - 1)
+        b[draw(idx)][draw(idx)][draw(idx)] += draw(st.sampled_from([-1, 1, Fraction(1, 2)]))
+    return b
+
+
+@st.composite
+def algebra_representations(draw):
+    """A representation of a drawn bracket: its adjoint (a homomorphism
+    exactly when Jacobi holds), random sparse matrices, or one of
+    `representations` with one entry of one matrix moved."""
+    kind = draw(st.sampled_from(["adjoint", "random", "perturbed"]))
+    if kind == "perturbed":
+        rep = draw(representations())
+        rho = list(rep.rho)
+        k, n = draw(st.integers(0, len(rho) - 1)), rep.dimV
+        rows = [rho[k].row(i) for i in range(n)]
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += draw(
+            st.sampled_from([0, 1, -2]))
+        rho[k] = RMatrix.from_rows(rows, n)
+        return Representation(rep.algebra, n, rho)
+    b = draw(brackets())
+    g = LieAlgebra(len(b), b)
+    if kind == "adjoint":
+        return adjoint_rep(g)
+    n = draw(st.integers(1, 2))
+    return Representation(g, n, [RMatrix.from_rows([[draw(sparse_entries) for _ in range(n)]
+                                                    for _ in range(n)], n)
+                                 for _ in range(g.dim)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_representations())
+def test_lie_algebra_and_representation_match_product_sweeps(r):
+    """With an antisymmetric bracket the Jacobiator and rho([x, y]) -
+    [rho x, rho y] are swept on increasing tuples only: the same first
+    Jacobi violation (which `check_crossed_module` reads too) and the same
+    reports, first failing tuple and exact residual included."""
+    b = r.algebra.bracket
+    assert jacobi_violations(b) == jacobi_violations_product_sweep(b)
+    assert (check_lie_algebra(r.algebra).to_json()
+            == check_lie_algebra_product_sweep(r.algebra).to_json())
+    new, old = check_representation(r), check_representation_product_sweep(r)
+    assert new.to_json() == old.to_json()
+    assert [c.violations for c in new.checks] == [c.violations for c in old.checks]
 
 
 # ---------------------------------------------------------------------------
