@@ -143,10 +143,10 @@ def cmd_check_dcm(args, rep: Report) -> None:
 # Largest number of nonzeros that delta_(n-1) and delta_n of `cohomology
 # --degree n` may hold together, by cohomology.coboundary_nnz_bound, unless
 # --max-nnz says otherwise.  H^3(sl4, adjoint) bounds at 145,600 (its delta_3
-# has 82,544) and takes 1.7 s at 112 MB peak RSS.  H^4 bounds at 524,160 and
-# takes 13 s at 990 MB, so memory, not time, keeps it out by default: its
-# elimination peaks at 140 MB, the rest is the dense kernel basis of delta_4.
-# (CLI runs on 2 CPUs, Python 3.11.)
+# has 82,544) and takes about 1 s at 45 MB peak RSS.  H^4 bounds at 524,160 and
+# takes about 8 s at 125 MB, nearly all of it the elimination of delta_4, whose
+# sparse kernel basis costs no more than its echelon form: memory no longer
+# keeps it out, and the default still refuses it.  (CLI runs on 2 CPUs, Python 3.11.)
 COHOMOLOGY_MAX_NNZ = 200_000
 
 
@@ -211,11 +211,11 @@ def cmd_ybe(args, rep: Report) -> None:
 # Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` sweeps
 # unless --max-basis says otherwise.  The sweep holds one object's
 # components at a time, so the limit bounds time, not memory: g_hbar(sl3)
-# (basis 10^4) passes in 1.4 s at 23 MB peak RSS and g_hbar(sl4)
-# (17^4 = 83,521) in 12.5 s at 72 MB.  g_hbar(sl5) (26^4 = 456,976) would
-# take about a minute, extrapolated from its first 20,000 of 390,625
-# objects, after a build_Y that peaks at about 370 MB.  (CLI runs on
-# 2 CPUs, Python 3.11.)
+# (basis 10^4) passes in 1.2 s at 22 MB peak RSS and g_hbar(sl4)
+# (17^4 = 83,521) in about 9.5 s at 43 MB.  g_hbar(sl5) (26^4 = 456,976)
+# would take about a minute, extrapolated from its first 20,000 of 390,625
+# objects, after a build_Y that takes 1.1 s and peaks at 113 MB.  (CLI runs
+# on 2 CPUs, Python 3.11.)
 TETRA_MAX_BASIS = 100_000
 
 

@@ -386,13 +386,14 @@ def pivot_columns(m: RMatrix) -> list:
 def rank_kernel(m: RMatrix):
     """Rank and kernel basis of m.
 
-    The kernel basis is read off the reduced row echelon form: one vector
-    per free column, unit in that coordinate, ordered by free column.
-    This is the deterministic echelon convention every downstream
-    construction (skeletalization, classification) relies on.
+    The kernel basis is read off the reduced row echelon form: one sparse
+    {coordinate: entry} vector without zeros per free column, unit in that
+    coordinate and its largest key, ordered by free column.  This is the
+    deterministic echelon convention every downstream construction
+    (skeletalization, classification) relies on.
     """
     rr, pivots = _rref(m.entries, m.cols)
-    basis = {f: vunit(m.cols, f) for f in sorted(set(range(m.cols)) - set(pivots))}
+    basis = {f: {f: 1} for f in sorted(set(range(m.cols)) - set(pivots))}
     for p, row in zip(pivots, rr):
         for f, x in row.items():
             if f != p:  # the other entries of a pivot row sit in free columns

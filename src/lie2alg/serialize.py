@@ -63,5 +63,5 @@ def load_json_file(path: str) -> dict:
             return json.load(fh, parse_int=parse_int)
     except FileNotFoundError:
         raise FixtureError(f"no such file: {path}") from None
-    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise FixtureError(f"invalid JSON in {path}: {exc}") from None

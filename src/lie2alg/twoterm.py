@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import DimensionMismatch, RMatrix, invert, pivot_columns, rank_kernel, vunit
+from .exactlin import DimensionMismatch, RMatrix, invert, pivot_columns, rank_kernel
 from .report import CheckReport, grid_violations
 from .serialize import as_count, mat_from_json, mat_to_json, need
 
@@ -134,34 +134,35 @@ def skeletalize_complex(c: TwoTermComplex) -> Skeletalization:
 
     C1 splits as ker(d) + span{e_p : p a pivot column of d}; C0 splits
     as im(d) + span{e_q : q not a pivot of the column space}.  The
-    witnesses are assembled by inverting those square decompositions,
-    so the construction is reproducible and exact.
+    witnesses invert the square decomposition of C0 and read C1 off the
+    free coordinates, so the construction is reproducible and exact.
     """
     rank, kernel = rank_kernel(c.d)
-    # each echelon kernel vector is last nonzero at its free column
-    free = {max(j for j, x in enumerate(k) if x) for k in kernel}
-    piv_cols = [p for p in range(c.dim1) if p not in free]
-    piv_rows = pivot_columns(c.d.transpose())  # basis rows of the column space
-    comp_rows = [q for q in range(c.dim0) if q not in set(piv_rows)]
+    free = [max(k) for k in kernel]  # each echelon kernel vector's free column is its largest key
+    piv_cols = sorted(set(range(c.dim1)) - set(free))
+    d_t = c.d.transpose()
+    piv_rows = set(pivot_columns(d_t))  # basis rows of the column space
+    comp_rows = [q for q in range(c.dim0) if q not in piv_rows]
 
     skeletal = TwoTermComplex(len(comp_rows), len(kernel),
                               RMatrix.zeros(len(comp_rows), len(kernel)))
 
     # include: skeletal -> c on the chosen complement / kernel bases
-    u0 = RMatrix.from_cols([vunit(c.dim0, q) for q in comp_rows], rows=c.dim0)
-    u1 = RMatrix.from_cols(kernel, rows=c.dim1)
-    include = ChainMap(skeletal, c, u0, u1)
+    units = [{q: 1} for q in comp_rows]
+    u0 = RMatrix(len(comp_rows), c.dim0, units).transpose()
+    include = ChainMap(skeletal, c, u0, RMatrix(len(kernel), c.dim1, kernel).transpose())
 
     # solve x = d w + sum c_q e_q with w supported on pivot columns:
-    # m0 = [d|_P  E_comp] is square invertible, giving project0 and tau
-    d_piv = RMatrix.from_cols([c.d.col(p) for p in piv_cols], rows=c.dim0)
-    m0_inv = invert(d_piv.hstack(u0))
+    # m0 = [d|_P  E_comp] is square invertible, giving project0 and tau,
+    # whose row p is row r of m0^-1 for p the r-th pivot column
+    m0_t = RMatrix(c.dim0, c.dim0, [d_t.entries[p] for p in piv_cols] + units)
+    m0_inv = invert(m0_t.transpose())
     v0 = RMatrix(len(comp_rows), c.dim0, m0_inv.entries[rank:])
-    e_piv = RMatrix.from_cols([vunit(c.dim1, p) for p in piv_cols], rows=c.dim1)
-    tau = e_piv @ RMatrix(rank, c.dim0, m0_inv.entries[:rank])  # row idx of m0_inv at p
+    tau_rows = dict(zip(piv_cols, m0_inv.entries))
+    tau = RMatrix(c.dim1, c.dim0, [tau_rows.get(p, {}) for p in range(c.dim1)])
 
-    # h = sum a_i k_i + sum b_p e_p: m1 = [K  E_P] square invertible
-    v1 = RMatrix(len(kernel), c.dim1, invert(u1.hstack(e_piv)).entries[:len(kernel)])
+    # h = sum a_i k_i + sum b_p e_p has a_i = h[f_i], as k_j is 0 at f_i for j != i
+    v1 = RMatrix(len(kernel), c.dim1, [{f: 1} for f in free])
     project = ChainMap(c, skeletal, v0, v1)
 
     round_trip = compose_chain_maps(project, include)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import (DimensionMismatch, RMatrix, block_diag, kron, rank_kernel,
-                       solve_linear, vadd, vsub)
+from .exactlin import (DimensionMismatch, RMatrix, block_diag, kron, pivot_columns,
+                       rank_kernel, solve_linear, vadd, vsub)
 from .report import CheckReport, grid_violations
 from .twoterm import ChainHomotopy, ChainMap, TwoTermComplex
 from .serialize import as_count, mat_from_json, mat_to_json, need
@@ -41,7 +41,7 @@ class TwoVectorSpace:
         """Deterministic echelon basis of ker(s), columns of a dim1 x k matrix."""
         if self._kernel is None:
             _, basis = rank_kernel(self.s)
-            self._kernel = RMatrix.from_cols(basis, rows=self.dim1)
+            self._kernel = RMatrix(len(basis), self.dim1, basis).transpose()
         return self._kernel
 
 
@@ -142,9 +142,7 @@ def compose_functors(F: LinearFunctor, G: LinearFunctor) -> LinearFunctor:
 def is_invertible_functor(F: LinearFunctor) -> bool:
     if F.source.dim0 != F.target.dim0 or F.source.dim1 != F.target.dim1:
         return False
-    r0, _ = rank_kernel(F.f0)
-    r1, _ = rank_kernel(F.f1)
-    return r0 == F.f0.rows and r1 == F.f1.rows
+    return len(pivot_columns(F.f0)) == F.f0.rows and len(pivot_columns(F.f1)) == F.f1.rows
 
 
 @dataclass

@@ -16,6 +16,11 @@ def fx(name: str) -> str:
     return str(fixture_dir() / name)
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_check_linfty_pass(capsys):
     code, rep = run(["check-linfty", fx("ghbar_so3_1.json")])
     assert code == 0
@@ -79,7 +84,7 @@ def test_ybe_exit_codes():
 
 
 def test_ybe_reports_non_antisymmetric_bracket_as_failed_check(tmp_path):
-    algebra = json.load(open(fx("so3.json")))
+    algebra = read_json(fx("so3.json"))
     algebra["bracket"][0][1][2] = "5"
     f = tmp_path / "so3_not_antisymmetric.json"
     f.write_text(json.dumps(algebra))
@@ -165,16 +170,16 @@ def test_cohomology_command(capsys):
 
 
 def test_is_cocycle_and_coboundary_commands(tmp_path, capsys):
-    cochain = {"algebra": json.load(open(fx("so3.json"))),
+    cochain = {"algebra": read_json(fx("so3.json")),
                "degree": 1, "values": {"0": ["1"]}}
     f = tmp_path / "w.json"
     f.write_text(json.dumps(cochain))
     code, rep = run(["coboundary", str(f), "-o", str(tmp_path / "dw.json")])
     assert code == 0
-    dw = json.load(open(tmp_path / "dw.json"))
+    dw = read_json(tmp_path / "dw.json")
     assert dw["degree"] == 2
     assert dw["values"] == {"1<2": ["-1"]}
-    cochain3 = {"algebra": json.load(open(fx("so3.json"))),
+    cochain3 = {"algebra": read_json(fx("so3.json")),
                 "degree": 3, "values": {"0<1<2": ["-2"]}}
     f3 = tmp_path / "w3.json"
     f3.write_text(json.dumps(cochain3))
@@ -216,8 +221,8 @@ def test_build_ghbar_and_check(tmp_path):
     out = tmp_path / "gh.json"
     code, rep = run(["build-ghbar", "--hbar=-1/2", fx("so3.json"), "-o", str(out)])
     assert code == 0
-    built = json.load(open(out))
-    shipped = json.load(open(fx("cross_product.json")))
+    built = read_json(out)
+    shipped = read_json(fx("cross_product.json"))
     assert built == shipped
     assert run(["check-linfty", str(out)])[0] == 0
 
@@ -230,7 +235,7 @@ def test_killing_command(capsys):
 
 @pytest.mark.parametrize("key", ["0<5", "1<0", "0<1<2"])
 def test_bad_cochain_key_exit_two(tmp_path, capsys, key):
-    cochain = {"algebra": json.load(open(fx("so3.json"))), "degree": 2, "values": {key: ["1"]}}
+    cochain = {"algebra": read_json(fx("so3.json")), "degree": 2, "values": {key: ["1"]}}
     f = tmp_path / "w.json"
     f.write_text(json.dumps(cochain))
     for cmd in ("is-cocycle", "coboundary"):
@@ -241,7 +246,7 @@ def test_bad_cochain_key_exit_two(tmp_path, capsys, key):
 @pytest.mark.parametrize("argv", [["coboundary", "COCHAIN"], ["build-ghbar", "--hbar", "1", "SO3"],
                                   ["skeletalize", "SO3_1"]], ids=lambda argv: argv[0])
 def test_unwritable_out_path_exit_two(tmp_path, capsys, argv):
-    cochain = {"algebra": json.load(open(fx("so3.json"))), "degree": 1, "values": {"0": ["1"]}}
+    cochain = {"algebra": read_json(fx("so3.json")), "degree": 1, "values": {"0": ["1"]}}
     (tmp_path / "w.json").write_text(json.dumps(cochain))
     files = {"COCHAIN": str(tmp_path / "w.json"), "SO3": fx("so3.json"),
              "SO3_1": fx("ghbar_so3_1.json")}
@@ -255,11 +260,11 @@ def test_unwritable_copy_to_exit_two(tmp_path, capsys):
     assert run(["fixtures", "--copy-to", str(target)])[0] == 2
     assert str(target) in capsys.readouterr().err
     assert run(["fixtures", "--copy-to", str(tmp_path)])[0] == 0
-    assert (tmp_path / "so3.json").read_text() == open(fx("so3.json")).read()
+    assert (tmp_path / "so3.json").read_text() == (fixture_dir() / "so3.json").read_text()
 
 
 def test_zero_denominator_exit_two(tmp_path, capsys):
-    algebra = json.load(open(fx("so3.json")))
+    algebra = read_json(fx("so3.json"))
     algebra["bracket"][0][1][2] = "1/0"
     f = tmp_path / "so3_zero_denominator.json"
     f.write_text(json.dumps(algebra))
@@ -270,7 +275,7 @@ def test_zero_denominator_exit_two(tmp_path, capsys):
 def test_oversized_integer_exit_two(tmp_path, capsys):
     """A 5,000-digit entry is refused by exactlin's own digit limit, as a
     string field and as a bare JSON number, without the interpreter's advice."""
-    obj = json.load(open(fx("ghbar_so3_1.json")))
+    obj = read_json(fx("ghbar_so3_1.json"))
     obj["d"][0][0] = "7" * 5000
     as_string = tmp_path / "big_string.json"
     as_string.write_text(json.dumps(obj))
@@ -289,7 +294,7 @@ def test_long_computed_residual_rendered_exactly(tmp_path, capsys):
     Jacobi residual at (0, 1, 2), is past the interpreter's conversion
     limit and is still printed in full."""
     a, b = "7" * 3000, "3" * 3000
-    obj = json.load(open(fx("ghbar_so3_1.json")))
+    obj = read_json(fx("ghbar_so3_1.json"))
     obj["d"][0][0], obj["l3"][0][1][2] = a, [b]
     f = tmp_path / "long_residual.json"
     f.write_text(json.dumps(obj))
@@ -312,7 +317,7 @@ def test_skeletalize_command(tmp_path):
                              "d": [["1", "0"], ["0", "0"]]}))
     code, rep = run(["skeletalize", str(f), "-o", str(tmp_path / "sk.json")])
     assert code == 0
-    sk = json.load(open(tmp_path / "sk.json"))
+    sk = read_json(tmp_path / "sk.json")
     assert sk["skeletal"] == {"dim0": 1, "dim1": 1, "d": [["0"]]}
 
 

@@ -11,6 +11,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -129,3 +131,19 @@ def test_malformed_input_exits_with_a_contract_code(argv, names, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code, _ = run([files.get(a, a) for a in argv])
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv", [["check-linfty", "IN"],
+                                  ["cohomology", "--degree", "1", "SO3", "--rep", "IN"]],
+                         ids=["check-linfty", "cohomology --rep"])
+def test_deeply_nested_json_exits_2_without_a_traceback(argv, tmp_path):
+    """200,000 nested brackets pass the interpreter's recursion limit
+    while the file is parsed; that is malformed input, not a failed check."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    files = {"IN": str(path), "SO3": str(fixture_dir() / "so3.json")}
+    proc = subprocess.run([sys.executable, "-m", "lie2alg.cli"] + [files.get(a, a) for a in argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr

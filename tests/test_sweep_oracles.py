@@ -30,6 +30,13 @@ the seven-term combination at every triple and the l3 equation that
 evaluated l3 on phi0 afresh at every triple are kept below verbatim
 too: the same cochain, the same quadruple and witness or the same
 refusal, and the same `check_hom` report.
+
+`twoterm.skeletalize_complex` works on the sparse echelon kernel basis
+and reads the projection on C1 off its free columns.  The construction
+that placed the dense kernel vectors and inverted both square
+decompositions is kept below verbatim, densifying only what
+`rank_kernel` returns: on random complexes both must give the same
+`Skeletalization`.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Repre
                                 build_two_slot, check_lie_algebra, check_representation,
                                 classify, coboundary, is_cocycle, sl2_algebra, so3_algebra,
                                 trivial_rep)
-from lie2alg.exactlin import RMatrix, contract, vadd, vneg, vscale, vsub, vunit, vzeros
+from lie2alg.exactlin import (RMatrix, contract, invert, pivot_columns, rank_kernel, vadd, vneg,
+                              vscale, vsub, vunit, vzeros)
 from lie2alg.lie2 import (SemistrictLie2Algebra, _as_object, _compose_padded,
                           bracket_morphisms, check_jacobiator_identity_categorical,
                           from_linfty, jacobiator)
@@ -60,7 +68,8 @@ from lie2alg.linfty import (LInfHom, TwoTermLInfinity, _graded_bracket, _graded_
                             generalized_jacobi, is_alternating, jacobi_violations, koszul_chi,
                             linf_to_json, perm_sign, unshuffles, zero_l3)
 from lie2alg.report import CheckReport, CheckResult, first_violation, grid_violations
-from lie2alg.twoterm import ChainMap, TwoTermComplex, skeletalize_complex
+from lie2alg.twoterm import (ChainHomotopy, ChainMap, Skeletalization, TwoTermComplex,
+                             compose_chain_maps, identity_chain_map, skeletalize_complex)
 from lie2alg.twovect import (CellVert, Morphism, compose_functors, compose_morphisms,
                              direct_sum, eval_cell_expr, ground_field, identity_functor,
                              identity_morphism, tensor_2vs, tensor_functor, vertical_nat)
@@ -432,6 +441,47 @@ def l3_compatibility_residuals_per_triple(f: LInfHom, triples):
                    vadd(contract(phi2[i], m1, src.l2_00[j][k]),
                         contract(phi2, m1, src.l2_00[i][k], e[j])))
         yield (i, j, k), vsub(lhs, rhs)
+
+
+def skeletalize_complex_two_inverses(c: TwoTermComplex) -> Skeletalization:
+    """Deterministic skeletal equivalence built from echelon pivots.
+
+    C1 splits as ker(d) + span{e_p : p a pivot column of d}; C0 splits
+    as im(d) + span{e_q : q not a pivot of the column space}.  The
+    witnesses are assembled by inverting those square decompositions,
+    so the construction is reproducible and exact.
+    """
+    rank, kernel = rank_kernel(c.d)
+    kernel = [[k.get(j, 0) for j in range(c.dim1)] for k in kernel]  # dense vectors
+    # each echelon kernel vector is last nonzero at its free column
+    free = {max(j for j, x in enumerate(k) if x) for k in kernel}
+    piv_cols = [p for p in range(c.dim1) if p not in free]
+    piv_rows = pivot_columns(c.d.transpose())  # basis rows of the column space
+    comp_rows = [q for q in range(c.dim0) if q not in set(piv_rows)]
+
+    skeletal = TwoTermComplex(len(comp_rows), len(kernel),
+                              RMatrix.zeros(len(comp_rows), len(kernel)))
+
+    # include: skeletal -> c on the chosen complement / kernel bases
+    u0 = RMatrix.from_cols([vunit(c.dim0, q) for q in comp_rows], rows=c.dim0)
+    u1 = RMatrix.from_cols(kernel, rows=c.dim1)
+    include = ChainMap(skeletal, c, u0, u1)
+
+    # solve x = d w + sum c_q e_q with w supported on pivot columns:
+    # m0 = [d|_P  E_comp] is square invertible, giving project0 and tau
+    d_piv = RMatrix.from_cols([c.d.col(p) for p in piv_cols], rows=c.dim0)
+    m0_inv = invert(d_piv.hstack(u0))
+    v0 = RMatrix(len(comp_rows), c.dim0, m0_inv.entries[rank:])
+    e_piv = RMatrix.from_cols([vunit(c.dim1, p) for p in piv_cols], rows=c.dim1)
+    tau = e_piv @ RMatrix(rank, c.dim0, m0_inv.entries[:rank])  # row idx of m0_inv at p
+
+    # h = sum a_i k_i + sum b_p e_p: m1 = [K  E_P] square invertible
+    v1 = RMatrix(len(kernel), c.dim1, invert(u1.hstack(e_piv)).entries[:len(kernel)])
+    project = ChainMap(c, skeletal, v0, v1)
+
+    round_trip = compose_chain_maps(project, include)
+    homotopy = ChainHomotopy(round_trip, identity_chain_map(c), tau)
+    return Skeletalization(skeletal, include, project, homotopy)
 
 
 # ---------------------------------------------------------------------------
@@ -902,3 +952,39 @@ def test_check_hom_matches_per_triple_l3_sweep(f):
     oracle = CheckReport(new.name,
                          new.checks[:-1] + [CheckResult("l3_compatibility", not old, old)])
     assert new.to_json() == oracle.to_json()
+
+
+# ---------------------------------------------------------------------------
+# skeletalization against the two-inverse construction
+
+@st.composite
+def complexes(draw):
+    """A two-term complex with dim C0 and dim C1 in 0..5 whose differential
+    has int or Fraction entries and is often of rank at most 2 (a product
+    of two thin factors) or has a zero row or column."""
+    n0, n1 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.sampled_from(rationals))
+
+    def grid(rows, cols):
+        return RMatrix.from_rows([[draw(entry) for _ in range(cols)] for _ in range(rows)], cols)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 2))
+        d = grid(n0, r) @ grid(r, n1)
+    else:
+        d = grid(n0, n1)
+    rows = [dict(row) for row in d.entries]
+    if n0 and draw(st.booleans()):
+        rows[draw(st.integers(0, n0 - 1))] = {}
+    if n1 and draw(st.booleans()):
+        zc = draw(st.integers(0, n1 - 1))
+        for row in rows:
+            row.pop(zc, None)
+    return TwoTermComplex(n0, n1, RMatrix(n0, n1, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes())
+def test_skeletalize_matches_two_inverse_construction(c):
+    """The same skeleton, inclusion, projection and homotopy, matrix for
+    matrix, as placing dense kernel vectors and inverting [K E_P]."""
+    assert skeletalize_complex(c) == skeletalize_complex_two_inverses(c)

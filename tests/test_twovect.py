@@ -55,6 +55,18 @@ def test_compose_left_unit_law(rng):
     assert compose_morphisms(f, identity_morphism(v, f.target())) == f
 
 
+def test_ker_s_matches_dense_kernel_basis(rng):
+    """ker_s wraps the sparse echelon basis as columns; it is the matrix
+    whose columns are the dense reference basis of ker(s), in order."""
+    from test_exactlin import _dense_rank_kernel
+    for _ in range(40):
+        n0 = rng.randint(0, 3)
+        v = rand_space(rng, n0, n0 + rng.randint(0, 3))
+        _, basis = _dense_rank_kernel(v.s)
+        assert v.ker_s() == RMatrix.from_cols(basis, rows=v.dim1)
+        assert (v.s @ v.ker_s()).is_zero()
+
+
 def test_ground_field_morphisms_are_identities():
     k = ground_field()
     f = Morphism(k, [5])
