@@ -209,13 +209,13 @@ def cmd_ybe(args, rep: Report) -> None:
 
 
 # Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` sweeps
-# unless --max-basis says otherwise.  The sweep holds one object's
-# components at a time, so the limit bounds time, not memory: g_hbar(sl3)
-# (basis 10^4) passes in 1.2 s at 22 MB peak RSS and g_hbar(sl4)
-# (17^4 = 83,521) in about 9.5 s at 43 MB.  g_hbar(sl5) (26^4 = 456,976)
-# would take about a minute, extrapolated from its first 20,000 of 390,625
-# objects, after a build_Y that takes 1.1 s and peaks at 113 MB.  (CLI runs
-# on 2 CPUs, Python 3.11.)
+# unless --max-basis says otherwise.  The sweep holds one object's arrow
+# parts at a time, so the limit bounds time, not memory: g_hbar(sl3)
+# (basis 10^4) passes in 0.25 s at 22 MB peak RSS and g_hbar(sl4)
+# (17^4 = 83,521) in about 2.7 s at 43 MB.  g_hbar(sl5) (26^4 = 456,976)
+# would take about 13 s, extrapolated from its first 20,000 of 390,625
+# objects (0.59 s), after a build_Y that takes 1.7 s and peaks at 114 MB.
+# (CLI runs on 2 CPUs, Python 3.11.)
 TETRA_MAX_BASIS = 100_000
 
 

@@ -1,14 +1,20 @@
 
+import copy
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 
 from lie2alg.braid import (build_B_vect, build_Y, check_ybe,
                            check_zamolodchikov, yang_baxter_sides)
-from lie2alg.cohomology import (Cochain, LieAlgebra, abelian_algebra, build_two_slot, check_lie_algebra, so3_algebra, sl2_algebra, trivial_rep)
+from lie2alg.cohomology import (Cochain, LieAlgebra, abelian_algebra, build_g_hbar, build_two_slot, check_lie_algebra, so3_algebra, sl2_algebra, sl_algebra, trivial_rep)
 from lie2alg.exactlin import RMatrix, rank_kernel, vzeros
 from lie2alg.lie2 import from_linfty
+from lie2alg.linfty import generalized_jacobi, perm_sign
 from lie2alg.report import grid_violations
 from lie2alg.twovect import check_functor, check_nat_trans
 from conftest import broken_abelian4, broken_jacobi3, rand_antisymmetric_bracket
+from test_sweep_oracles import check_zamolodchikov_with_identities
 
 
 def test_abelian_braiding_is_plain_swap():
@@ -181,3 +187,29 @@ def test_hypotheses_reported_without_condition_i():
     assert ty.hypotheses.passed  # (a)-(h) hold, only (i) fails
     names = [c.name for c in ty.hypotheses.checks]
     assert "i_jacobiator_coherence" not in names
+
+
+def test_tetrahedron_ghbar_sl3_passes():
+    ty = build_Y(from_linfty(build_g_hbar(sl_algebra(3), Fraction(1, 2)).data))
+    assert ty.hypotheses.passed and ty.condition_i.passed
+    assert check_zamolodchikov(ty).passed
+
+
+def test_tetrahedron_ghbar_sl3_l3_orbit_moved_fails_where_jacobi_does():
+    """+1 on the antisymmetric orbit of l3(e0, e2, e3) breaks (i): the
+    unshuffle identity first fails at (0, 2, 3, 6), and the tetrahedron
+    sweep at the same tuple shifted past the ground slot, with the
+    full-component sweep's report."""
+    v = copy.deepcopy(build_g_hbar(sl_algebra(3), Fraction(1, 2)).data)
+    for perm in permutations(range(3)):
+        i, j, k = ((0, 2, 3)[p] for p in perm)
+        v.l3[i][j][k][0] += perm_sign(perm)
+    jac = generalized_jacobi(v, 4).result("unshuffle_identity")
+    assert [x for _, x in jac.first_violation[0]] == [0, 2, 3, 6]
+    ty = build_Y(from_linfty(v))
+    assert ty.hypotheses.passed and not ty.condition_i.passed
+    rep = check_zamolodchikov(ty)
+    loc, residual = rep.result("component_equality").first_violation
+    assert loc == (1, 3, 4, 7)
+    assert {k: x for k, x in enumerate(residual) if x} == {9: -1}
+    assert rep.to_json() == check_zamolodchikov_with_identities(ty).to_json()

@@ -439,6 +439,18 @@ def test_tetrahedron_ghbar_sl3_passes(tmp_path):
     assert rep.reports[1].result("component_equality").passed
 
 
+def test_tetrahedron_ghbar_sl4_passes(tmp_path):
+    """g_hbar(sl4), 16^4 = 65,536 objects on a morphism basis of
+    17^4 = 83,521, runs under the default limit and passes."""
+    from lie2alg.cohomology import build_g_hbar, sl_algebra
+    from lie2alg.linfty import linf_to_json
+
+    f = tmp_path / "ghbar_sl4.json"
+    f.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(4), 1).data)))
+    code, rep = run(["--json", "tetrahedron", str(f)])
+    assert code == 0 and rep.passed
+
+
 def test_cohomology_size_preflight(tmp_path, capsys, monkeypatch):
     """H^4(sl4, adjoint) may hold 524,160 nonzeros in delta_3 and delta_4,
     over the default limit: exit 2 before any coboundary matrix is built.

@@ -6,17 +6,18 @@ their structure maps from tables built once per call, `check_axioms`
 sweeps (g) and (i) on increasing tuples once (a) and (d) hold,
 `lie2._compose_padded` is the closed form of a pad-and-compose loop,
 `braid.build_Y` builds Y's identity part as one sparse product,
-`braid.check_zamolodchikov` computes both sides one object at a time with
-no matrix on the fourth tensor power, and `check_lie_algebra` and
-`check_representation` sweep increasing tuples once the bracket is
-antisymmetric.  `generalized_jacobi` and the octagon sweep the structure with
-its denominators cleared (`linfty.integral`), so the strategies below
-draw rational entries as well as integers.  Once (a) and (d) hold both
+`braid.check_zamolodchikov` computes the arrow parts of both sides one
+object at a time with no matrix on the fourth tensor power, and
+`check_lie_algebra` and `check_representation` sweep increasing tuples
+once the bracket is antisymmetric.  `generalized_jacobi` and the octagon
+sweep the structure with its denominators cleared (`linfty.integral`), so
+the strategies below draw rational entries as well as integers.  Once (a) and (d) hold both
 sweep sorted tuples only, so the strategies draw structures where both
 hold and ones where one of them fails.  The per-tuple sweeps, the
-product-order axiom sweep, the loop, the per-column Y, the materialised
-and the dense-row tetrahedron sweeps and the product-order Lie algebra
-and representation sweeps are kept below verbatim as oracles: on random
+product-order axiom sweep, the loop, the per-column Y, the
+full-component (identity parts included), materialised and dense-row
+tetrahedron sweeps and the product-order Lie algebra and
+representation sweeps are kept below verbatim as oracles: on random
 two-term structures, valid ones and ones with a single perturbed entry,
 both must give the same report, first failing tuple and exact residual
 included.
@@ -50,16 +51,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lie2alg.braid import (TETRA_LHS, TETRA_RHS, TetraY, build_braid_functor, build_Y,
-                           cell_functors, check_zamolodchikov, same_braid_word,
-                           tetrahedron_components, tetrahedron_sides)
+from lie2alg.braid import (TETRA_LHS, TETRA_RHS, TetraY, _add, _columns, _push, _slot_braids,
+                           build_braid_functor, build_Y, cell_functors, check_zamolodchikov,
+                           same_braid_word, tetrahedron_components, tetrahedron_sides)
 from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Representation,
                                 abelian_algebra, adjoint_rep, build_cross_product, build_g_hbar,
                                 build_two_slot, check_lie_algebra, check_representation,
                                 classify, coboundary, is_cocycle, sl2_algebra, so3_algebra,
                                 trivial_rep)
-from lie2alg.exactlin import (RMatrix, contract, invert, pivot_columns, rank_kernel, vadd, vneg,
-                              vscale, vsub, vunit, vzeros)
+from lie2alg.exactlin import (RMatrix, contract, invert, kron, pivot_columns, rank_kernel, vadd,
+                              vneg, vscale, vsub, vunit, vzeros)
 from lie2alg.lie2 import (SemistrictLie2Algebra, _as_object, _compose_padded,
                           bracket_morphisms, check_jacobiator_identity_categorical,
                           from_linfty, jacobiator)
@@ -284,6 +285,96 @@ def check_zamolodchikov_materialised(ty: TetraY) -> CheckReport:
     rep.add("component_equality", first_violation(
         ((col // d0 ** 3, (col // d0 ** 2) % d0, (col // d0) % d0, col % d0), diff.row(col))
         for col, row in enumerate(diff.entries) if row))
+    return rep
+
+
+def tetrahedron_components_with_identities(ty: TetraY):
+    """Yield every basis object u of (k + L)^(ox 4), in flat order, with
+    the components of both sides of the tetrahedron equation at u, as
+    {morphism index: entry} dicts without zeros.
+
+    No matrix on the fourth tensor power is built.  For each cell of a
+    side, the object u goes through the braids of P (B.f0 on two slots),
+    Y ox 1 at an object w = w123 w4 is Y(w123) ox i(w4) and 1 ox Y is
+    i(w1) ox Y(w234), and the result goes through the braids of S (B.f1 on
+    two slots).  The vertical composite of the four cells subtracts the
+    identities at the objects of the three middle functors
+    (`vertical_nat`).  The objects of the words are computed once per u,
+    and word prefixes are shared between the cells."""
+    d0, d1 = ty.space.dim0, ty.space.dim1
+    f0, f1 = _slot_braids(ty.braid.f0, d0), _slot_braids(ty.braid.f1, d1)
+    ident, ycols = _columns(ty.space.i), _columns(ty.y.theta)
+    d00, d11, d03, d13 = d0 * d0, d1 * d1, d0 ** 3, d1 ** 3
+    # the object words the cells read: each prefix and, but for a side's
+    # last cell, each target word (a middle functor), as steps (parent, b)
+    steps, index = [], {(): 0}
+
+    def step(word: tuple) -> int:
+        if word not in index:
+            steps.append((step(word[:-1]), word[-1]))
+            index[word] = len(steps)
+        return index[word]
+    plans = [[(step(cell[0]), cell[1], cell[2],
+               step(cell_functors(cell)[1]) if n < len(cells) - 1 else None)
+              for n, cell in enumerate(cells)] for cells in (TETRA_LHS, TETRA_RHS)]
+
+    def y_at(s: int, w: int) -> list:
+        if s == 0:
+            w123, w4 = divmod(w, d0)
+            return [(k * d1 + j, x * z) for k, x in ycols[w123] for j, z in ident[w4]]
+        w1, w234 = divmod(w, d03)
+        return [(j * d13 + k, z * x) for j, z in ident[w1] for k, x in ycols[w234]]
+
+    ident2 = [[(k * d1 + j, x * z) for k, x in ident[a] for j, z in ident[b]]
+              for a in range(d0) for b in range(d0)]
+
+    def identity(vec: dict) -> list:  # i on the fourth tensor power, i ox i on each half
+        out = []
+        for w, c in vec.items():
+            high, low = divmod(w, d00)
+            out += [(k * d11 + j, c * x * z) for k, x in ident2[high] for j, z in ident2[low]]
+        return out
+
+    def side(objs: list, plan) -> dict:
+        out, middle = {}, {}
+        for pre, s, post, mid in plan:
+            vec = {}
+            for w, c in objs[pre].items():
+                _add(vec, y_at(s, w), c)
+            for b in post:
+                vec = _push(vec, f1[b])
+            _add(out, vec.items(), 1)
+            if mid is not None:
+                _add(middle, objs[mid].items(), 1)
+        _add(out, identity(middle), -1)
+        return {k: x for k, x in out.items() if x}
+
+    for u in range(d0 ** 4):
+        objs = [{u: 1}]
+        for parent, b in steps:
+            objs.append(_push(objs[parent], f0[b]))
+        yield (u, *(side(objs, plan) for plan in plans))
+
+
+def check_zamolodchikov_with_identities(ty: TetraY) -> CheckReport:
+    """Compare both sides of the tetrahedron equation at every basis
+    object of the fourth tensor power, object by object
+    (`tetrahedron_components_with_identities`), stopping at the first object where the
+    components differ; the endpoint functors are compared as words."""
+    rep = CheckReport("zamolodchikov_tetrahedron")
+    same = (same_braid_word(cell_functors(TETRA_LHS[0])[0], cell_functors(TETRA_RHS[0])[0])
+            and same_braid_word(cell_functors(TETRA_LHS[-1])[1],
+                                cell_functors(TETRA_RHS[-1])[1]))
+    rep.add("endpoint_functors", [] if same else [((), "source/target functors differ")])
+    d0, d1 = ty.space.dim0, ty.space.dim1
+    for u, lhs, rhs in tetrahedron_components_with_identities(ty):
+        diff = dict(lhs)
+        _add(diff, rhs.items(), -1)
+        if any(diff.values()):
+            loc = (u // d0 ** 3, (u // d0 ** 2) % d0, (u // d0) % d0, u % d0)
+            rep.add("component_equality", [(loc, [diff.get(k, 0) for k in range(d1 ** 4)])])
+            return rep
+    rep.add("component_equality", [])
     return rep
 
 
@@ -689,30 +780,46 @@ def vertical_cells(e) -> list:
     return vertical_cells(e.first) + vertical_cells(e.second) if isinstance(e, CellVert) else [e]
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.one_of(
+# g_hbar(so3) at random hbar, the cross product, and broken_abelian4 with
+# at most one moved entry
+tetrahedron_structures = st.one_of(
     st.fractions(-3, 3, max_denominator=4).map(lambda h: build_g_hbar(so3_algebra(), h).data),
     st.builds(lambda: build_cross_product().data),
-    perturbed(st.builds(broken_abelian4))))
+    perturbed(st.builds(broken_abelian4)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(tetrahedron_structures)
 def test_tetrahedron_matches_per_column_and_dense_row_sweeps(v):
-    """g_hbar(so3) at random hbar, the cross product, and broken_abelian4
-    with at most one moved entry: the same Y and the same report, first
-    failing object and exact residual included.  Both sides' components
-    equal the columns of the materialised sides at every object, past the
-    first failing one too, and the braid words decide every functor
-    comparison the materialised sides make as the matrices do."""
+    """The same Y and the same report, first failing object and exact
+    residual included, as the full-component, materialised and dense-row
+    sweeps.  The full components equal the columns of the materialised
+    sides at every object, past the first failing one too; at every
+    object, what the arrow parts leave out of them is the same on both
+    sides, i of the sides' source functor at that object.  The braid
+    words decide every functor comparison the materialised sides make as
+    the matrices do."""
     L = from_linfty(v)
     ty = build_Y(L)
     assert ty.y.theta == y_theta_per_column(L)
     report = check_zamolodchikov(ty).to_json()
+    assert report == check_zamolodchikov_with_identities(ty).to_json()
     assert report == check_zamolodchikov_materialised(ty).to_json()
     assert report == check_zamolodchikov_dense_rows(ty).to_json()
 
     # each side evaluated cell by cell, as eval_cell_expr evaluates it
     cells = [[eval_cell_expr(c) for c in vertical_cells(e)] for e in tetrahedron_sides(ty)]
-    lhs, rhs = (reduce(vertical_nat, side).theta.transpose().entries for side in cells)
-    assert list(tetrahedron_components(ty)) == [(u, lhs[u], rhs[u])
-                                                for u in range(ty.space.dim0 ** 4)]
+    sides = [reduce(vertical_nat, side) for side in cells]
+    lhs, rhs = (side.theta.transpose().entries for side in sides)
+    assert list(tetrahedron_components_with_identities(ty)) == [
+        (u, lhs[u], rhs[u]) for u in range(ty.space.dim0 ** 4)]
+    source = sides[0].from_functor
+    ident = (source.target.i @ source.f0).transpose().entries
+    for u, *arrows in tetrahedron_components(ty):
+        for full, arrow in zip((lhs[u], rhs[u]), arrows):
+            rest = dict(full)
+            _add(rest, arrow.items(), -1)
+            assert {k: x for k, x in rest.items() if x} == ident[u]
 
     # each cell's endpoint words against its materialised endpoint functors
     words = [[cell_functors(c) for c in side] for side in (TETRA_LHS, TETRA_RHS)]
@@ -723,6 +830,19 @@ def test_tetrahedron_matches_per_column_and_dense_row_sweeps(v):
         fa = (cells[ka][na].from_functor, cells[ka][na].to_functor)[ea]
         fb = (cells[kb][nb].from_functor, cells[kb][nb].to_functor)[eb]
         assert same_braid_word(words[ka][na][ea], words[kb][nb][eb]) == (fa == fb)
+
+
+@settings(max_examples=12, deadline=None)
+@given(tetrahedron_structures)
+def test_tetrahedron_arrow_part_premises(v):
+    """What lets the sweep compare arrow parts only, on valid and perturbed
+    structures alike: the braid on morphisms commutes with i ox i, and Y
+    is the identity on its source functor plus the Jacobiator."""
+    ty = build_Y(from_linfty(v))
+    ii = kron(ty.space.i, ty.space.i)
+    assert ty.braid.f1 @ ii == ii @ ty.braid.f0
+    source = ty.y.from_functor
+    assert ty.y.theta == source.target.i @ source.f0 + ty.jacobiator
 
 
 @settings(max_examples=100, deadline=None)
