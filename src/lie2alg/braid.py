@@ -9,26 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isqrt
 
 from .cohomology import LieAlgebra
 from .exactlin import RMatrix, kron, vunit
 from .lie2 import SemistrictLie2Algebra, bracket_morphisms
 from .linfty import antisymmetry_violations, check_axioms
-from .report import CheckReport, CheckResult
+from .report import CheckReport, CheckResult, grid_violations
 from .twovect import (CellLeaf, CellVert, CellWhiskerL, CellWhiskerR, LinearFunctor,
                       LinearNatTrans, Morphism, TwoVectorSpace, check_nat_trans, compose_functors,
                       direct_sum, ground_field, identity_functor, identity_nat,
                       tensor_2vs, tensor_functor, tensor_nat)
 
 
-@dataclass
-class YBOperator:
-    base: LieAlgebra
-    b: RMatrix  # on (k + g) tensor (k + g)
-
-
-def build_B_vect(g: LieAlgebra) -> YBOperator:
-    """B((a,x) ox (b,y)) = (b,y) ox (a,x) + (1,0) ox (0,[x,y]).
+def build_B_vect(g: LieAlgebra) -> RMatrix:
+    """B((a,x) ox (b,y)) = (b,y) ox (a,x) + (1,0) ox (0,[x,y]) on (k + g)^2.
 
     Requires an antisymmetric bracket; the Jacobi identity is not
     assumed (the Yang-Baxter check detects exactly its failure).
@@ -36,7 +31,7 @@ def build_B_vect(g: LieAlgebra) -> YBOperator:
     asym = antisymmetry_violations(g.bracket)
     if asym:
         raise ValueError(f"bracket is not antisymmetric at {asym[0][0]}")
-    return YBOperator(g, _swap_plus_bracket(g.dim, lambda i, j: g.bracket[i][j]))
+    return _swap_plus_bracket(g.dim, lambda i, j: g.bracket[i][j])
 
 
 def _swap_plus_bracket(n: int, bracket) -> RMatrix:
@@ -53,26 +48,19 @@ def _swap_plus_bracket(n: int, bracket) -> RMatrix:
     return RMatrix.from_cells(dim * dim, dim * dim, cells())
 
 
-def yang_baxter_sides(op: YBOperator):
-    """Matrices of (B ox 1)(1 ox B)(B ox 1) and (1 ox B)(B ox 1)(1 ox B)
-    on the triple tensor power, diagram order."""
-    dim = 1 + op.base.dim
-    eye = RMatrix.identity(dim)
-    b1 = kron(op.b, eye)
-    b2 = kron(eye, op.b)
-    lhs = b1 @ (b2 @ b1)
-    rhs = b2 @ (b1 @ b2)
-    return lhs, rhs
+def yang_baxter_sides(b: RMatrix):
+    """(B ox 1)(1 ox B)(B ox 1) and (1 ox B)(B ox 1)(1 ox B), diagram order, for
+    a braid matrix b on V ox V: on V^(ox 3), where dim V = isqrt(b.rows)."""
+    eye = RMatrix.identity(isqrt(b.rows))
+    b1, b2 = kron(b, eye), kron(eye, b)
+    return b1 @ (b2 @ b1), b2 @ (b1 @ b2)
 
 
-def check_ybe(op: YBOperator) -> CheckReport:
-    """Entry-wise comparison of both Yang-Baxter composites."""
+def check_ybe(b: RMatrix) -> CheckReport:
+    """Entry-wise comparison of both Yang-Baxter composites of the braid b."""
     rep = CheckReport("yang_baxter")
-    lhs, rhs = yang_baxter_sides(op)
-    # the first failing cell: the smallest column of the first nonzero row
-    first = next((((i, min(row)), row[min(row)])
-                  for i, row in enumerate((lhs - rhs).entries) if row), None)
-    rep.add("yang_baxter_equation", [first] if first else [])
+    lhs, rhs = yang_baxter_sides(b)
+    rep.add("yang_baxter_equation", grid_violations(lhs - rhs)[:1])  # the first failing cell
     return rep
 
 
@@ -106,9 +94,10 @@ def build_braid_functor(L: SemistrictLie2Algebra, lp: TwoVectorSpace) -> LinearF
 
 
 def build_Y(L: SemistrictLie2Algebra) -> TetraY:
-    """Y between the two triple-braid composites: the component at an
-    object u is the identity plus the Jacobiator's arrow at the
-    projection of u, injected on the (ground, ground, L) line."""
+    """Y between the two triple-braid composites of `yang_baxter_sides`,
+    on objects and on morphisms: the component at an object u is the
+    identity plus the Jacobiator's arrow at the projection of u, injected
+    on the (ground, ground, L) line."""
     v = L.data
     ax = check_axioms(v)
     hypotheses = CheckReport("tetrahedron_hypotheses",
@@ -116,12 +105,9 @@ def build_Y(L: SemistrictLie2Algebra) -> TetraY:
 
     lp = direct_sum(ground_field(), L.space).space
     braid = build_braid_functor(L, lp)
-    lp3 = tensor_2vs(tensor_2vs(lp, lp), lp)
-    id_lp = identity_functor(lp)
-    b12 = tensor_functor(braid, id_lp)
-    b23 = tensor_functor(id_lp, braid)
-    yb_source = compose_functors(compose_functors(b12, b23), b12)
-    yb_target = compose_functors(compose_functors(b23, b12), b23)
+    lp3 = tensor_2vs(braid.source, lp)
+    (s0, t0), (s1, t1) = yang_baxter_sides(braid.f0), yang_baxter_sides(braid.f1)
+    yb_source, yb_target = LinearFunctor(lp3, lp3, s0, s1), LinearFunctor(lp3, lp3, t0, t1)
 
     n0 = L.dim0
     arrows = (((1 + n0 + m, col), c)  # flat (0, 0, 1 + n0 + m) in the morphism cube

@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from math import comb
 
 from . import braid, cohomology, lie2, linfty, twoterm
 from .exactlin import DimensionMismatch, rational
@@ -150,6 +151,20 @@ def cmd_check_dcm(args, rep: Report) -> None:
 COHOMOLOGY_MAX_NNZ = 200_000
 
 
+# Largest number of index pairs, comb(dim, n+1) C(n+1, 2) per delta_n, that the delta_n a
+# command builds visit in `cohomology._coboundary_cells` for any bracket: abelian algebras
+# visit 772,200 (dim 16, degree 8) in 1.5 s at 26 MB peak RSS and 17.5 million (dim 20,
+# degree 10) in 29 s at 141 MB.  (CLI runs on 2 CPUs, Python 3.11.)
+DELTA_MAX_PAIRS = 1_000_000
+
+
+def _delta_preflight(command: str, dim: int, *degrees: int) -> None:
+    pairs = sum(comb(dim, n + 1) * comb(n + 1, 2) for n in degrees if n >= 0)
+    if pairs > DELTA_MAX_PAIRS:
+        raise FixtureError(f"{command}: delta_{degrees[-1]} of a {dim}-dimensional algebra "
+                           f"visits {pairs} index pairs, over the limit of {DELTA_MAX_PAIRS}")
+
+
 def cmd_cohomology(args, rep: Report) -> None:
     g = _load_algebra(args.gfile)
     r = _load_rep(g, args.rep)
@@ -158,6 +173,7 @@ def cmd_cohomology(args, rep: Report) -> None:
     if nnz > args.max_nnz:
         raise FixtureError(f"cohomology: delta_{n - 1} and delta_{n} may hold up to {nnz} "
                            f"nonzeros, over the limit of {args.max_nnz}; --max-nnz raises it")
+    _delta_preflight("cohomology", g.dim, n - 1, n)
     rep.reports.append(cohomology.check_representation(r))
     dim = cohomology.cohomology_dim(r, args.degree)
     rep.payload = {"degree": args.degree, "dimension": dim}
@@ -166,6 +182,7 @@ def cmd_cohomology(args, rep: Report) -> None:
 
 def cmd_is_cocycle(args, rep: Report) -> None:
     w = _load_cochain(args.file)
+    _delta_preflight("is-cocycle", w.rep.algebra.dim, w.degree - 1, w.degree)
     out = CheckReport("cocycle")
     out.add("delta_vanishes", first_violation(sorted(cohomology.coboundary(w).values.items())))
     rep.reports.append(out)
@@ -175,6 +192,7 @@ def cmd_is_cocycle(args, rep: Report) -> None:
 
 def cmd_coboundary(args, rep: Report) -> None:
     w = _load_cochain(args.file)
+    _delta_preflight("coboundary", w.rep.algebra.dim, w.degree)
     rep.payload = cohomology.cochain_to_json(cohomology.coboundary(w))
 
 
@@ -211,11 +229,10 @@ def cmd_ybe(args, rep: Report) -> None:
 # Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` sweeps
 # unless --max-basis says otherwise.  The sweep holds one object's arrow
 # parts at a time, so the limit bounds time, not memory: g_hbar(sl3)
-# (basis 10^4) passes in 0.25 s at 22 MB peak RSS and g_hbar(sl4)
-# (17^4 = 83,521) in about 2.7 s at 43 MB.  g_hbar(sl5) (26^4 = 456,976)
-# would take about 13 s, extrapolated from its first 20,000 of 390,625
-# objects (0.59 s), after a build_Y that takes 1.7 s and peaks at 114 MB.
-# (CLI runs on 2 CPUs, Python 3.11.)
+# (basis 10^4) passes in 0.2 s at 19 MB peak RSS and g_hbar(sl4)
+# (17^4 = 83,521) in about 2.7 s at 30 MB.  g_hbar(sl5) (26^4 = 456,976)
+# passes with --max-basis 456976 in about 8.5 s at 65 MB, after a build_Y
+# that takes 0.9-1.2 s and peaks at 64 MB.  (CLI runs on 2 CPUs, Python 3.11.)
 TETRA_MAX_BASIS = 100_000
 
 

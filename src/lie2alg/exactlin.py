@@ -318,8 +318,9 @@ def _rref(rows: list, cols: int):
     row by (p/g) row - (f/g) pivot row, g = gcd(p, f), and divides by the
     pivot only when the row is final.  `index` maps each column to the ids
     of the rows that hold it, pending or done, as dict keys (smaller than a
-    set), so a column's holders cost time in proportion to the nonzeros.  The form is unique, so the
-    shortest pending holder (the lowest id on a tie) can be each pivot."""
+    set), so a column's holders cost time in proportion to the nonzeros.
+    The form is unique, so the shortest pending holder (the lowest id on a
+    tie) can be each pivot."""
     store = {i: _primitive(r) for i, r in enumerate(rows) if r}
     index = {}
     for i, row in store.items():

@@ -22,7 +22,7 @@ def test_abelian_braiding_is_plain_swap():
     dim = 4
     for i in range(dim):
         for j in range(dim):
-            col = op.b.col(i * dim + j)
+            col = op.col(i * dim + j)
             expected = vzeros(dim * dim)
             expected[j * dim + i] = 1
             assert col == expected
@@ -31,7 +31,7 @@ def test_abelian_braiding_is_plain_swap():
 def test_so3_braiding_formula():
     op = build_B_vect(so3_algebra())
     # B((0,e1) ox (0,e2)) = (0,e2) ox (0,e1) + (1,0) ox (0,e3)
-    col = op.b.col(1 * 4 + 2)
+    col = op.col(1 * 4 + 2)
     expected = vzeros(16)
     expected[2 * 4 + 1] = 1
     expected[0 * 4 + 3] = 1
@@ -41,7 +41,7 @@ def test_so3_braiding_formula():
 def test_ground_slot_swaps_cleanly():
     op = build_B_vect(so3_algebra())
     for j in range(4):
-        col = op.b.col(0 * 4 + j)
+        col = op.col(0 * 4 + j)
         expected = vzeros(16)
         expected[j * 4 + 0] = 1
         assert col == expected
@@ -50,8 +50,8 @@ def test_ground_slot_swaps_cleanly():
 def test_braiding_invertible():
     for g in (so3_algebra(), sl2_algebra(), broken_jacobi3()):
         op = build_B_vect(g)
-        rank, _ = rank_kernel(op.b)
-        assert rank == op.b.rows
+        rank, _ = rank_kernel(op)
+        assert rank == op.rows
 
 
 def test_non_antisymmetric_bracket_rejected():
@@ -113,7 +113,7 @@ def test_braid_functor_invertible_on_morphisms():
 
 def test_braid_functor_restricts_to_vector_level(tetra_so3_1):
     op = build_B_vect(so3_algebra())
-    assert tetra_so3_1.braid.f0 == op.b
+    assert tetra_so3_1.braid.f0 == op
 
 
 def test_Y_passes_naturality_under_hypotheses(tetra_so3_1):

@@ -400,6 +400,37 @@ def test_tetrahedron_broken_names_condition_i(capsys):
     assert any("(0, 1, 2, 3)" in note for note in rep.notes)
 
 
+@pytest.mark.parametrize("edits, failing", [
+    # e0 added to [e0, e1], antisymmetrically: the Jacobi identity fails, and
+    # so does the target row of one of Y's components
+    ({("l2_00", 0, 1, 0): "1", ("l2_00", 1, 0, 0): "-1"},
+     {"g_jacobi_up_to_d": ([0, 1, 2], ["0", "-1", "0"]),
+      "y_target_row": ([2, 27], "-1")}),
+    # an action of e0 on the morphisms: l3 is not natural, nor is Y
+    ({("l2_01", 0, 0, 0): "1"},
+     {"h_l3_naturality": ([0, 1, 2], ["1"]), "y_naturality": ([4, 21], "1")}),
+    # [e0, e0] = e1: not antisymmetric, and the tetrahedron fails too
+    ({("l2_00", 0, 0, 1): "1"},
+     {"a_bracket_antisymmetry": ([0, 0], ["0", "2", "0"]),
+      "g_jacobi_up_to_d": ([0, 0, 0], ["0", "0", "-1"]),
+      "y_target_row": ([1, 23], "1"),
+      "component_equality": ([1, 1, 1, 3], {"length": 625, "nonzero": {"4": "-2"}})}),
+])
+def test_tetrahedron_reports_failing_y_hypotheses(tmp_path, capsys, edits, failing):
+    """Edits of one entry (or one antisymmetric pair) of ghbar_so3_1 that
+    break Y's hypotheses: every failing check, with its first location and
+    residual."""
+    obj = read_json(fx("ghbar_so3_1.json"))
+    for (name, i, j, k), x in edits.items():
+        obj[name][i][j][k] = x
+    f = tmp_path / "edited.json"
+    f.write_text(json.dumps(obj))
+    assert run(["--json", "tetrahedron", str(f)])[0] == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"]: (c["location"], c["residual"])
+            for c in checks if not c["passed"]} == failing
+
+
 def test_tetrahedron_size_preflight(tmp_path, capsys, monkeypatch):
     """g_hbar(sl5) has a morphism basis of 26^4 = 456,976 on (k+L)^4, over
     the default limit: exit 2 before anything is built.  --max-basis lifts it."""
@@ -477,6 +508,30 @@ def test_cohomology_size_preflight(tmp_path, capsys, monkeypatch):
         run(base + ["--degree", "4", "--max-nnz", "524160"])
     with pytest.raises(Built):
         run(base + ["--degree", "3"])
+
+
+@pytest.mark.parametrize("argv, pairs", [
+    (["cohomology", "--degree", "10", "<g>"], 17551820),
+    (["is-cocycle", "<w>"], 14360580),
+    (["coboundary", "<w>"], 8314020),
+])
+def test_delta_work_preflight(tmp_path, capsys, argv, pairs):
+    """A 20-dimensional abelian algebra has no bracket nonzeros, but delta_9
+    visits every pair of each of its comb(20, 10) keys: each command that
+    would build it exits 2 within a second, naming the limit."""
+    from lie2alg import cli
+    from lie2alg.cohomology import abelian_algebra
+
+    g = algebra_to_json(abelian_algebra(20))
+    gfile, wfile = tmp_path / "abelian20.json", tmp_path / "zero9.json"
+    gfile.write_text(json.dumps(g))
+    wfile.write_text(json.dumps({"algebra": g, "degree": 9, "values": {}}))
+    argv = [{"<g>": str(gfile), "<w>": str(wfile)}.get(a, a) for a in argv]
+    start = time.monotonic()
+    assert run(argv)[0] == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"visits {pairs} index pairs" in err and f"limit of {cli.DELTA_MAX_PAIRS}" in err
 
 
 def test_coboundary_nnz_bound_holds():

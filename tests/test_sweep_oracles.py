@@ -5,7 +5,8 @@ replaced.
 their structure maps from tables built once per call, `check_axioms`
 sweeps (g) and (i) on increasing tuples once (a) and (d) hold,
 `lie2._compose_padded` is the closed form of a pad-and-compose loop,
-`braid.build_Y` builds Y's identity part as one sparse product,
+`braid.build_Y` builds Y's identity part as one sparse product and its
+endpoint functors with `braid.yang_baxter_sides`,
 `braid.check_zamolodchikov` computes the arrow parts of both sides one
 object at a time with no matrix on the fourth tensor power, and
 `check_lie_algebra` and `check_representation` sweep increasing tuples
@@ -14,13 +15,13 @@ sweep the structure with its denominators cleared (`linfty.integral`), so
 the strategies below draw rational entries as well as integers.  Once (a) and (d) hold both
 sweep sorted tuples only, so the strategies draw structures where both
 hold and ones where one of them fails.  The per-tuple sweeps, the
-product-order axiom sweep, the loop, the per-column Y, the
-full-component (identity parts included), materialised and dense-row
-tetrahedron sweeps and the product-order Lie algebra and
-representation sweeps are kept below verbatim as oracles: on random
-two-term structures, valid ones and ones with a single perturbed entry,
-both must give the same report, first failing tuple and exact residual
-included.
+product-order axiom sweep, the loop, the per-column Y, the Y of
+tensored and composed braid functors, the full-component (identity
+parts included), materialised and dense-row tetrahedron sweeps and the
+product-order Lie algebra and representation sweeps are kept below
+verbatim as oracles: on random two-term structures, valid ones and ones
+with a single perturbed entry, both must give the same report, first
+failing tuple and exact residual included.
 
 `cohomology.coboundary` streams the cells of `coboundary_matrix`, and
 `cohomology.classify` reads the skeleton's l3 off the homomorphism's l3
@@ -71,9 +72,10 @@ from lie2alg.linfty import (LInfHom, TwoTermLInfinity, _graded_bracket, _graded_
 from lie2alg.report import CheckReport, CheckResult, first_violation, grid_violations
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, Skeletalization, TwoTermComplex,
                              compose_chain_maps, identity_chain_map, skeletalize_complex)
-from lie2alg.twovect import (CellVert, Morphism, compose_functors, compose_morphisms,
-                             direct_sum, eval_cell_expr, ground_field, identity_functor,
-                             identity_morphism, tensor_2vs, tensor_functor, vertical_nat)
+from lie2alg.twovect import (CellVert, LinearNatTrans, Morphism, check_nat_trans,
+                             compose_functors, compose_morphisms, direct_sum, eval_cell_expr,
+                             ground_field, identity_functor, identity_morphism, tensor_2vs,
+                             tensor_functor, vertical_nat)
 from conftest import broken_abelian4, broken_abelian4_thirds, conjugate, inflate
 
 
@@ -248,6 +250,34 @@ def y_theta_per_column(L: SemistrictLie2Algebra) -> RMatrix:
     theta = (RMatrix.from_cols(ids, rows=lp.dim1 ** 3)
              + RMatrix.from_cells(lp.dim1 ** 3, lp.dim0 ** 3, arrows))
     return theta
+
+
+def build_Y_functor_products(L: SemistrictLie2Algebra) -> TetraY:
+    """Y between the two triple-braid composites: the component at an
+    object u is the identity plus the Jacobiator's arrow at the
+    projection of u, injected on the (ground, ground, L) line."""
+    v = L.data
+    ax = check_axioms(v)
+    hypotheses = CheckReport("tetrahedron_hypotheses",
+                             [c for c in ax.checks if c.name != "i_jacobiator_coherence"])
+
+    lp = direct_sum(ground_field(), L.space).space
+    braid = build_braid_functor(L, lp)
+    lp3 = tensor_2vs(tensor_2vs(lp, lp), lp)
+    id_lp = identity_functor(lp)
+    b12 = tensor_functor(braid, id_lp)
+    b23 = tensor_functor(id_lp, braid)
+    yb_source = compose_functors(compose_functors(b12, b23), b12)
+    yb_target = compose_functors(compose_functors(b23, b12), b23)
+
+    n0 = L.dim0
+    arrows = (((1 + n0 + m, col), c)  # flat (0, 0, 1 + n0 + m) in the morphism cube
+              for col, trip in enumerate(product(range(lp.dim0), repeat=3)) if all(trip)
+              for m, c in enumerate(v.l3_eval(*(L.object_basis(t - 1) for t in trip))))
+    jacobiator = RMatrix.from_cells(lp.dim1 ** 3, lp.dim0 ** 3, arrows)
+    y = LinearNatTrans(yb_source, yb_target, lp3.i @ yb_source.f0 + jacobiator)
+    hypotheses.extend(check_nat_trans(y), prefix="y_")
+    return TetraY(lp, braid, y, jacobiator, hypotheses, ax.result("i_jacobiator_coherence"))
 
 
 def check_zamolodchikov_dense_rows(ty: TetraY) -> CheckReport:
@@ -843,6 +873,21 @@ def test_tetrahedron_arrow_part_premises(v):
     assert ty.braid.f1 @ ii == ii @ ty.braid.f0
     source = ty.y.from_functor
     assert ty.y.theta == source.target.i @ source.f0 + ty.jacobiator
+
+
+@settings(max_examples=12, deadline=None)
+@given(tetrahedron_structures)
+def test_Y_matches_functor_product_route(v):
+    """Y's endpoint functors from `yang_baxter_sides` equal the composites
+    of tensored braids, on objects and on morphisms, and every hypothesis
+    of Y reads as `check_nat_trans` reads that Y."""
+    L = from_linfty(v)
+    ty, oracle = build_Y(L), build_Y_functor_products(L)
+    assert ty.y == oracle.y  # both functors, f0 and f1 of each, and the components
+    report = ty.hypotheses.to_json()
+    assert report == oracle.hypotheses.to_json()
+    assert [c for c in report["checks"] if c["name"].startswith("y_")] == [
+        dict(c, name="y_" + c["name"]) for c in check_nat_trans(oracle.y).to_json()["checks"]]
 
 
 @settings(max_examples=100, deadline=None)
