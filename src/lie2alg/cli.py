@@ -152,9 +152,12 @@ COHOMOLOGY_MAX_NNZ = 200_000
 
 
 # Largest number of index pairs, comb(dim, n+1) C(n+1, 2) per delta_n, that the delta_n a
-# command builds visit in `cohomology._coboundary_cells` for any bracket: abelian algebras
-# visit 772,200 (dim 16, degree 8) in 1.5 s at 26 MB peak RSS and 17.5 million (dim 20,
-# degree 10) in 29 s at 141 MB.  (CLI runs on 2 CPUs, Python 3.11.)
+# command builds may visit in `cohomology._coboundary_cells`.  A bracket nonzero on every
+# pair visits them all: `coboundary` of a degree-8 cochain over such a 16-dimensional
+# bracket visits 411,840 in 0.8 s at 21 MB peak RSS.  A zero bracket visits none: abelian
+# `cohomology` takes 0.05 s at 26 MB for dim 16, degree 8 (772,200 pairs counted) and
+# 0.6 s at 141 MB for dim 20, degree 10 (17.5 million), nearly all of it `rank_kernel`
+# returning unit kernel bases.  (CLI runs on 2 CPUs, Python 3.11.)
 DELTA_MAX_PAIRS = 1_000_000
 
 
@@ -174,10 +177,18 @@ def cmd_cohomology(args, rep: Report) -> None:
         raise FixtureError(f"cohomology: delta_{n - 1} and delta_{n} may hold up to {nnz} "
                            f"nonzeros, over the limit of {args.max_nnz}; --max-nnz raises it")
     _delta_preflight("cohomology", g.dim, n - 1, n)
-    rep.reports.append(cohomology.check_representation(r))
-    dim = cohomology.cohomology_dim(r, args.degree)
-    rep.payload = {"degree": args.degree, "dimension": dim}
-    rep.notes.append(f"dim H^{args.degree} = {dim}")
+    checked = cohomology.check_representation(r)
+    rep.reports.append(checked)
+    if not checked.passed:
+        # delta_n delta_(n-1) = 0 needs a Lie bracket and a representation of it; without
+        # them the kernel and image counts mean nothing
+        rep.payload = {"degree": n, "dimension": None}
+        rep.notes.append(f"H^{n} not computed: rho is not a representation of a Lie algebra "
+                         f"({checked.first_failure.name} fails)")
+        return
+    dim = cohomology.cohomology_dim(r, n)
+    rep.payload = {"degree": n, "dimension": dim}
+    rep.notes.append(f"dim H^{n} = {dim}")
 
 
 def cmd_is_cocycle(args, rep: Report) -> None:

@@ -8,6 +8,7 @@ arbitrary tuple inserts the permutation sign and vanishes on repeats.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -17,8 +18,8 @@ from .exactlin import (DimensionMismatch, RMatrix, contract, rank_kernel, solve_
 from .lie2 import SemistrictLie2Algebra, from_linfty
 from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
                      basis_tuples, check_axioms, jacobi_violations, l3_compatibility_residuals,
-                     perm_sign)
-from .report import CheckReport, first_violation, grid_violations
+                     nonzero_terms, perm_sign)
+from .report import CheckReport, first_violation
 from .serialize import (FixtureError, as_count, mat_to_json, need, tensor_from_json,
                         tensor_to_json)
 from .twoterm import ChainMap, TwoTermComplex, skeletalize_complex
@@ -66,17 +67,32 @@ def check_representation(rep_: Representation) -> CheckReport:
     rep = CheckReport("representation")
     algebra = check_lie_algebra(rep_.algebra)
     rep.extend(algebra, prefix="algebra_")
-    g, rho = rep_.algebra, rep_.rho
+    g, rows = rep_.algebra, [m.entries for m in rep_.rho]
+    terms = nonzero_terms(g.bracket)
+
+    def residual(i: int, j: int) -> list:
+        """The first four nonzero entries, row by row and by column, of
+        rho([e_i, e_j]) - rho(e_i) rho(e_j) + rho(e_j) rho(e_i)."""
+        out = []
+        for a in range(rep_.dimV):
+            acc = {}
+            for m, c in terms[i][j]:
+                for b, x in rows[m][a].items():
+                    acc[b] = acc.get(b, 0) + c * x
+            for s, t, sign in ((i, j, -1), (j, i, 1)):
+                for l, x in rows[s][a].items():
+                    for b, y in rows[t][l].items():
+                        acc[b] = acc.get(b, 0) + sign * x * y
+            out.extend(x for _, x in sorted(acc.items()) if x)
+            if len(out) >= 4:
+                return out[:4]
+        return out
 
     # rho([x, y]) - [rho x, rho y] is alternating when the bracket is
     # antisymmetric, and then increasing pairs are swept only
-    def residuals():
-        for i, j in basis_tuples(g.dim, 2, algebra.result("antisymmetry").passed):
-            lhs = sum((rho[k].scale(c) for k, c in enumerate(g.bracket[i][j]) if c),
-                      RMatrix.zeros(rep_.dimV, rep_.dimV))
-            resid = lhs - (rho[i] @ rho[j] - rho[j] @ rho[i])
-            yield (i, j), [x for _, x in grid_violations(resid)[:4]]
-    rep.add("bracket_to_commutator", first_violation(residuals()))
+    rep.add("bracket_to_commutator", first_violation(
+        ((i, j), residual(i, j))
+        for i, j in basis_tuples(g.dim, 2, algebra.result("antisymmetry").passed)))
     return rep
 
 
@@ -170,24 +186,37 @@ def _coboundary_cells(rep: Representation, n: int):
 
     found by visiting each (n+1)-key once and writing its terms straight
     into the columns of the n-keys they read.  A cell may come more than
-    once; its entry is the sum."""
+    once; its entry is the sum.  The nonzero cells of each rho and the
+    nonzero coefficients of each bracket are listed once, so a zero rho or
+    bracket costs nothing, a zero bracket visits no pair, and a zero
+    bracket with a zero rho visits no key."""
     g, dimV = rep.algebra, rep.dimV
+    rho_cells = [[(a, b, x) for a, row in enumerate(m.entries) for b, x in row.items()]
+                 for m in rep.rho]
+    terms = nonzero_terms(g.bracket)
+    pairs = list(combinations(range(n + 1), 2)) if any(map(any, terms)) else []
+    if not pairs and not any(rho_cells):
+        return
     src = {key: i * dimV for i, key in enumerate(combinations(range(g.dim), n))}
     for i, key in enumerate(combinations(range(g.dim), n + 1)):
         row0 = i * dimV  # the rows of this key
         for pos in range(n + 1):
-            col0, sign = src[key[:pos] + key[pos + 1:]], (-1) ** pos
-            for a, rho_row in enumerate(rep.rho[key[pos]].entries):
-                for b, x in rho_row.items():
+            if rho_cells[key[pos]]:
+                col0, sign = src[key[:pos] + key[pos + 1:]], (-1) ** pos
+                for a, b, x in rho_cells[key[pos]]:
                     yield (row0 + a, col0 + b), sign * x
-        for pj, pk in combinations(range(n + 1), 2):
+        for pj, pk in pairs:
+            nz = terms[key[pj]][key[pk]]
+            if not nz:
+                continue
             rest = key[:pj] + key[pj + 1:pk] + key[pk + 1:]
-            for m, c in enumerate(g.bracket[key[pj]][key[pk]]):
-                if c and m not in rest:
-                    sign = (-1) ** (pj + pk + sum(x < m for x in rest))  # sorting (m,) + rest
-                    col0 = src[tuple(sorted((m,) + rest))]
-                    for a in range(dimV):
-                        yield (row0 + a, col0 + a), sign * c
+            for m, c in nz:
+                at = bisect_left(rest, m)  # where m goes among rest
+                if at < n - 1 and rest[at] == m:
+                    continue
+                sign, col0 = (-1) ** (pj + pk + at), src[rest[:at] + (m,) + rest[at:]]
+                for a in range(dimV):
+                    yield (row0 + a, col0 + a), sign * c
 
 
 def coboundary_matrix(rep: Representation, n: int) -> RMatrix:

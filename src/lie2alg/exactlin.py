@@ -23,10 +23,14 @@ class DimensionMismatch(ValueError):
 
 def parse_int(s: str) -> int:
     """int(s), refusing more digits than the interpreter converts
-    (sys.get_int_max_str_digits) with a ValueError that names the limit."""
-    limit, digits = sys.get_int_max_str_digits(), sum(ch.isdigit() for ch in s)
-    if limit and digits > limit:
-        raise ValueError(f"integer with {digits} digits, more than the limit of {limit}")
+    (sys.get_int_max_str_digits) with a ValueError that names the limit.
+    The digits are counted only past len(s) > limit: a shorter string
+    cannot hold too many."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(s) > limit:
+        digits = sum(ch.isdigit() for ch in s)
+        if digits > limit:
+            raise ValueError(f"integer with {digits} digits, more than the limit of {limit}")
     return int(s)
 
 

@@ -65,12 +65,15 @@ class TwoTermLInfinity:
 
 
 def _check_tensor_shape(t, dims: tuple, name: str) -> None:
+    """Nested lists of the given lengths; the scalars themselves are not
+    visited."""
     if not dims:
         return
     if not isinstance(t, list) or len(t) != dims[0]:
         raise DimensionMismatch(f"{name} must have length {dims[0]} at this level")
-    for x in t:
-        _check_tensor_shape(x, dims[1:], name)
+    if len(dims) > 1:
+        for x in t:
+            _check_tensor_shape(x, dims[1:], name)
 
 
 def zero_l3(n0: int, n1: int) -> list:
@@ -165,17 +168,27 @@ def basis_tuples(n: int, k: int, alternating: bool):
     return combinations(range(n), k) if alternating else product(range(n), repeat=k)
 
 
+def nonzero_terms(t: list) -> list:
+    """The nonzero (m, coefficient) pairs of each vector t[i][j], so that a
+    sweep costs time in the nonzeros it reads."""
+    return [[[(m, c) for m, c in enumerate(v) if c] for v in row] for row in t]
+
+
 def jacobi_violations(bracket: list) -> list:
     """First (i, j, k) where [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
     is nonzero.  The Jacobiator is alternating when the bracket is
     antisymmetric, and then only increasing triples are swept."""
-    n = len(bracket)
-    e = [vunit(n, i) for i in range(n)]
-    return first_violation(
-        ((i, j, k), vadd(vadd(contract(bracket, n, bracket[i][j], e[k]),
-                              contract(bracket, n, bracket[j][k], e[i])),
-                         contract(bracket, n, bracket[k][i], e[j])))
-        for i, j, k in basis_tuples(n, 3, not antisymmetry_violations(bracket)))
+    n, nz = len(bracket), nonzero_terms(bracket)
+
+    def jacobiator(i: int, j: int, k: int) -> list:
+        out = [0] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in nz[a][b]:
+                for p, y in nz[m][c]:
+                    out[p] += x * y
+        return out
+    return first_violation(((i, j, k), jacobiator(i, j, k))
+                           for i, j, k in basis_tuples(n, 3, not antisymmetry_violations(bracket)))
 
 
 # ---------------------------------------------------------------------------

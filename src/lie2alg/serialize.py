@@ -31,15 +31,30 @@ def as_count(value, field: str) -> int:
 
 
 def tensor_from_json(obj, dims: tuple, field: str):
-    """Parse a nested list of rationals with the given dimensions."""
-    if not dims:
+    """Parse a nested list of rationals with the given dimensions, in one
+    depth-first walk that raises at the first malformed entry.  Each
+    distinct string is parsed once and its value shared: rationals are
+    never changed."""
+    memo, last = {}, len(dims) - 1
+
+    def scalar(x):
+        if type(x) is str and x in memo:
+            return memo[x]
         try:
-            return rational(obj)
+            q = rational(x)
         except ValueError as exc:
             raise FixtureError(f"field '{field}': {exc}") from None
-    if not isinstance(obj, list) or len(obj) != dims[0]:
-        raise FixtureError(f"field '{field}' must be a list of length {dims[0]}")
-    return [tensor_from_json(x, dims[1:], field) for x in obj]
+        if type(x) is str:
+            memo[x] = q
+        return q
+
+    def walk(t, depth: int):
+        if not isinstance(t, list) or len(t) != dims[depth]:
+            raise FixtureError(f"field '{field}' must be a list of length {dims[depth]}")
+        if depth == last:
+            return [scalar(x) for x in t]
+        return [walk(x, depth + 1) for x in t]
+    return walk(obj, 0) if dims else scalar(obj)
 
 
 def tensor_to_json(t):

@@ -391,6 +391,25 @@ def test_cohomology_with_rep_file(tmp_path):
     assert rep.payload == {"degree": 3, "dimension": 0}
 
 
+def test_cohomology_refuses_a_non_representation(tmp_path, capsys, monkeypatch):
+    """rho(e_2) = 1 on Q with rho(e_1) = rho(e_3) = 0 breaks rho([e_1, e_3])
+    = [rho e_1, rho e_3] for so3: exit 1 with no dimension, and no
+    coboundary matrix is built."""
+    from lie2alg import cohomology
+    rfile = tmp_path / "R.json"
+    rfile.write_text(json.dumps({"dimV": 1, "rho": [[["0"]], [["1"]], [["0"]]]}))
+    built = []
+    monkeypatch.setattr(cohomology, "coboundary_matrix", lambda rep, n: built.append(n))
+    code, rep = run(["--json", "cohomology", "--degree", "1", fx("so3.json"),
+                     "--rep", str(rfile)])
+    assert code == 1 and built == []
+    assert rep.payload == {"degree": 1, "dimension": None}
+    assert rep.notes == ["H^1 not computed: rho is not a representation of a Lie algebra "
+                         "(bracket_to_commutator fails)"]
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"]["dimension"] is None and not report["passed"]
+
+
 def test_tetrahedron_broken_names_condition_i(capsys):
     code, rep = run(["tetrahedron", fx("broken_abelian4.json")])
     assert code == 1

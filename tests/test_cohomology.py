@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import comb
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lie2alg.cohomology import (Cochain, LieAlgebra, Representation, abelian_algebra,
-                                adjoint_rep, algebra_from_json, algebra_to_json,
+from lie2alg.cohomology import (Cochain, LieAlgebra, Representation, _coboundary_cells,
+                                abelian_algebra, adjoint_rep, algebra_from_json, algebra_to_json,
                                 build_cross_product, build_g_hbar, build_two_slot,
                                 check_lie_algebra, classify, coboundary, coboundary_matrix,
                                 cochain_basis, cochain_from_json, cochain_to_coords,
@@ -364,6 +365,34 @@ def rational_cochains(draw):
     keys = draw(st.lists(st.sampled_from(list(Cochain(rep, degree).keys())), unique=True)
                 if degree <= rep.algebra.dim else st.just([]))
     return Cochain(rep, degree, {key: [draw(entry) for _ in range(rep.dimV)] for key in keys})
+
+
+def test_sl3_load_parses_each_distinct_string_once(tmp_path, monkeypatch):
+    """The 512 entries of sl3's bracket hold a handful of distinct strings,
+    and `rational` sees each of them once."""
+    from lie2alg import serialize
+    obj = algebra_to_json(sl_algebra(3))
+    path = tmp_path / "sl3.json"
+    path.write_text(json.dumps(obj))
+    seen, real = [], serialize.rational
+
+    def rational(x):
+        seen.append(x)
+        return real(x)
+    monkeypatch.setattr(serialize, "rational", rational)
+    g = algebra_from_json(serialize.load_json_file(str(path)))
+    entries = [x for row in obj["bracket"] for v in row for x in v]
+    assert len(entries) == 512 and g == sl_algebra(3)
+    assert sorted(seen) == sorted(set(entries))
+
+
+def test_abelian16_delta8_yields_no_cell():
+    """A zero bracket and a zero rho give no cell: delta_8 of the
+    16-dimensional abelian algebra, 11,440 keys of 36 pairs each, is the
+    zero matrix."""
+    rep = trivial_rep(abelian_algebra(16), 1)
+    assert next(_coboundary_cells(rep, 8), None) is None
+    assert coboundary_matrix(rep, 8) == RMatrix.zeros(comb(16, 9), comb(16, 8))
 
 
 @given(rational_cochains())

@@ -33,6 +33,17 @@ evaluated l3 on phi0 afresh at every triple are kept below verbatim
 too: the same cochain, the same quadruple and witness or the same
 refusal, and the same `check_hom` report.
 
+`serialize.tensor_from_json` parses in one walk, each distinct string
+once; `jacobi_violations` and the `bracket_to_commutator` sweep of
+`check_representation` read lists of the bracket's nonzeros and the row
+dicts of rho; `cohomology._coboundary_cells` lists the nonzeros of the
+bracket and of rho once and skips the rest.  The per-entry parser (with
+the `parse_int` that counted every string's digits), the sweeps through
+`contract`, `RMatrix` sums and products, and the generator that read
+every coefficient of every pair are kept below verbatim: the same values
+or the same `FixtureError` message, the same reports, residuals
+included, and the same cells in the same order.
+
 `twoterm.skeletalize_complex` works on the sparse echelon kernel basis
 and reads the projection on C1 off its free columns.  The construction
 that placed the dense kernel vectors and inverted both square
@@ -44,9 +55,11 @@ decompositions is kept below verbatim, densifying only what
 from __future__ import annotations
 
 import copy
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -57,19 +70,21 @@ from lie2alg.braid import (TETRA_LHS, TETRA_RHS, TetraY, _add, _columns, _push, 
                            same_braid_word, tetrahedron_components, tetrahedron_sides)
 from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Representation,
                                 abelian_algebra, adjoint_rep, build_cross_product, build_g_hbar,
-                                build_two_slot, check_lie_algebra, check_representation,
-                                classify, coboundary, is_cocycle, sl2_algebra, so3_algebra,
-                                trivial_rep)
+                                _coboundary_cells, build_two_slot, check_lie_algebra,
+                                check_representation, classify, coboundary, coboundary_matrix,
+                                is_cocycle, sl2_algebra, so3_algebra, trivial_rep)
 from lie2alg.exactlin import (RMatrix, contract, invert, kron, pivot_columns, rank_kernel, vadd,
                               vneg, vscale, vsub, vunit, vzeros)
 from lie2alg.lie2 import (SemistrictLie2Algebra, _as_object, _compose_padded,
                           bracket_morphisms, check_jacobiator_identity_categorical,
                           from_linfty, jacobiator)
 from lie2alg.linfty import (LInfHom, TwoTermLInfinity, _graded_bracket, _graded_element,
-                            antisymmetry_violations, check_axioms, check_hom, integral,
+                            antisymmetry_violations, basis_tuples, check_axioms, check_hom,
+                            integral,
                             generalized_jacobi, is_alternating, jacobi_violations, koszul_chi,
                             linf_to_json, perm_sign, unshuffles, zero_l3)
 from lie2alg.report import CheckReport, CheckResult, first_violation, grid_violations
+from lie2alg.serialize import FixtureError, tensor_from_json
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, Skeletalization, TwoTermComplex,
                              compose_chain_maps, identity_chain_map, skeletalize_complex)
 from lie2alg.twovect import (CellVert, LinearNatTrans, Morphism, check_nat_trans,
@@ -440,6 +455,112 @@ def check_representation_product_sweep(rep_: Representation) -> CheckReport:
             yield (i, j), [x for _, x in grid_violations(resid)[:4]]
     rep.add("bracket_to_commutator", first_violation(residuals()))
     return rep
+
+
+def parse_int_counting_digits(s: str) -> int:
+    """int(s), refusing more digits than the interpreter converts
+    (sys.get_int_max_str_digits) with a ValueError that names the limit."""
+    limit, digits = sys.get_int_max_str_digits(), sum(ch.isdigit() for ch in s)
+    if limit and digits > limit:
+        raise ValueError(f"integer with {digits} digits, more than the limit of {limit}")
+    return int(s)
+
+
+def rational_counting_digits(x) -> int | Fraction:
+    """Parse an exact rational from an int, Fraction or 'p/q' / 'n' string."""
+    if isinstance(x, bool):
+        raise ValueError(f"not a rational: {x!r}")
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, str):
+        s = x.strip()
+        if "/" in s:
+            num, den = (parse_int_counting_digits(p) for p in s.split("/", 1))
+            if den == 0:
+                raise ValueError(f"zero denominator: {x!r}")
+            return Fraction(num, den)
+        return parse_int_counting_digits(s)
+    raise ValueError(f"not a rational: {x!r}")
+
+
+def tensor_from_json_per_entry(obj, dims: tuple, field: str):
+    """Parse a nested list of rationals with the given dimensions."""
+    if not dims:
+        try:
+            return rational_counting_digits(obj)
+        except ValueError as exc:
+            raise FixtureError(f"field '{field}': {exc}") from None
+    if not isinstance(obj, list) or len(obj) != dims[0]:
+        raise FixtureError(f"field '{field}' must be a list of length {dims[0]}")
+    return [tensor_from_json_per_entry(x, dims[1:], field) for x in obj]
+
+
+def jacobi_violations_contract(bracket: list) -> list:
+    """First (i, j, k) where [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+    is nonzero.  The Jacobiator is alternating when the bracket is
+    antisymmetric, and then only increasing triples are swept."""
+    n = len(bracket)
+    e = [vunit(n, i) for i in range(n)]
+    return first_violation(
+        ((i, j, k), vadd(vadd(contract(bracket, n, bracket[i][j], e[k]),
+                              contract(bracket, n, bracket[j][k], e[i])),
+                         contract(bracket, n, bracket[k][i], e[j])))
+        for i, j, k in basis_tuples(n, 3, not antisymmetry_violations(bracket)))
+
+
+def check_lie_algebra_contract(g: LieAlgebra) -> CheckReport:
+    rep = CheckReport("lie_algebra")
+    rep.add("antisymmetry", antisymmetry_violations(g.bracket))
+    rep.add("jacobi", jacobi_violations_contract(g.bracket))
+    return rep
+
+
+def check_representation_rmatrix_sweep(rep_: Representation) -> CheckReport:
+    rep = CheckReport("representation")
+    algebra = check_lie_algebra_contract(rep_.algebra)
+    rep.extend(algebra, prefix="algebra_")
+    g, rho = rep_.algebra, rep_.rho
+
+    # rho([x, y]) - [rho x, rho y] is alternating when the bracket is
+    # antisymmetric, and then increasing pairs are swept only
+    def residuals():
+        for i, j in basis_tuples(g.dim, 2, algebra.result("antisymmetry").passed):
+            lhs = sum((rho[k].scale(c) for k, c in enumerate(g.bracket[i][j]) if c),
+                      RMatrix.zeros(rep_.dimV, rep_.dimV))
+            resid = lhs - (rho[i] @ rho[j] - rho[j] @ rho[i])
+            yield (i, j), [x for _, x in grid_violations(resid)[:4]]
+    rep.add("bracket_to_commutator", first_violation(residuals()))
+    return rep
+
+
+def coboundary_cells_every_pair(rep: Representation, n: int):
+    """The nonzero cells ((row, col), x) of the Chevalley-Eilenberg
+    differential delta: C^n -> C^{n+1} in the ordered bases,
+
+    (delta w)(v_1..v_{n+1}) = sum_i (-1)^{i+1} rho(v_i) w(.. v_i-hat ..)
+    + sum_{j<k} (-1)^{j+k} w([v_j, v_k], .. hats ..), 1-based signs,
+
+    found by visiting each (n+1)-key once and writing its terms straight
+    into the columns of the n-keys they read.  A cell may come more than
+    once; its entry is the sum."""
+    g, dimV = rep.algebra, rep.dimV
+    src = {key: i * dimV for i, key in enumerate(combinations(range(g.dim), n))}
+    for i, key in enumerate(combinations(range(g.dim), n + 1)):
+        row0 = i * dimV  # the rows of this key
+        for pos in range(n + 1):
+            col0, sign = src[key[:pos] + key[pos + 1:]], (-1) ** pos
+            for a, rho_row in enumerate(rep.rho[key[pos]].entries):
+                for b, x in rho_row.items():
+                    yield (row0 + a, col0 + b), sign * x
+        for pj, pk in combinations(range(n + 1), 2):
+            rest = key[:pj] + key[pj + 1:pk] + key[pk + 1:]
+            for m, c in enumerate(g.bracket[key[pj]][key[pk]]):
+                if c and m not in rest:
+                    sign = (-1) ** (pj + pk + sum(x < m for x in rest))  # sorting (m,) + rest
+                    col0 = src[tuple(sorted((m,) + rest))]
+                    for a in range(dimV):
+                        yield (row0 + a, col0 + a), sign * c
+
 
 
 def coboundary_pointwise(w: Cochain) -> Cochain:
@@ -1153,3 +1274,134 @@ def test_skeletalize_matches_two_inverse_construction(c):
     """The same skeleton, inclusion, projection and homotopy, matrix for
     matrix, as placing dense kernel vectors and inverting [K E_P]."""
     assert skeletalize_complex(c) == skeletalize_complex_two_inverses(c)
+
+
+# ---------------------------------------------------------------------------
+# parsing, the representation check and delta against the per-entry code
+
+LIMIT = sys.get_int_max_str_digits()
+GOOD_LEAVES = ["0", "1", "-2", " 3/4 ", "-6/8", "10", "+5", 7, -1, 0,
+               "-" + "1" * LIMIT, "2" * LIMIT + "/3"]
+BAD_LEAVES = ["1/0", "abc", "1.5", "", "1/", 1.5, True, False, None, {}, [],
+              "9" * 5000, "1/" + "7" * 5000, "3" * (LIMIT + 1)]
+good_leaves, bad_leaves = st.sampled_from(GOOD_LEAVES), st.sampled_from(BAD_LEAVES)
+
+
+@st.composite
+def tensor_json(draw):
+    """(obj, dims): nested lists of rational strings and ints, at most
+    three deep and three long, usually with one entry replaced (a scalar
+    by a bad leaf, a list by a scalar) or one list shortened or
+    lengthened."""
+    dims = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+
+    def build(d):
+        return [build(d[1:]) for _ in range(d[0])] if d else draw(good_leaves)
+    obj = build(dims)
+    if not dims:
+        return draw(st.one_of(good_leaves, bad_leaves)), dims
+    lists, slots = [], []  # every list; (list, index, holds a scalar) of every entry
+
+    def collect(t, depth):
+        lists.append(t)
+        for k in range(len(t)):
+            slots.append((t, k, depth + 1 == len(dims)))
+            if depth + 1 < len(dims):
+                collect(t[k], depth + 1)
+    collect(obj, 0)
+    kind = draw(st.sampled_from(["none", "entry", "length"]))
+    if kind == "length":
+        t = draw(st.sampled_from(lists))
+        if t and draw(st.booleans()):
+            t.pop()
+        else:
+            t.append(draw(good_leaves))
+    elif kind == "entry" and slots:
+        t, k, leaf = draw(st.sampled_from(slots))
+        t[k] = draw(bad_leaves if leaf else good_leaves)
+    return obj, dims
+
+
+def _parsed(parse, obj, dims):
+    """A parser's value with the type of every scalar, or its FixtureError message."""
+    def types(t):
+        return [types(x) for x in t] if isinstance(t, list) else type(t)
+    try:
+        value = parse(copy.deepcopy(obj), dims, "t")
+    except FixtureError as exc:
+        return "FixtureError", str(exc)
+    return value, types(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tensor_json())
+def test_tensor_parse_matches_per_entry_parser(case):
+    """The same values and scalar types, or the same first FixtureError,
+    as parsing entry by entry with every digit counted."""
+    obj, dims = case
+    assert _parsed(tensor_from_json, obj, dims) == _parsed(tensor_from_json_per_entry, obj, dims)
+
+
+def test_tensor_parse_matches_per_entry_parser_on_every_leaf():
+    """Each leaf alone, and after a repeat of itself, so that a parsed
+    string is read from the memo."""
+    for leaf in GOOD_LEAVES + BAD_LEAVES:
+        for obj, dims in ((leaf, ()), ([leaf, leaf], (2,)), ([["1", leaf], [leaf]], (2, 2))):
+            assert (_parsed(tensor_from_json, obj, dims)
+                    == _parsed(tensor_from_json_per_entry, obj, dims))
+
+
+rational_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def rational_representations(draw):
+    """A rational bracket on dimension 1..5, zero, antisymmetric (Jacobi
+    may fail) or arbitrary, with rho on Q^1..Q^3 zero, random or, for
+    dimension at most 3, the adjoint matrices (a representation exactly
+    when Jacobi holds)."""
+    dim = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["zero", "antisymmetric", "arbitrary"]))
+    bracket = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j in product(range(dim), repeat=2):
+        if kind == "arbitrary" or (kind == "antisymmetric" and i < j):
+            bracket[i][j] = [draw(rational_entries) for _ in range(dim)]
+        if kind == "antisymmetric" and i > j:
+            bracket[i][j] = [-x for x in bracket[j][i]]
+    g = LieAlgebra(dim, bracket)
+    rho_kind = draw(st.sampled_from(["zero", "random", "adjoint"] if dim <= 3 else
+                                    ["zero", "random"]))
+    if rho_kind == "adjoint":
+        return adjoint_rep(g)
+    dimV = draw(st.integers(1, 3))
+    entry = st.just(0) if rho_kind == "zero" else rational_entries
+    return Representation(g, dimV, [RMatrix.from_rows([[draw(entry) for _ in range(dimV)]
+                                                       for _ in range(dimV)], dimV)
+                                    for _ in range(dim)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rational_representations(), algebra_representations(), representations()))
+def test_representation_check_matches_rmatrix_sweep(r):
+    """The nonzero-list Jacobiator and the row-dict residual of rho give
+    the reports of the `contract` and `RMatrix` sweeps: the same tuples,
+    the same first violation and the same first four residual entries."""
+    assert jacobi_violations(r.algebra.bracket) == jacobi_violations_contract(r.algebra.bracket)
+    assert (check_lie_algebra(r.algebra).to_json()
+            == check_lie_algebra_contract(r.algebra).to_json())
+    new, old = check_representation(r), check_representation_rmatrix_sweep(r)
+    assert new.to_json() == old.to_json()
+    assert [c.violations for c in new.checks] == [c.violations for c in old.checks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rational_representations(), representations()))
+def test_coboundary_cells_match_every_pair_generator(r):
+    """Degrees 0..4: the same cells in the same order as reading every
+    coefficient of every pair, so the same coboundary_matrix."""
+    dim, dimV = r.algebra.dim, r.dimV
+    for n in range(5):
+        old = list(coboundary_cells_every_pair(r, n))
+        assert list(_coboundary_cells(r, n)) == old
+        assert coboundary_matrix(r, n) == RMatrix.from_cells(comb(dim, n + 1) * dimV,
+                                                             comb(dim, n) * dimV, old)
