@@ -141,27 +141,40 @@ def cmd_check_dcm(args, rep: Report) -> None:
     rep.reports.append(lie2.check_crossed_module(m))
 
 
-# Largest number of nonzeros that delta_(n-1) and delta_n of `cohomology
-# --degree n` may hold together, by cohomology.coboundary_nnz_bound, unless
-# --max-nnz says otherwise.  H^3(sl4, adjoint) bounds at 145,600 (its delta_3
-# has 82,544) and takes about 1 s at 45 MB peak RSS.  H^4 bounds at 524,160 and
-# takes about 8 s at 125 MB, nearly all of it the elimination of delta_4, whose
-# sparse kernel basis costs no more than its echelon form: memory no longer
-# keeps it out, and the default still refuses it.  (CLI runs on 2 CPUs, Python 3.11.)
-COHOMOLOGY_MAX_NNZ = 200_000
+# Largest number of nonzeros, by cohomology.coboundary_nnz_bound, of the deltas a
+# command eliminates: delta_(n-1) and delta_n for `cohomology --degree n`, delta_(n-1)
+# for `is-cocycle`.  H^8(sl4, trivial) bounds at 219,648 and takes 1 s at 40 MB peak
+# RSS; H^4(sl4, adjoint) at 524,160 and 7 s at 125 MB, nearly all of it eliminating
+# delta_4.  Refused: H^5(sl4, adjoint) at 1,345,344 (31 s at 338 MB with the limit
+# lifted), and is-cocycle of a zero 4-cochain over sl5 adjoint, whose delta_3 bounds at
+# 1,235,696 (17 s at 315 MB).  (CLI runs on 2 CPUs, Python 3.11.)
+COHOMOLOGY_MAX_NNZ = 600_000
 
 
-# Largest number of index pairs, comb(dim, n+1) C(n+1, 2) per delta_n, that the delta_n a
-# command builds may visit in `cohomology._coboundary_cells`.  A bracket nonzero on every
-# pair visits them all: `coboundary` of a degree-8 cochain over such a 16-dimensional
-# bracket visits 411,840 in 0.8 s at 21 MB peak RSS.  A zero bracket visits none: abelian
-# `cohomology` takes 0.05 s at 26 MB for dim 16, degree 8 (772,200 pairs counted) and
-# 0.6 s at 141 MB for dim 20, degree 10 (17.5 million), nearly all of it `rank_kernel`
+# Largest number of index pairs, comb(dim, n+1) C(n+1, 2) per delta_n, that the deltas a
+# command builds or streams may visit in `cohomology._coboundary_cells`, and the only
+# bound on the comb(dim, n+1) keys of the cochains that even a zero delta allocates.  A
+# bracket nonzero on every pair visits them all: `coboundary` of a degree-8 cochain over
+# such a 16-dimensional bracket visits 411,840 in 0.8 s at 21 MB.  A zero bracket visits
+# none: abelian `cohomology` takes 0.03 s at 26 MB for dim 16, degree 8 (772,200 pairs),
+# and with the limit lifted 0.6 s at 141 MB for dim 20, degree 10 (17.5 million) and 2.2 s
+# at 493 MB for dim 22, degree 11 (81.5 million), nearly all of it `rank_kernel`
 # returning unit kernel bases.  (CLI runs on 2 CPUs, Python 3.11.)
 DELTA_MAX_PAIRS = 1_000_000
 
 
-def _delta_preflight(command: str, dim: int, *degrees: int) -> None:
+def _delta_preflight(command: str, r: cohomology.Representation, eliminated: tuple,
+                     streamed: tuple = ()) -> None:
+    """The one size check of the commands that build a Chevalley-Eilenberg
+    differential: before anything is built, the deltas a command eliminates
+    must bound within COHOMOLOGY_MAX_NNZ nonzeros, and these with the ones it
+    only streams within DELTA_MAX_PAIRS index pairs."""
+    nnz = sum(cohomology.coboundary_nnz_bound(r, n) for n in eliminated)
+    if nnz > COHOMOLOGY_MAX_NNZ:
+        deltas = " and ".join(f"delta_{n}" for n in eliminated)
+        raise FixtureError(f"{command}: {deltas} may hold up to {nnz} nonzeros, "
+                           f"over the limit of {COHOMOLOGY_MAX_NNZ}")
+    degrees, dim = eliminated + streamed, r.algebra.dim
     pairs = sum(comb(dim, n + 1) * comb(n + 1, 2) for n in degrees if n >= 0)
     if pairs > DELTA_MAX_PAIRS:
         raise FixtureError(f"{command}: delta_{degrees[-1]} of a {dim}-dimensional algebra "
@@ -172,11 +185,7 @@ def cmd_cohomology(args, rep: Report) -> None:
     g = _load_algebra(args.gfile)
     r = _load_rep(g, args.rep)
     n = args.degree
-    nnz = cohomology.coboundary_nnz_bound(r, n - 1) + cohomology.coboundary_nnz_bound(r, n)
-    if nnz > args.max_nnz:
-        raise FixtureError(f"cohomology: delta_{n - 1} and delta_{n} may hold up to {nnz} "
-                           f"nonzeros, over the limit of {args.max_nnz}; --max-nnz raises it")
-    _delta_preflight("cohomology", g.dim, n - 1, n)
+    _delta_preflight("cohomology", r, (n - 1, n))
     checked = cohomology.check_representation(r)
     rep.reports.append(checked)
     if not checked.passed:
@@ -193,7 +202,7 @@ def cmd_cohomology(args, rep: Report) -> None:
 
 def cmd_is_cocycle(args, rep: Report) -> None:
     w = _load_cochain(args.file)
-    _delta_preflight("is-cocycle", w.rep.algebra.dim, w.degree - 1, w.degree)
+    _delta_preflight("is-cocycle", w.rep, (w.degree - 1,), (w.degree,))
     out = CheckReport("cocycle")
     out.add("delta_vanishes", first_violation(sorted(cohomology.coboundary(w).values.items())))
     rep.reports.append(out)
@@ -203,7 +212,7 @@ def cmd_is_cocycle(args, rep: Report) -> None:
 
 def cmd_coboundary(args, rep: Report) -> None:
     w = _load_cochain(args.file)
-    _delta_preflight("coboundary", w.rep.algebra.dim, w.degree)
+    _delta_preflight("coboundary", w.rep, (), (w.degree,))
     rep.payload = cohomology.cochain_to_json(cohomology.coboundary(w))
 
 
@@ -237,22 +246,21 @@ def cmd_ybe(args, rep: Report) -> None:
     rep.reports.append(braid.check_ybe(braid.build_B_vect(g)))
 
 
-# Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` sweeps
-# unless --max-basis says otherwise.  The sweep holds one object's arrow
-# parts at a time, so the limit bounds time, not memory: g_hbar(sl3)
-# (basis 10^4) passes in 0.2 s at 19 MB peak RSS and g_hbar(sl4)
-# (17^4 = 83,521) in about 2.7 s at 30 MB.  g_hbar(sl5) (26^4 = 456,976)
-# passes with --max-basis 456976 in about 8.5 s at 65 MB, after a build_Y
-# that takes 0.9-1.2 s and peaks at 64 MB.  (CLI runs on 2 CPUs, Python 3.11.)
-TETRA_MAX_BASIS = 100_000
+# Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` sweeps.  The sweep
+# holds one object's arrow parts at a time, so the limit bounds time, not memory:
+# g_hbar(sl3) (basis 10^4) passes in 0.2 s at 19 MB peak RSS, g_hbar(sl4) (17^4 =
+# 83,521) in 2.1 s at 29 MB and g_hbar(sl5) (26^4 = 456,976) in 11 s at 65 MB.  Refused:
+# g_hbar(sl6) (37^4 = 1,874,161), whose build_Y alone takes 4 s at 154 MB.  (CLI runs
+# on 2 CPUs, Python 3.11.)
+TETRA_MAX_BASIS = 500_000
 
 
 def cmd_tetrahedron(args, rep: Report) -> None:
     v = _load_linf(args.file)
     basis = (1 + v.dim0 + v.dim1) ** 4  # morphisms of k + L, to the fourth
-    if basis > args.max_basis:
+    if basis > TETRA_MAX_BASIS:
         raise FixtureError(f"tetrahedron: the morphism basis of (k+L)^4 has {basis} elements, "
-                           f"over the limit of {args.max_basis}; --max-basis raises it")
+                           f"over the limit of {TETRA_MAX_BASIS}")
     L = lie2.from_linfty(v)
     ty = braid.build_Y(L)
     rep.reports.append(ty.hypotheses)
@@ -351,19 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("check-2hom", file)
     add("check-lie2", file)
     add("check-dcm", file)
-    add("cohomology", arg("--degree", type=int, required=True), gfile,
-        arg("--rep"),
-        arg("--max-nnz", type=int, default=COHOMOLOGY_MAX_NNZ,
-            help="largest number of nonzeros of delta_(n-1) and delta_n to build "
-                 f"(default {COHOMOLOGY_MAX_NNZ})"))
+    add("cohomology", arg("--degree", type=int, required=True), gfile, arg("--rep"))
     add("is-cocycle", file)
     add("coboundary", file, out)
     add("build-ghbar", arg("--hbar", required=True), gfile, out)
     add("killing", gfile)
     add("ybe", gfile)
-    add("tetrahedron", file,
-        arg("--max-basis", type=int, default=TETRA_MAX_BASIS,
-            help=f"largest morphism basis of (k+L)^4 to sweep (default {TETRA_MAX_BASIS})"))
+    add("tetrahedron", file)
     add("skeletalize", file, out)
     add("classify", file)
     add("fixtures", arg("--copy-to"))

@@ -44,8 +44,8 @@ class LieAlgebra:
 
 def check_lie_algebra(g: LieAlgebra) -> CheckReport:
     rep = CheckReport("lie_algebra")
-    rep.add("antisymmetry", antisymmetry_violations(g.bracket))
-    rep.add("jacobi", jacobi_violations(g.bracket))
+    antisymmetric = rep.add("antisymmetry", antisymmetry_violations(g.bracket)).passed
+    rep.add("jacobi", jacobi_violations(g.bracket, antisymmetric))
     return rep
 
 

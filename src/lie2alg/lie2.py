@@ -409,10 +409,9 @@ DCM_FAILURE_TO_AXIOM = {
 
 def check_crossed_module(m: DifferentialCrossedModule) -> CheckReport:
     rep = CheckReport("differential_crossed_module")
-    rep.add("g_antisymmetry", antisymmetry_violations(m.g_bracket))
-    rep.add("g_jacobi", jacobi_violations(m.g_bracket))
-    rep.add("h_antisymmetry", antisymmetry_violations(m.h_bracket))
-    rep.add("h_jacobi", jacobi_violations(m.h_bracket))
+    for name, b in (("g", m.g_bracket), ("h", m.h_bracket)):
+        antisymmetric = rep.add(f"{name}_antisymmetry", antisymmetry_violations(b)).passed
+        rep.add(f"{name}_jacobi", jacobi_violations(b, antisymmetric))
 
     g, h, t, alpha = m.g_dim, m.h_dim, m.t, m.alpha
     hb = [vunit(h, a) for a in range(h)]

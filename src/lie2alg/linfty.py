@@ -174,10 +174,11 @@ def nonzero_terms(t: list) -> list:
     return [[[(m, c) for m, c in enumerate(v) if c] for v in row] for row in t]
 
 
-def jacobi_violations(bracket: list) -> list:
+def jacobi_violations(bracket: list, antisymmetric: bool) -> list:
     """First (i, j, k) where [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
     is nonzero.  The Jacobiator is alternating when the bracket is
-    antisymmetric, and then only increasing triples are swept."""
+    antisymmetric, as the caller's antisymmetry check says, and then only
+    increasing triples are swept."""
     n, nz = len(bracket), nonzero_terms(bracket)
 
     def jacobiator(i: int, j: int, k: int) -> list:
@@ -188,7 +189,7 @@ def jacobi_violations(bracket: list) -> list:
                     out[p] += x * y
         return out
     return first_violation(((i, j, k), jacobiator(i, j, k))
-                           for i, j, k in basis_tuples(n, 3, not antisymmetry_violations(bracket)))
+                           for i, j, k in basis_tuples(n, 3, antisymmetric))
 
 
 # ---------------------------------------------------------------------------

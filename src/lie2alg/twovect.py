@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactlin import (DimensionMismatch, RMatrix, block_diag, kron, pivot_columns,
-                       rank_kernel, solve_linear, vadd, vsub)
+                       rank_kernel, vadd, vsub)
 from .report import CheckReport, grid_violations
 from .twoterm import ChainHomotopy, ChainMap, TwoTermComplex
 from .serialize import as_count, mat_from_json, mat_to_json, need
@@ -256,32 +256,29 @@ def functor_S(v: TwoVectorSpace) -> TwoTermComplex:
     return TwoTermComplex(v.dim0, K.cols, v.t @ K)
 
 
+def _kernel_coords(W: TwoVectorSpace, m: RMatrix, outside: str) -> RMatrix:
+    """The columns of m in the echelon basis W.ker_s(), or ValueError(outside)
+    when one is not in ker(s).  Each basis vector is unit at its free column,
+    its largest key, and zero at every other free column, so the coordinates
+    are m's free rows."""
+    if not (W.s @ m).is_zero():
+        raise ValueError(outside)
+    free = [max(k) for k in W.ker_s().transpose().entries]
+    return RMatrix(len(free), m.cols, [m.entries[f] for f in free])
+
+
 def S_on_functor(F: LinearFunctor) -> ChainMap:
     """Restrict F1 to ker(s), expressed in the kernel bases."""
-    src, dst = functor_S(F.source), functor_S(F.target)
-    K, Kp = F.source.ker_s(), F.target.ker_s()
-    img = F.f1 @ K
-    cols = []
-    for j in range(img.cols):
-        x = solve_linear(Kp, img.col(j))
-        if x is None:
-            raise ValueError("functor does not preserve ker(s); cannot transport")
-        cols.append(x)
-    phi1 = RMatrix.from_cols(cols, rows=Kp.cols)
-    return ChainMap(src, dst, F.f0, phi1)
+    phi1 = _kernel_coords(F.target, F.f1 @ F.source.ker_s(),
+                          "functor does not preserve ker(s); cannot transport")
+    return ChainMap(functor_S(F.source), functor_S(F.target), F.f0, phi1)
 
 
 def S_on_nat_trans(n: LinearNatTrans) -> ChainHomotopy:
     """tau(x) = arrow part of theta(x), written in the target kernel basis."""
-    Kp = n.from_functor.target.ker_s()
     W = n.from_functor.target
-    arr = n.theta - W.i @ (W.s @ n.theta)
-    cols = []
-    for j in range(arr.cols):
-        x = solve_linear(Kp, arr.col(j))
-        assert x is not None, "arrow parts always lie in ker(s)"
-        cols.append(x)
-    tau = RMatrix.from_cols(cols, rows=Kp.cols)
+    tau = _kernel_coords(W, n.theta - W.i @ (W.s @ n.theta),
+                         "arrow parts lie in ker(s) only when s i = 1")
     return ChainHomotopy(S_on_functor(n.from_functor), S_on_functor(n.to_functor), tau)
 
 

@@ -37,13 +37,13 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
     from lie2alg import cli
 
     argvs = [["--json", "killing", fx("so3.json")],
-             ["--json", "cohomology", "--degree", "2", fx("so3.json"), "--max-nnz", "0"],
+             ["--json", "cohomology", "--degree", "2", fx("so3.json"), "--rep", fx("so3.json")],
              ["cohomology", fx("sl2.json")],
              ["--json", "cohomology", "--degree", "2", fx("so3.json")],
              ["--json", "ybe", fx("broken_jacobi3.json")],
              ["--bogus"],
              [],
-             ["--json", "tetrahedron", fx("ghbar_so3_0.json"), "--max-basis", "10"],
+             ["--json", "build-ghbar", "--hbar", "1/0", fx("so3.json")],
              ["--json", "check-linfty", fx("broken_abelian4.json")]]
 
     def outcomes():
@@ -450,28 +450,35 @@ def test_tetrahedron_reports_failing_y_hypotheses(tmp_path, capsys, edits, faili
             for c in checks if not c["passed"]} == failing
 
 
+class Built(Exception):
+    """Raised by a stubbed builder: the command passed its preflight."""
+
+
 def test_tetrahedron_size_preflight(tmp_path, capsys, monkeypatch):
-    """g_hbar(sl5) has a morphism basis of 26^4 = 456,976 on (k+L)^4, over
-    the default limit: exit 2 before anything is built.  --max-basis lifts it."""
+    """g_hbar(sl6) has a morphism basis of 37^4 = 1,874,161 on (k+L)^4, over
+    the limit: exit 2 before anything is built, refused one below its basis
+    and admitted at it.  g_hbar(sl5), at 26^4 = 456,976, is admitted."""
     from lie2alg import braid, cli
     from lie2alg.cohomology import build_g_hbar, sl_algebra
     from lie2alg.linfty import linf_to_json
 
-    class Built(Exception):
-        pass
-
     def build_y(L):
         raise Built
     monkeypatch.setattr(braid, "build_Y", build_y)
-    f = tmp_path / "ghbar_sl5.json"
-    f.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(5), 1).data)))
-    assert cli.TETRA_MAX_BASIS >= 17 ** 4  # g_hbar(sl4)
-    assert run(["tetrahedron", str(f)])[0] == 2
-    err = capsys.readouterr().err
-    assert "456976" in err and f"limit of {cli.TETRA_MAX_BASIS}" in err
-    assert run(["tetrahedron", str(f), "--max-basis", "456975"])[0] == 2
+    sl5, sl6 = tmp_path / "ghbar_sl5.json", tmp_path / "ghbar_sl6.json"
+    sl5.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(5), 1).data)))
+    sl6.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(6), 1).data)))
     with pytest.raises(Built):
-        run(["tetrahedron", str(f), "--max-basis", "456976"])
+        run(["tetrahedron", str(sl5)])
+    assert run(["tetrahedron", str(sl6)])[0] == 2
+    err = capsys.readouterr().err
+    assert "1874161" in err and f"limit of {cli.TETRA_MAX_BASIS}" in err
+    monkeypatch.setattr(cli, "TETRA_MAX_BASIS", 1874160)
+    assert run(["tetrahedron", str(sl6)])[0] == 2
+    assert "1874161" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "TETRA_MAX_BASIS", 1874161)
+    with pytest.raises(Built):
+        run(["tetrahedron", str(sl6)])
 
 
 def test_tetrahedron_ghbar_sl3_passes(tmp_path):
@@ -501,32 +508,88 @@ def test_tetrahedron_ghbar_sl4_passes(tmp_path):
     assert code == 0 and rep.passed
 
 
-def test_cohomology_size_preflight(tmp_path, capsys, monkeypatch):
-    """H^4(sl4, adjoint) may hold 524,160 nonzeros in delta_3 and delta_4,
-    over the default limit: exit 2 before any coboundary matrix is built.
-    H^3 is admitted, and --max-nnz lifts the limit."""
-    from lie2alg import cli, cohomology
-    from lie2alg.cohomology import adjoint_rep, algebra_to_json, rep_to_json, sl_algebra
+@pytest.fixture
+def no_delta(monkeypatch):
+    """Every builder of a coboundary matrix and every stream of its cells
+    raises Built, so a test sees whether a command passed its preflight
+    without running anything heavy."""
+    from lie2alg import cohomology
 
-    class Built(Exception):
-        pass
-
-    def coboundary_matrix(rep, n):
+    def built(*args):
         raise Built
-    monkeypatch.setattr(cohomology, "coboundary_matrix", coboundary_matrix)
-    g = sl_algebra(4)
-    gfile, rfile = tmp_path / "sl4.json", tmp_path / "adjoint.json"
+    monkeypatch.setattr(cohomology, "coboundary_matrix", built)
+    monkeypatch.setattr(cohomology, "_coboundary_cells", built)
+
+
+def write_rep(tmp_path, g, r) -> list:
+    """The algebra and representation files of `cohomology`, as arguments."""
+    gfile, rfile = tmp_path / "g.json", tmp_path / "rep.json"
     gfile.write_text(json.dumps(algebra_to_json(g)))
-    rfile.write_text(json.dumps(rep_to_json(adjoint_rep(g))))
-    base = ["cohomology", str(gfile), "--rep", str(rfile)]
-    assert run(base + ["--degree", "4"])[0] == 2
+    rfile.write_text(json.dumps(rep_to_json(r)))
+    return [str(gfile), "--rep", str(rfile)]
+
+
+def test_cohomology_size_preflight(tmp_path, capsys, monkeypatch, no_delta):
+    """H^5(sl4, adjoint) may hold 1,345,344 nonzeros in delta_4 and delta_5,
+    over the limit: exit 2 before any coboundary matrix is built, refused
+    one below its bound and admitted at it.  H^4 (524,160) is admitted."""
+    from lie2alg import cli
+
+    g = sl_algebra(4)
+    base = ["cohomology"] + write_rep(tmp_path, g, adjoint_rep(g))
+    with pytest.raises(Built):
+        run(base + ["--degree", "4"])
+    assert run(base + ["--degree", "5"])[0] == 2
     err = capsys.readouterr().err
-    assert "524160" in err and f"limit of {cli.COHOMOLOGY_MAX_NNZ}" in err
-    assert run(base + ["--degree", "4", "--max-nnz", "524159"])[0] == 2
+    assert "1345344" in err and f"limit of {cli.COHOMOLOGY_MAX_NNZ}" in err
+    monkeypatch.setattr(cli, "COHOMOLOGY_MAX_NNZ", 1345343)
+    assert run(base + ["--degree", "5"])[0] == 2
+    assert "1345344" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "COHOMOLOGY_MAX_NNZ", 1345344)
     with pytest.raises(Built):
-        run(base + ["--degree", "4", "--max-nnz", "524160"])
+        run(base + ["--degree", "5"])
+
+
+def test_cohomology_sl4_trivial_degree_8_passes_preflight(tmp_path, no_delta):
+    """H^8(sl4, trivial) bounds at 219,648 nonzeros and visits 360,360 index
+    pairs: admitted."""
+    g = sl_algebra(4)
     with pytest.raises(Built):
-        run(base + ["--degree", "3"])
+        run(["cohomology", "--degree", "8"] + write_rep(tmp_path, g, trivial_rep(g)))
+
+
+def test_is_cocycle_bounds_the_delta_it_eliminates(tmp_path, capsys, no_delta):
+    """is-cocycle of a zero 4-cochain over sl5 adjoint would eliminate
+    delta_3, which may hold 1,235,696 nonzeros, if the cochain is a cocycle:
+    exit 2 within a second, before any delta is built or streamed."""
+    from lie2alg import cli
+
+    g = sl_algebra(5)
+    f = tmp_path / "zero4.json"
+    f.write_text(json.dumps({"algebra": algebra_to_json(g), "rep": rep_to_json(adjoint_rep(g)),
+                             "degree": 4, "values": {}}))
+    start = time.monotonic()
+    assert run(["is-cocycle", str(f)])[0] == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert "1235696" in err and f"limit of {cli.COHOMOLOGY_MAX_NNZ}" in err
+
+
+@pytest.mark.parametrize("degree, nnz", [(4, 402688), (5, 942656)])
+def test_coboundary_is_bounded_by_pairs_only(tmp_path, no_delta, degree, nnz):
+    """coboundary only streams delta_n, so no nonzero bound applies: a
+    cochain over sl4 adjoint is admitted at degree 4 and at degree 5,
+    whose delta_5 bounds over the limit that `cohomology` applies."""
+    from lie2alg import cohomology
+
+    g = sl_algebra(4)
+    r = adjoint_rep(g)
+    assert cohomology.coboundary_nnz_bound(r, degree) == nnz
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps({"algebra": algebra_to_json(g), "rep": rep_to_json(r),
+                             "degree": degree, "values": {}}))
+    with pytest.raises(Built):
+        run(["coboundary", str(f)])
 
 
 @pytest.mark.parametrize("argv, pairs", [

@@ -50,6 +50,13 @@ that placed the dense kernel vectors and inverted both square
 decompositions is kept below verbatim, densifying only what
 `rank_kernel` returns: on random complexes both must give the same
 `Skeletalization`.
+
+`twovect.S_on_functor` and `S_on_nat_trans` read coordinates in the
+echelon kernel basis of ker(s) off the free rows, after one check that
+the image lies in ker(s).  The versions that solved against that basis
+once per column are kept below verbatim: on random functors, ones that
+do not preserve ker(s) included, the same chain map or the same refusal,
+and the same homotopy.
 """
 
 from __future__ import annotations
@@ -73,11 +80,11 @@ from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Repre
                                 _coboundary_cells, build_two_slot, check_lie_algebra,
                                 check_representation, classify, coboundary, coboundary_matrix,
                                 is_cocycle, sl2_algebra, so3_algebra, trivial_rep)
-from lie2alg.exactlin import (RMatrix, contract, invert, kron, pivot_columns, rank_kernel, vadd,
-                              vneg, vscale, vsub, vunit, vzeros)
-from lie2alg.lie2 import (SemistrictLie2Algebra, _as_object, _compose_padded,
-                          bracket_morphisms, check_jacobiator_identity_categorical,
-                          from_linfty, jacobiator)
+from lie2alg.exactlin import (RMatrix, contract, invert, kron, pivot_columns, rank_kernel,
+                              solve_linear, vadd, vneg, vscale, vsub, vunit, vzeros)
+from lie2alg.lie2 import (DifferentialCrossedModule, SemistrictLie2Algebra, _as_object,
+                          _compose_padded, bracket_morphisms, check_crossed_module,
+                          check_jacobiator_identity_categorical, from_linfty, jacobiator)
 from lie2alg.linfty import (LInfHom, TwoTermLInfinity, _graded_bracket, _graded_element,
                             antisymmetry_violations, basis_tuples, check_axioms, check_hom,
                             integral,
@@ -87,8 +94,9 @@ from lie2alg.report import CheckReport, CheckResult, first_violation, grid_viola
 from lie2alg.serialize import FixtureError, tensor_from_json
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, Skeletalization, TwoTermComplex,
                              compose_chain_maps, identity_chain_map, skeletalize_complex)
-from lie2alg.twovect import (CellVert, LinearNatTrans, Morphism, check_nat_trans,
-                             compose_functors, compose_morphisms, direct_sum, eval_cell_expr,
+from lie2alg.twovect import (CellVert, LinearFunctor, LinearNatTrans, Morphism, S_on_functor,
+                             S_on_nat_trans, TwoVectorSpace, check_nat_trans, compose_functors,
+                             compose_morphisms, direct_sum, eval_cell_expr, functor_S, functor_T,
                              ground_field, identity_functor, identity_morphism, tensor_2vs,
                              tensor_functor, vertical_nat)
 from conftest import broken_abelian4, broken_abelian4_thirds, conjugate, inflate
@@ -1080,10 +1088,15 @@ def algebra_representations(draw):
 def test_lie_algebra_and_representation_match_product_sweeps(r):
     """With an antisymmetric bracket the Jacobiator and rho([x, y]) -
     [rho x, rho y] are swept on increasing tuples only: the same first
-    Jacobi violation (which `check_crossed_module` reads too) and the same
-    reports, first failing tuple and exact residual included."""
+    Jacobi violation, in `check_crossed_module` for g and for h too, and
+    the same reports, first failing tuple and exact residual included."""
     b = r.algebra.bracket
-    assert jacobi_violations(b) == jacobi_violations_product_sweep(b)
+    assert (jacobi_violations(b, not antisymmetry_violations(b))
+            == jacobi_violations_product_sweep(b))
+    dcm = check_crossed_module(DifferentialCrossedModule(len(b), b, len(b), b,
+                                                         RMatrix.identity(len(b)), b))
+    assert (dcm.result("g_jacobi").violations == dcm.result("h_jacobi").violations
+            == jacobi_violations_product_sweep(b))
     assert (check_lie_algebra(r.algebra).to_json()
             == check_lie_algebra_product_sweep(r.algebra).to_json())
     new, old = check_representation(r), check_representation_product_sweep(r)
@@ -1386,7 +1399,8 @@ def test_representation_check_matches_rmatrix_sweep(r):
     """The nonzero-list Jacobiator and the row-dict residual of rho give
     the reports of the `contract` and `RMatrix` sweeps: the same tuples,
     the same first violation and the same first four residual entries."""
-    assert jacobi_violations(r.algebra.bracket) == jacobi_violations_contract(r.algebra.bracket)
+    b = r.algebra.bracket
+    assert jacobi_violations(b, not antisymmetry_violations(b)) == jacobi_violations_contract(b)
     assert (check_lie_algebra(r.algebra).to_json()
             == check_lie_algebra_contract(r.algebra).to_json())
     new, old = check_representation(r), check_representation_rmatrix_sweep(r)
@@ -1405,3 +1419,78 @@ def test_coboundary_cells_match_every_pair_generator(r):
         assert list(_coboundary_cells(r, n)) == old
         assert coboundary_matrix(r, n) == RMatrix.from_cells(comb(dim, n + 1) * dimV,
                                                              comb(dim, n) * dimV, old)
+
+
+# ---------------------------------------------------------------------------
+# S on functors and natural transformations against a solve per column
+
+def S_on_functor_solve(F: LinearFunctor) -> ChainMap:
+    """Restrict F1 to ker(s), expressed in the kernel bases."""
+    src, dst = functor_S(F.source), functor_S(F.target)
+    K, Kp = F.source.ker_s(), F.target.ker_s()
+    img = F.f1 @ K
+    cols = []
+    for j in range(img.cols):
+        x = solve_linear(Kp, img.col(j))
+        if x is None:
+            raise ValueError("functor does not preserve ker(s); cannot transport")
+        cols.append(x)
+    phi1 = RMatrix.from_cols(cols, rows=Kp.cols)
+    return ChainMap(src, dst, F.f0, phi1)
+
+
+def S_on_nat_trans_solve(n: LinearNatTrans) -> ChainHomotopy:
+    """tau(x) = arrow part of theta(x), written in the target kernel basis."""
+    Kp = n.from_functor.target.ker_s()
+    W = n.from_functor.target
+    arr = n.theta - W.i @ (W.s @ n.theta)
+    cols = []
+    for j in range(arr.cols):
+        x = solve_linear(Kp, arr.col(j))
+        assert x is not None, "arrow parts always lie in ker(s)"
+        cols.append(x)
+    tau = RMatrix.from_cols(cols, rows=Kp.cols)
+    return ChainHomotopy(S_on_functor_solve(n.from_functor),
+                         S_on_functor_solve(n.to_functor), tau)
+
+
+@st.composite
+def parallel_functors(draw):
+    """Two functors between the same two 2-vector spaces, functor_T of
+    drawn complexes, each often conjugated so that no kernel vector is a
+    unit vector.  f1 = K R + Q s maps ker(s) into the target's ker(s),
+    unless one drawn cell is added to it."""
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.sampled_from(rationals))
+
+    def grid(rows, cols):
+        return RMatrix.from_rows([[draw(entry) for _ in range(cols)] for _ in range(rows)], cols)
+
+    def space():
+        v = functor_T(draw(complexes()))
+        if not draw(st.booleans()):
+            return v
+        p0, p1 = unipotent(draw, v.dim0), unipotent(draw, v.dim1)
+        p0i, p1i = invert(p0), invert(p1)
+        return TwoVectorSpace(v.dim0, v.dim1, p0 @ v.s @ p1i, p0 @ v.t @ p1i, p1 @ v.i @ p0i)
+
+    v, w = space(), space()
+
+    def functor():
+        f1 = w.ker_s() @ grid(w.ker_s().cols, v.dim1) + grid(w.dim1, v.dim0) @ v.s
+        if w.dim1 and v.dim1 and draw(st.booleans()):
+            cell = (draw(st.integers(0, w.dim1 - 1)), draw(st.integers(0, v.dim1 - 1)))
+            f1 = f1 + RMatrix.from_cells(w.dim1, v.dim1, [(cell, draw(st.integers(1, 3)))])
+        return LinearFunctor(v, w, grid(w.dim0, v.dim0), f1)
+    return functor(), functor(), grid(w.dim1, v.dim0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parallel_functors())
+def test_S_matches_solve_per_column(case):
+    """The same chain map or the same refusal, and the same homotopy, as
+    solving against the echelon kernel basis one column at a time."""
+    F, G, theta = case
+    assert _raised(S_on_functor, F) == _raised(S_on_functor_solve, F)
+    if _raised(S_on_functor, F)[1] is None and _raised(S_on_functor, G)[1] is None:
+        n = LinearNatTrans(F, G, theta)
+        assert S_on_nat_trans(n) == S_on_nat_trans_solve(n)
