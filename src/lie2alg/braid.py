@@ -112,7 +112,7 @@ def build_Y(L: SemistrictLie2Algebra) -> TetraY:
     n0 = L.dim0
     arrows = (((1 + n0 + m, col), c)  # flat (0, 0, 1 + n0 + m) in the morphism cube
               for col, trip in enumerate(product(range(lp.dim0), repeat=3)) if all(trip)
-              for m, c in enumerate(v.l3_eval(*(L.object_basis(t - 1) for t in trip))))
+              for m, c in enumerate(v.l3_eval(*(t - 1 for t in trip))))
     jacobiator = RMatrix.from_cells(lp.dim1 ** 3, lp.dim0 ** 3, arrows)
     y = LinearNatTrans(yb_source, yb_target, lp3.i @ yb_source.f0 + jacobiator)
     hypotheses.extend(check_nat_trans(y), prefix="y_")

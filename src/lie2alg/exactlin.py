@@ -105,11 +105,16 @@ def contract(tensor: list, dim: int, *vecs) -> list:
 
     ``contract(t, dim, u, v)`` is the vector of length dim whose m-th
     entry is the sum of u[i] v[j] t[i][j][m]; zero coefficients are
-    skipped.  This is the one evaluator of every multilinear structure
+    skipped.  A slot may take a basis index i instead of the unit vector
+    e_i, which selects the sub-tensor t[i] with no search for the
+    nonzero.  This is the one evaluator of every multilinear structure
     map in the package: brackets, actions, Jacobiators and phi2.
     """
     terms = [(tensor, 1)]  # (sub-tensor, product of the coefficients chosen so far)
     for vec in vecs:
+        if type(vec) is int:
+            terms = [(t[vec], c) for t, c in terms]
+            continue
         nxt = []
         for i, x in enumerate(vec):
             if x:

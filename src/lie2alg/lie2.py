@@ -126,14 +126,17 @@ def check_jacobiator_identity_categorical(L: SemistrictLie2Algebra) -> CheckRepo
     A composite in T(C) is its first source followed by the sum of its
     arrow parts.  Both composites start at [[[w,x],y],z], so the
     residual's source part is zero and only the arrow parts are compared.
-    A J term's arrow part is l3; a Br term's is a contraction of the arrow
-    block of the bracket, tabulated once on basis morphisms.
+    A J term's arrow part is l3.  A Br term's is a contraction of the
+    arrow block of the bracket, tabulated once on a basis arrow and a
+    basis identity.
 
     Each arrow part is l3 after l2 or l2 after l3: one Br argument is
     always an identity, whose arrow part is zero, so the d l2 block of
-    the bracket never enters.  The residual is therefore a homogeneous
-    quadratic polynomial in the structure constants, and the sweep runs
-    over the integers on D v (`integral`), dividing the first
+    the bracket never enters, and neither does the source part
+    [[x,y],z] of the Jacobiator in the other argument: the bracket of
+    two identities has arrow part zero.  The residual is therefore a
+    homogeneous quadratic polynomial in the structure constants, and the
+    sweep runs over the integers on D v (`integral`), dividing the first
     violation's residual by D^2.
 
     Once (a) and (d) hold (`is_alternating`), the residual is
@@ -146,27 +149,24 @@ def check_jacobiator_identity_categorical(L: SemistrictLie2Algebra) -> CheckRepo
     swept.
     """
     rep = CheckReport("jacobiator_identity_octagon")
-    alternating = is_alternating(L.data)
     D, v = integral(L.data)
+    alternating = is_alternating(v)
     if D > 1:
         L = from_linfty(v)
-    n0, N, b, J = L.dim0, L.space.dim1, v.l2_00, v.l3_eval
-    e = [L.object_basis(i) for i in range(n0)]
-    one = [identity_morphism(L.space, x).vec for x in e]
-    arrows = [Morphism(L.space, vunit(N, p)) for p in range(N)]
-    BR = [[bracket_morphisms(L, f, g).vec[n0:] for g in arrows] for f in arrows]
-    JV = [[[jacobiator(L, i, j, k).vec for k in range(n0)] for j in range(n0)]
-          for i in range(n0)]
-
-    def Br(f, g):
-        return contract(BR, v.dim1, f, g)
+    n0, n1, b, l3, J = L.dim0, v.dim1, v.l2_00, v.l3, v.l3_eval
+    one = [identity_morphism(L.space, L.object_basis(i)) for i in range(n0)]
+    arrows = [L.morphism(vzeros(n0), vunit(n1, a)) for a in range(n1)]
+    # arrow parts of [f_a, 1_y] and of [1_w, f_a]
+    arrow_one = [[bracket_morphisms(L, f, g).vec[n0:] for g in one] for f in arrows]
+    one_arrow = [[bracket_morphisms(L, f, g).vec[n0:] for g in arrows] for f in one]
 
     def residuals():
         for w, x, y, z in basis_tuples(n0, 4, alternating):
-            lhs = [J(b[w][x], e[y], e[z]), Br(JV[w][x][z], one[y]),
-                   J(e[w], b[x][z], e[y]), J(b[w][z], e[x], e[y]), J(e[w], e[x], b[y][z])]
-            rhs = [Br(JV[w][x][y], one[z]), J(b[w][y], e[x], e[z]), J(e[w], b[x][y], e[z]),
-                   Br(JV[w][y][z], one[x]), Br(one[w], JV[x][y][z])]
+            lhs = [J(b[w][x], y, z), contract(arrow_one, n1, l3[w][x][z], y),
+                   J(w, b[x][z], y), J(b[w][z], x, y), J(w, x, b[y][z])]
+            rhs = [contract(arrow_one, n1, l3[w][x][y], z), J(b[w][y], x, z),
+                   J(w, b[x][y], z), contract(arrow_one, n1, l3[w][y][z], x),
+                   contract(one_arrow[w], n1, l3[x][y][z])]
             yield (w, x, y, z), vzeros(n0) + [sum(p) - sum(q)
                                               for p, q in zip(zip(*lhs), zip(*rhs))]
     rep.add("octagon", unscaled(first_violation(residuals()), D))
@@ -414,17 +414,16 @@ def check_crossed_module(m: DifferentialCrossedModule) -> CheckReport:
         rep.add(f"{name}_jacobi", jacobi_violations(b, antisymmetric))
 
     g, h, t, alpha = m.g_dim, m.h_dim, m.t, m.alpha
-    hb = [vunit(h, a) for a in range(h)]
     rep.add("t_homomorphism", first_violation(
         ((a, b), vsub(t.matvec(m.h_bracket[a][b]), contract(m.g_bracket, g, t.col(a), t.col(b))))
         for a in range(h) for b in range(h)))
     rep.add("derivation", first_violation(
         ((i, a, b), vsub(contract(alpha[i], h, m.h_bracket[a][b]),
-                         vadd(contract(m.h_bracket, h, alpha[i][a], hb[b]),
-                              contract(m.h_bracket, h, hb[a], alpha[i][b]))))
+                         vadd(contract(m.h_bracket, h, alpha[i][a], b),
+                              contract(m.h_bracket, h, a, alpha[i][b]))))
         for i in range(g) for a in range(h) for b in range(h)))
     rep.add("action_homomorphism", first_violation(
-        ((i, j, a), vsub(contract(alpha, h, m.g_bracket[i][j], hb[a]),
+        ((i, j, a), vsub(contract(alpha, h, m.g_bracket[i][j], a),
                          vsub(contract(alpha[i], h, alpha[j][a]),
                               contract(alpha[j], h, alpha[i][a]))))
         for i in range(g) for j in range(g) for a in range(h)))
@@ -432,10 +431,10 @@ def check_crossed_module(m: DifferentialCrossedModule) -> CheckReport:
         ((i, a), vsub(t.matvec(alpha[i][a]), contract(m.g_bracket[i], g, t.col(a))))
         for i in range(g) for a in range(h)))
     rep.add("peiffer", first_violation(
-        ((a, b), vsub(contract(alpha, h, t.col(a), hb[b]), m.h_bracket[a][b]))
+        ((a, b), vsub(contract(alpha, h, t.col(a), b), m.h_bracket[a][b]))
         for a in range(h) for b in range(h)))
     rep.add("peiffer_antisymmetry", first_violation(
-        ((a, b), vadd(contract(alpha, h, t.col(a), hb[b]), contract(alpha, h, t.col(b), hb[a])))
+        ((a, b), vadd(contract(alpha, h, t.col(a), b), contract(alpha, h, t.col(b), a)))
         for a in range(h) for b in range(h)))
     return rep
 
@@ -454,12 +453,7 @@ def to_crossed_module(L: SemistrictLie2Algebra) -> DifferentialCrossedModule:
     if not is_strict(L):
         raise ValueError("only strict Lie 2-algebras come from crossed modules")
     v = L.data
-    h_bracket = []
-    for a in range(v.dim1):
-        row = []
-        for b in range(v.dim1):
-            row.append(v.act(v.d.col(a), vunit(v.dim1, b)))
-        h_bracket.append(row)
+    h_bracket = [[v.act(v.d.col(a), b) for b in range(v.dim1)] for a in range(v.dim1)]
     return DifferentialCrossedModule(v.dim0, [[list(x) for x in r] for r in v.l2_00],
                                      v.dim1, h_bracket, v.d,
                                      [[list(x) for x in r] for r in v.l2_01])

@@ -258,6 +258,28 @@ def test_classify_rejects_invalid():
         classify(from_linfty(broken_abelian4()))
 
 
+@pytest.mark.parametrize("broken, message", [
+    ("i_jacobiator_coherence", "transported l3 is not a cocycle"),
+    ("h_l3_naturality", "transported structure fails the axioms")])
+def test_classify_names_the_failed_check_of_the_skeleton(monkeypatch, broken, message):
+    """One check_axioms call on the skeleton stands for the cocycle check
+    too: a failing (i) raises the cocycle message, any other axiom the
+    axioms message."""
+    import lie2alg.cohomology as cohomology
+    calls = []
+
+    def check_axioms_failing_on_the_skeleton(v):
+        rep = check_axioms(v)
+        calls.append(v)
+        if len(calls) == 2:
+            rep.result(broken).passed = False
+        return rep
+    monkeypatch.setattr(cohomology, "check_axioms", check_axioms_failing_on_the_skeleton)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        classify(build_g_hbar(so3_algebra(), 1))
+    assert len(calls) == 2
+
+
 def test_classify_equivalence_invariance(rng):
     base, twisted, _ = delta_twist_pair(rng)
     q1 = classify(from_linfty(base))
