@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 from .exactlin import (DimensionMismatch, RMatrix, contract, rank_kernel, solve_linear, vadd,
@@ -18,7 +18,7 @@ from .exactlin import (DimensionMismatch, RMatrix, contract, rank_kernel, solve_
 from .lie2 import SemistrictLie2Algebra, from_linfty
 from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
                      basis_tuples, check_axioms, jacobi_violations, l3_compatibility_residuals,
-                     nonzero_terms, perm_sign)
+                     nonzero_terms, perm_sign, zero_l3)
 from .report import CheckReport, first_violation
 from .serialize import (FixtureError, as_count, mat_to_json, need, tensor_from_json,
                         tensor_to_json)
@@ -288,36 +288,22 @@ def cohomology_dim(rep: Representation, n: int) -> int:
 # ---------------------------------------------------------------------------
 # two-slot structures built from a representation and a cocycle
 
-@dataclass
-class TwoSlotRecord:
-    """General-n two-slot data (V0 and V_n with d = 0): the three
-    conditions that carry all of its content, validated."""
-
-    rep: Representation
-    slot: int
-    cocycle: Cochain
-    report: CheckReport
-
-
-def build_two_slot(rep: Representation, n: int, w: Cochain):
-    """For n = 1 materialize the two-term structure; for n > 1 validate
-    the Jacobi, representation and cocycle conditions only."""
-    if w.degree != n + 2:
-        raise DimensionMismatch(f"cocycle degree {w.degree}, expected {n + 2}")
-    if w.rep != rep:
-        raise DimensionMismatch("cocycle representation mismatch")
-    if n == 1:
-        g = rep.algebra
-        cx = TwoTermComplex(g.dim, rep.dimV, RMatrix.zeros(g.dim, rep.dimV))
-        l2_01 = [[rep.rho[i].col(a) for a in range(rep.dimV)] for i in range(g.dim)]
-        l3 = [[[w.evaluate((i, j, k)) for k in range(g.dim)]
-               for j in range(g.dim)] for i in range(g.dim)]
-        return TwoTermLInfinity(cx, [[list(v) for v in row] for row in g.bracket],
-                                l2_01, l3)
-    report = CheckReport("two_slot")
-    report.extend(check_representation(rep))
-    report.add("cocycle", first_violation(sorted(coboundary(w).values.items())))
-    return TwoSlotRecord(rep, n, w, report)
+def build_two_slot(w: Cochain) -> TwoTermLInfinity:
+    """The two-term structure of (g, V, rho, w) with d = 0: the bracket of
+    g, rho as l2_01 and l3 = w, written at every ordering of each stored
+    key with its permutation sign; triples with a repeat and keys not
+    stored are zero."""
+    if w.degree != 3:
+        raise DimensionMismatch(f"cocycle degree {w.degree}, expected 3")
+    rep, g = w.rep, w.rep.algebra
+    cx = TwoTermComplex(g.dim, rep.dimV, RMatrix.zeros(g.dim, rep.dimV))
+    l2_01 = [[rep.rho[i].col(a) for a in range(rep.dimV)] for i in range(g.dim)]
+    l3 = zero_l3(g.dim, rep.dimV)
+    for key, val in w.values.items():
+        for perm in permutations(range(3)):
+            i, j, k = (key[p] for p in perm)
+            l3[i][j][k] = vscale(perm_sign(perm), val)
+    return TwoTermLInfinity(cx, [[list(v) for v in row] for row in g.bracket], l2_01, l3)
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +322,18 @@ def classify(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
     """Skeletalize the complex, transport the brackets along the
     equivalence, and read off (g, V, rho, [l3]).
 
-    The inclusion must be an L-infinity homomorphism, which forces the
-    transported pieces: its phi2 is -tau([u., u.]), and its l3 equation
-    (`l3_compatibility_residuals`), swept with the skeleton's l3 set to
-    zero, leaves the residual -u1 l3, so l3 = -v1 (residual).  Only
-    increasing triples are read.  That is exact: a structure that fails
-    an axiom is refused with a ValueError naming the first failing one
-    before anything is transported, and on one that passes the
-    transported l3 is alternating, so `build_two_slot` fills every other
-    triple with the value the equation gives there.  Everything is
-    verified before returning: the skeleton has d = 0, so its axiom (i)
-    is the cocycle condition on l3, and one `check_axioms` call checks
-    both.
+    The inclusion `sk.include` must be an L-infinity homomorphism, the
+    witness, which forces the transported pieces: its phi2 is
+    -tau([u., u.]), and its l3 equation (`l3_compatibility_residuals`),
+    swept with the skeleton's l3 set to zero, leaves the residual -u1 l3,
+    so l3 = -v1 (residual).  Only increasing triples are read.  That is
+    exact: a structure that fails an axiom is refused with a ValueError
+    naming the first failing one before anything is transported, and on
+    one that passes the transported l3 is alternating, so the orderings
+    `build_two_slot` writes of each key carry the value the equation
+    gives there.  Everything is verified before returning: the skeleton
+    has d = 0, so its axiom (i) is the cocycle condition on l3, and one
+    `check_axioms` call checks both.
     """
     v = L.data
     axioms = check_axioms(v)
@@ -366,9 +352,8 @@ def classify(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
             for i in range(n0)]
     algebra = LieAlgebra(n0, bracket)
     rep = Representation(algebra, n1, rho)
-    chain = ChainMap(sk.skeletal, v.complex, u0, u1)
 
-    flat = LInfHom(build_two_slot(rep, 1, Cochain(rep, 3)), v, chain, phi2)
+    flat = LInfHom(build_two_slot(Cochain(rep, 3)), v, sk.include, phi2)
     vals = {}
     for key, resid in l3_compatibility_residuals(flat, combinations(range(n0), 3)):
         r = vneg(resid)
@@ -378,8 +363,8 @@ def classify(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
         if any(x != 0 for x in val):
             vals[key] = val
     cocycle = Cochain(rep, 3, vals)
-    skeletal = build_two_slot(rep, 1, cocycle)
-    witness = LInfHom(skeletal, v, chain, phi2)
+    skeletal = build_two_slot(cocycle)
+    witness = LInfHom(skeletal, v, sk.include, phi2)
     axioms = check_axioms(skeletal)
     if not axioms.result("i_jacobiator_coherence").passed:   # d = 0: (i) is delta l3 = 0
         raise AssertionError("transported l3 is not a cocycle")
@@ -388,7 +373,7 @@ def classify(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
     return ClassifyingQuadruple(algebra, rep, cocycle, skeletal, witness)
 
 
-def equivalence_from_cohomologous(rep: Representation, w1: Cochain, w2: Cochain):
+def equivalence_from_cohomologous(w1: Cochain, w2: Cochain):
     """Explicit invertible homomorphism two_slot(w1) -> two_slot(w2) when
     w1 and w2 are cohomologous: the identity chain map with phi2 a primitive
     of w1 - w2 found by solving the coboundary system.
@@ -398,13 +383,14 @@ def equivalence_from_cohomologous(rep: Representation, w1: Cochain, w2: Cochain)
     forward direction (equivalent inputs give cohomologous outputs) is a
     test, this produces the witness for the converse.
     """
-    m = coboundary_matrix(rep, 2)
-    sol = solve_linear(m, cochain_to_coords(w1 - w2))
+    diff = w1 - w2  # refuses cochains over different representations
+    rep = diff.rep
+    sol = solve_linear(coboundary_matrix(rep, 2), cochain_to_coords(diff))
     if sol is None:
         return None
     theta = coords_to_cochain(rep, 2, sol)
-    src = build_two_slot(rep, 1, w1)
-    dst = build_two_slot(rep, 1, w2)
+    src = build_two_slot(w1)
+    dst = build_two_slot(w2)
     n0 = rep.algebra.dim
     phi2 = [[theta.evaluate((i, j)) for j in range(n0)] for i in range(n0)]
     return LInfHom(src, dst, ChainMap(src.complex, dst.complex,
@@ -437,17 +423,13 @@ def killing_triple_cochain(g: LieAlgebra, scale=1) -> Cochain:
 
 def build_g_hbar(g: LieAlgebra, hbar) -> SemistrictLie2Algebra:
     """The skeletal structure on (g, Q, trivial) with l3 = hbar <x,[y,z]>."""
-    rep = trivial_rep(g, 1)
-    w = killing_triple_cochain(g, hbar)
-    return from_linfty(build_two_slot(rep, 1, w))
+    return from_linfty(build_two_slot(killing_triple_cochain(g, hbar)))
 
 
 def build_cross_product() -> SemistrictLie2Algebra:
     """Q^3 with the cross product and l3(x, y, z) = x . (y x z)."""
     g = so3_algebra()
-    rep = trivial_rep(g, 1)
-    w = Cochain(rep, 3, {(0, 1, 2): [1]})
-    return from_linfty(build_two_slot(rep, 1, w))
+    return from_linfty(build_two_slot(Cochain(trivial_rep(g, 1), 3, {(0, 1, 2): [1]})))
 
 
 def so3_algebra() -> LieAlgebra:

@@ -267,11 +267,6 @@ def check_axioms(v: TwoTermLInfinity) -> CheckReport:
     return rep
 
 
-AXIOM_NAMES = ["a_bracket_antisymmetry", "b_mixed_antisymmetry", "c_bracket_degree_two",
-               "d_l3_antisymmetry", "e_differential_action", "f_differential_symmetry",
-               "g_jacobi_up_to_d", "h_l3_naturality", "i_jacobiator_coherence"]
-
-
 # ---------------------------------------------------------------------------
 # clearing denominators for the sweeps
 

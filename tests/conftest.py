@@ -106,7 +106,7 @@ def broken_abelian4() -> TwoTermLInfinity:
     passes (a)-(h), fails exactly (i) at (e1, e2, e3, e4)."""
     g4 = abelian_algebra(4)
     rep = trivial_rep(g4, 1)
-    v = build_two_slot(rep, 1, Cochain(rep, 3, {(0, 1, 2): [1]}))
+    v = build_two_slot(Cochain(rep, 3, {(0, 1, 2): [1]}))
     v.l2_01[3][0][0] = 1
     return v
 
@@ -158,6 +158,6 @@ def delta_twist_pair(rng, g=None, hbar=1):
     rep = trivial_rep(g, 1)
     w = killing_triple_cochain(g, hbar)
     theta = rand_cochain(rng, rep, 2)
-    v1 = build_two_slot(rep, 1, w)
-    v2 = build_two_slot(rep, 1, w + coboundary(theta))
+    v1 = build_two_slot(w)
+    v2 = build_two_slot(w + coboundary(theta))
     return v1, v2, theta

@@ -114,9 +114,9 @@ def test_criterion_5_tetrahedron_bi_implication(rng, ghbar_so3_1, tetra_so3_1):
         from_crossed_module(strict_dcm),                            # strict, d != 0
         ghbar_so3_1,
         from_linfty(broken_abelian4()),
-        from_linfty(build_two_slot(rep3, 1, Cochain(rep3, 3, {(0, 1, 2): [1]}))),
-        from_linfty(build_two_slot(rep_act, 1, Cochain(rep_act, 3, {}))),
-        from_linfty(build_two_slot(rep_so3, 1, twisted)),           # random valid
+        from_linfty(build_two_slot(Cochain(rep3, 3, {(0, 1, 2): [1]}))),
+        from_linfty(build_two_slot(Cochain(rep_act, 3, {}))),
+        from_linfty(build_two_slot(twisted)),           # random valid
     ]
     broken = family[3]
     for L in family:
@@ -271,7 +271,7 @@ def linf_hom_family(rng, length=2):
     cochains = [w]
     for th in thetas:
         cochains.insert(0, cochains[0] + coboundary(th))
-    structures = [build_two_slot(rep, 1, c) for c in cochains]
+    structures = [build_two_slot(c) for c in cochains]
     homs = []
     for idx, th in enumerate(reversed(thetas)):
         src, dst = structures[idx], structures[idx + 1]

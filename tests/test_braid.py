@@ -91,14 +91,14 @@ def test_ybe_matrix_dimension():
 
 def small_strict():
     rep = trivial_rep(abelian_algebra(2), 1)
-    return from_linfty(build_two_slot(rep, 1, Cochain(rep, 3, {})))
+    return from_linfty(build_two_slot(Cochain(rep, 3, {})))
 
 
 def abelian3_volume():
     """Abelian objects with l3 the volume form: valid and skeletal but not
     strict; the smallest structure with nontrivial Y components."""
     rep = trivial_rep(abelian_algebra(3), 1)
-    return from_linfty(build_two_slot(rep, 1, Cochain(rep, 3, {(0, 1, 2): [1]})))
+    return from_linfty(build_two_slot(Cochain(rep, 3, {(0, 1, 2): [1]})))
 
 
 def test_braid_functor_is_a_functor(ghbar_so3_1, tetra_so3_1):
@@ -171,7 +171,7 @@ def test_tetrahedron_with_nontrivial_action_passes():
     from lie2alg.cohomology import Representation
     g = abelian_algebra(2)
     rep = Representation(g, 1, [RMatrix.from_rows([[1]]), RMatrix.from_rows([[2]])])
-    v = build_two_slot(rep, 1, Cochain(rep, 3, {}))
+    v = build_two_slot(Cochain(rep, 3, {}))
     ty = build_Y(from_linfty(v))
     assert check_zamolodchikov(ty).passed
 

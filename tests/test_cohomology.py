@@ -15,7 +15,7 @@ from lie2alg.cohomology import (Cochain, LieAlgebra, Representation, _coboundary
                                 is_cocycle, is_coboundary, killing_form,
                                 killing_triple_cochain, rep_from_json, rep_to_json,
                                 sl_algebra, so3_algebra, sl2_algebra, trivial_rep)
-from lie2alg.exactlin import RMatrix, rank_kernel
+from lie2alg.exactlin import DimensionMismatch, RMatrix, rank_kernel
 from lie2alg.lie2 import from_linfty
 from lie2alg.linfty import check_axioms, check_hom
 from conftest import (broken_jacobi3, delta_twist_pair, inflate,
@@ -144,7 +144,7 @@ def test_coboundary_matrix_matches_pointwise(rng):
 
 def test_two_slot_strict_case():
     rep = trivial_rep(so3_algebra(), 1)
-    v = build_two_slot(rep, 1, Cochain(rep, 3, {}))
+    v = build_two_slot(Cochain(rep, 3, {}))
     assert check_axioms(v).passed
     L = from_linfty(v)
     from lie2alg.lie2 import is_strict, is_skeletal
@@ -164,34 +164,19 @@ def test_two_slot_cocycle_bi_implication(rng):
         w = rand_cochain(rng, rep, 3)
         closed = is_cocycle(w)
         seen[closed] += 1
-        assert check_axioms(build_two_slot(rep, 1, w)).passed == closed
+        assert check_axioms(build_two_slot(w)).passed == closed
     assert seen[True] > 0 and seen[False] > 0
     # the named broken fixture is this bi-implication at a single point
     w = Cochain(rep_mod, 3, {(0, 1, 2): [1]})
     assert not is_cocycle(w)
-    assert not check_axioms(build_two_slot(rep_mod, 1, w)).passed
-
-
-def test_two_slot_general_n_record():
-    g = so3_algebra()
-    rep = trivial_rep(g, 1)
-    # degree 4 cochain on a 3-dimensional algebra is forced to vanish
-    rec = build_two_slot(rep, 2, Cochain(rep, 4, {}))
-    assert rec.report.passed
-    assert rec.slot == 2
-    # a non-closed degree-4 input is detected (needs dim 5 so that C^5 != 0)
-    g5 = abelian_algebra(5)
-    rep5 = Representation(g5, 1, [RMatrix.zeros(1, 1) for _ in range(4)]
-                          + [RMatrix.identity(1)])
-    bad = build_two_slot(rep5, 2, Cochain(rep5, 4, {(0, 1, 2, 3): [1]}))
-    assert not bad.report.passed
-    assert [c.name for c in bad.report.checks if not c.passed] == ["cocycle"]
+    assert not check_axioms(build_two_slot(w)).passed
 
 
 def test_two_slot_degree_mismatch():
     rep = trivial_rep(so3_algebra(), 1)
-    with pytest.raises(Exception):
-        build_two_slot(rep, 1, Cochain(rep, 2, {}))
+    for degree in (2, 4):
+        with pytest.raises(DimensionMismatch, match=f"cocycle degree {degree}, expected 3"):
+            build_two_slot(Cochain(rep, degree, {}))
 
 
 def test_killing_values_and_invariance():
@@ -299,12 +284,15 @@ def test_equivalence_from_cohomologous(rng):
     rep = trivial_rep(so3_algebra(), 1)
     w = killing_triple_cochain(so3_algebra(), 1)
     theta = rand_cochain(rng, rep, 2)
-    hom = equivalence_from_cohomologous(rep, w + coboundary(theta), w)
+    hom = equivalence_from_cohomologous(w + coboundary(theta), w)
     assert hom is not None
     assert check_hom(hom).passed
     assert hom.chain.phi0 == RMatrix.identity(3)
     # different classes give no witness
-    assert equivalence_from_cohomologous(rep, w.scale(2), w) is None
+    assert equivalence_from_cohomologous(w.scale(2), w) is None
+    # cochains over different representations are refused
+    with pytest.raises(DimensionMismatch, match="different representations"):
+        equivalence_from_cohomologous(w, Cochain(adjoint_rep(so3_algebra()), 3))
 
 
 def test_json_round_trips(rng):
@@ -421,14 +409,3 @@ def test_abelian16_delta8_yields_no_cell():
 @settings(max_examples=150, deadline=None)
 def test_coboundary_matches_pointwise_oracle(w):
     assert coboundary(w).values == coboundary_pointwise(w).values
-
-
-def test_two_slot_cocycle_report_names_first_nonzero_key():
-    """For n > 1 build_two_slot only validates; a cochain that is not
-    closed is reported at the first key where its delta is nonzero."""
-    rep = trivial_rep(sl_algebra(3), 1)
-    w = Cochain(rep, 4, {(4, 5, 6, 7): [1]})
-    dw = coboundary_pointwise(w).values
-    check = build_two_slot(rep, 2, w).report.result("cocycle")
-    assert not check.passed
-    assert check.first_violation == (min(dw), dw[min(dw)])

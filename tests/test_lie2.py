@@ -130,7 +130,7 @@ def test_octagon_agreement_randomized(rng):
                              + [RMatrix.identity(1)])
     for _ in range(8):
         rep = rep_mod if rng.random() < 0.5 else trivial_rep(so3_algebra(), 1)
-        instances.append(build_two_slot(rep, 1, rand_cochain(rng, rep, 3)))
+        instances.append(build_two_slot(rand_cochain(rng, rep, 3)))
     for v in instances:
         # octagon needs the bracket functor laws, i.e. (a)-(h); all these
         # instances satisfy them by construction
@@ -180,11 +180,7 @@ def test_strict_skeletal_predicates():
     assert not is_strict(gh) and is_skeletal(gh)
     dcm_img = from_crossed_module(so3_adjoint_dcm())
     assert is_strict(dcm_img) and not is_skeletal(dcm_img)
-    zero = from_linfty(build_two_slot(trivial_rep(abelian_algebra(2), 1), 1,
-                                      Cochain(trivial_rep(abelian_algebra(2), 1), 3, {})))
-    # rebuild with matching rep to avoid distinct instances
-    rep = trivial_rep(abelian_algebra(2), 1)
-    zero = from_linfty(build_two_slot(rep, 1, Cochain(rep, 3, {})))
+    zero = from_linfty(build_two_slot(Cochain(trivial_rep(abelian_algebra(2), 1), 3, {})))
     assert is_strict(zero) and is_skeletal(zero)
 
 

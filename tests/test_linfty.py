@@ -125,7 +125,7 @@ def test_oracle_equivalence_on_random_family(rng):
     for _ in range(12):
         n0 = rng.randint(1, 3)
         rep = trivial_rep(abelian_algebra(n0), 1)
-        v = build_two_slot(rep, 1, Cochain(rep, 3, {}))
+        v = build_two_slot(Cochain(rep, 3, {}))
         for i in range(n0):
             v.l2_01[i][0][0] = rng.randint(-2, 2)
         if rng.random() < 0.5 and n0 >= 3:
