@@ -143,11 +143,11 @@ def cmd_check_dcm(args, rep: Report) -> None:
 
 # Largest number of nonzeros, by cohomology.coboundary_nnz_bound, of the deltas a
 # command eliminates: delta_(n-1) and delta_n for `cohomology --degree n`, delta_(n-1)
-# for `is-cocycle`.  H^8(sl4, trivial) bounds at 219,648 and takes 1 s at 40 MB peak
-# RSS; H^4(sl4, adjoint) at 524,160 and 7 s at 125 MB, nearly all of it eliminating
-# delta_4.  Refused: H^5(sl4, adjoint) at 1,345,344 (31 s at 338 MB with the limit
+# for `is-cocycle`.  H^8(sl4, trivial) bounds at 219,648 and takes 0.7 s at 36 MB peak
+# RSS; H^4(sl4, adjoint) at 524,160 and 3 s at 110 MB, nearly all of it eliminating
+# delta_4.  Refused: H^5(sl4, adjoint) at 1,345,344 (13 s at 280 MB with the limit
 # lifted), and is-cocycle of a zero 4-cochain over sl5 adjoint, whose delta_3 bounds at
-# 1,235,696 (17 s at 315 MB).  (CLI runs on 2 CPUs, Python 3.11.)
+# 1,235,696 (9 s at 308 MB).  (CLI runs on 2 CPUs, Python 3.11.)
 COHOMOLOGY_MAX_NNZ = 600_000
 
 

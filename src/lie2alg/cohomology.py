@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb
 
-from .exactlin import (DimensionMismatch, RMatrix, contract, rank_kernel, solve_linear, vadd,
-                       vneg, vscale, vzeros)
+from .exactlin import (DimensionMismatch, RMatrix, contract, pivot_columns, rank_kernel,
+                       solve_linear, vadd, vneg, vscale, vzeros)
 from .lie2 import SemistrictLie2Algebra, from_linfty
 from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
                      basis_tuples, check_axioms, jacobi_violations, l3_compatibility_residuals,
@@ -264,7 +264,9 @@ def is_coboundary(w: Cochain) -> bool:
     if w.degree == 0:
         return w.is_zero()
     m = coboundary_matrix(w.rep, w.degree - 1)
-    return solve_linear(m, cochain_to_coords(w)) is not None
+    n = m.cols  # w is exact when the column of w in [delta | w] is no pivot
+    aug = [{**row, n: x} if x else row for row, x in zip(m.entries, cochain_to_coords(w))]
+    return n not in pivot_columns(RMatrix(m.rows, n + 1, aug))
 
 
 def cohomologous(w1: Cochain, w2: Cochain) -> bool:

@@ -158,11 +158,11 @@ class RMatrix:
 
     @classmethod
     def from_cells(cls, rows: int, cols: int, cells) -> "RMatrix":
-        """The matrix whose (i, j) entry is the sum of the x given as ((i, j), x)."""
+        """The matrix whose (i, j) entry is the sum of the x given as ((i, j), x).
+        The cells are not bounds-checked: every caller enumerates them from
+        the matrix's own index ranges."""
         out = [{} for _ in range(rows)]
         for (i, j), x in cells:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise DimensionMismatch(f"cell ({i}, {j}) outside a {rows}x{cols} matrix")
             row = out[i]
             x += row.pop(j, 0)
             if x:
@@ -309,79 +309,120 @@ def block_diag(a: RMatrix, b: RMatrix) -> RMatrix:
 
 
 def _primitive(row: dict) -> dict:
-    """The row scaled to integers with no common factor: times the lcm of
-    its denominators, then divided by the gcd of its entries."""
-    den = lcm(*(x.denominator for x in row.values()))
-    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    """A copy of the row scaled to integers with no common factor: times
+    the lcm of its denominators (rows of ints skip this), then divided by
+    the gcd of its entries."""
+    if all(type(x) is int for x in row.values()):
+        out = dict(row)
+    else:
+        den = lcm(*(x.denominator for x in row.values()))
+        out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
     g = gcd(*out.values())
     return {j: x // g for j, x in out.items()} if g != 1 else out
 
 
-def _rref(rows: list, cols: int):
-    """Reduced row echelon form by fraction-free Gauss-Jordan elimination
-    over sparse {column: entry} rows without zeros, which are read and left
-    as they are: (its nonzero rows top to bottom as {column: entry} dicts,
-    pivot columns).
+def _row_step(other: dict, t: int, c: int, p: int, rest: list) -> None:
+    """Clear column c of the integer row `other` (id t) with a pivot row
+    whose pivot is p and whose other entries are `rest`, as (column, entry,
+    holders of that column) triples: other <- a other - b pivot row with
+    (a, b) = (p, f) / gcd(p, f), f = other[c], signed so that a > 0.  A
+    pivot of +-1 thus never rescales the row, and the row's gcd is divided
+    out only after a rescaling (a > 1); t is entered in or dropped from the
+    holders of each column the row gains or loses."""
+    f = other.pop(c)
+    g = gcd(p, f)
+    a, b = (p // g, f // g) if p > 0 else (-p // g, -f // g)
+    if a != 1:
+        for j in other:
+            other[j] *= a
+    for j, y, hold in rest:
+        x = other.get(j)
+        if x is None:
+            other[j] = -b * y
+            hold[t] = None
+        else:
+            x -= b * y
+            if x:
+                other[j] = x
+            else:
+                del other[j]
+                hold.pop(t, None)
+    if a != 1 and other:
+        g = gcd(*other.values())
+        if g != 1:
+            for j in other:
+                other[j] //= g
 
-    Each row is kept as a primitive integer row, so elimination replaces a
-    row by (p/g) row - (f/g) pivot row, g = gcd(p, f), and divides by the
-    pivot only when the row is final.  `index` maps each column to the ids
-    of the rows that hold it, pending or done, as dict keys (smaller than a
-    set), so a column's holders cost time in proportion to the nonzeros.
-    The form is unique, so the shortest pending holder (the lowest id on a
-    tie) can be each pivot."""
+
+def _echelon(rows: list, cols: int):
+    """Row echelon form by fraction-free forward elimination over sparse
+    {column: entry} rows without zeros, which are read and left as they
+    are: (the pivot rows top to bottom as integer {column: entry} dicts,
+    their pivot columns, and for each pivot the earlier pivot rows that
+    hold its column).
+
+    Each input row starts as a primitive integer row, and each pivot
+    clears its column from the pending rows alone by `_row_step`.  Every
+    row stays a nonzero multiple of the row that elimination over Q with
+    the same pivots would hold, so the sign choice and the skipped gcd
+    change neither which entries are nonzero nor the pivots.  `index` maps each
+    column to the ids of the rows that hold it, pending or done, as dict
+    keys (smaller than a set), so a column's holders cost time in
+    proportion to the nonzeros.  The shortest pending holder (the lowest
+    id on a tie) is each pivot."""
     store = {i: _primitive(r) for i, r in enumerate(rows) if r}
     index = {}
     for i, row in store.items():
         for j in row:
             index.setdefault(j, {})[i] = None
-    done, pivots, finished = [], [], set()
+    echelon, pivots, above, finished = [], [], [], set()
     for c in range(cols):
         # pending rows hold no column below c, so no later step reads or
         # changes column c, and its holders leave the index here
         holders = index.pop(c, ())
-        candidates = [i for i in holders if i not in finished]
-        if not candidates:
+        pending = [i for i in holders if i not in finished]
+        if not pending:
             continue
-        best = min(candidates, key=lambda i: (len(store[i]), i))
+        best = min(pending, key=lambda i: (len(store[i]), i))
         row = store[best]
         p = row[c]
         rest = [(j, y, index[j]) for j, y in row.items() if j != c]
-        for t in holders:
-            if t == best:
-                continue
-            other = store[t]
-            f = other.pop(c)
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                for j in other:
-                    other[j] *= a
-            for j, y, hold in rest:
-                x = other.get(j)
-                if x is None:
-                    other[j] = -b * y
-                    hold[t] = None
-                else:
-                    x -= b * y
-                    if x:
-                        other[j] = x
-                    else:
-                        del other[j]
-                        del hold[t]
-            if not other:
-                del store[t]
-                continue
-            g = gcd(*other.values())
-            if g != 1:
-                for j in other:
-                    other[j] //= g
+        for t in pending:
+            if t != best:
+                _row_step(store[t], t, c, p, rest)
+                if not store[t]:
+                    del store[t]
+        # no later step here changes a done row, and back substitution
+        # changes only free columns, so these are the rows it clears of c
+        above.append([store[i] for i in holders if i in finished])
         finished.add(best)
-        done.append(best)
+        echelon.append(row)
         pivots.append(c)
+    return echelon, pivots, above
+
+
+def _rref(rows: list, cols: int):
+    """Reduced row echelon form of sparse {column: entry} rows without
+    zeros, which are read and left as they are: (its nonzero rows top to
+    bottom as {column: entry} dicts, pivot columns).
+
+    `_echelon`, then back substitution from the last pivot up: each pivot
+    row, already fully reduced by the later pivots, clears its column
+    from the earlier rows that hold it with `_row_step`, and a row is
+    divided by its pivot only at the end.  Up to that division each row
+    is a nonzero multiple of its row in the reduced form, which is
+    unique, so the signs and the common factors the steps leave in a row
+    do not change the output."""
+    echelon, pivots, above = _echelon(rows, cols)
+    sink = {}  # the back substitution reads no column index
+    for row, c, targets in zip(reversed(echelon), reversed(pivots), reversed(above)):
+        if targets:
+            p = row[c]
+            rest = [(j, y, sink) for j, y in row.items() if j != c]
+            for other in targets:
+                _row_step(other, 0, c, p, rest)
     out = []
-    for i, c in zip(done, pivots):
-        row = store[i]
+    for row, c in zip(echelon, pivots):
         p = row[c]
         out.append(row if p == 1 else
                    {j: x // p if x % p == 0 else Fraction(x, p) for j, x in row.items()})
@@ -389,8 +430,9 @@ def _rref(rows: list, cols: int):
 
 
 def pivot_columns(m: RMatrix) -> list:
-    """Pivot column indices of the reduced row echelon form of m."""
-    return _rref(m.entries, m.cols)[1]
+    """Pivot column indices of the reduced row echelon form of m, read off
+    the forward pass alone."""
+    return _echelon(m.entries, m.cols)[1]
 
 
 def rank_kernel(m: RMatrix):

@@ -65,15 +65,16 @@ class TwoTermLInfinity:
 
 
 def _check_tensor_shape(t, dims: tuple, name: str) -> None:
-    """Nested lists of the given lengths; the scalars themselves are not
-    visited."""
-    if not dims:
-        return
+    """Nested lists of the given lengths, at least two levels deep; the
+    innermost lists are checked in one loop and the scalars themselves are
+    not visited."""
     if not isinstance(t, list) or len(t) != dims[0]:
         raise DimensionMismatch(f"{name} must have length {dims[0]} at this level")
-    if len(dims) > 1:
-        for x in t:
+    for x in t:
+        if len(dims) > 2:
             _check_tensor_shape(x, dims[1:], name)
+        elif not isinstance(x, list) or len(x) != dims[1]:
+            raise DimensionMismatch(f"{name} must have length {dims[1]} at this level")
 
 
 def zero_l3(n0: int, n1: int) -> list:

@@ -441,16 +441,21 @@ def test_elimination_matches_row_scan_reference(case):
     assert got == want
 
 
-def _coboundary_system_of_conjugated_ghbar_sl3():
-    """The augmented system that is_coboundary solves for the classifying
-    cocycle of g_hbar(sl3) under a dense change of basis: 56 x 29, with
-    Fraction entries."""
+def _conjugated_ghbar_sl3_cocycle():
+    """The classifying cocycle of g_hbar(sl3) under a dense change of
+    basis, a 3-cochain with Fraction values that is not a coboundary."""
     p0 = rand_invertible(random.Random(5), 8)
     moved = conjugate(build_g_hbar(sl_algebra(3), 1).data, p0, RMatrix.from_rows([[3]]))
-    quad = classify(from_linfty(moved))
-    m = coboundary_matrix(quad.rep, 2)
+    return classify(from_linfty(moved)).cocycle
+
+
+def _coboundary_system_of_conjugated_ghbar_sl3():
+    """The augmented system [delta_2 | w] of is_coboundary for that
+    cocycle w: 56 x 29, with Fraction entries."""
+    w = _conjugated_ghbar_sl3_cocycle()
+    m = coboundary_matrix(w.rep, 2)
     n = m.cols
-    b = cochain_to_coords(quad.cocycle)
+    b = cochain_to_coords(w)
     return [{**row, n: bv} if bv else row for row, bv in zip(m.entries, b)], n + 1
 
 

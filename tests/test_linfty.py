@@ -5,7 +5,7 @@ import pytest
 
 from lie2alg.cohomology import (Cochain, abelian_algebra, build_g_hbar, classify,
                                 build_two_slot, so3_algebra, sl2_algebra, trivial_rep)
-from lie2alg.exactlin import RMatrix, vsub
+from lie2alg.exactlin import DimensionMismatch, RMatrix, vsub
 from lie2alg.linfty import (LInfHom, LInfTwoHom, TwoTermLInfinity, check_axioms,
                             check_graded_antisymmetry, check_hom, check_two_hom, compose_homs,
                             generalized_jacobi, horizontal_two_hom, identity_hom,
@@ -294,6 +294,27 @@ def test_shape_validation():
     cx = TwoTermComplex(2, 1, RMatrix.zeros(2, 1))
     with pytest.raises(Exception):
         TwoTermLInfinity(cx, [[[0, 0]]], [], [])
+
+
+@pytest.mark.parametrize("field, edits, message", [
+    ("l3", [((0, 0, 1), []), ((0, 1), [[0]] * 2)], "l3 must have length 1"),
+    ("l3", [((0, 1), [[0]] * 2), ((1, 0, 0), [])], "l3 must have length 3"),
+    ("l3", [((2, 2, 2), 0)], "l3 must have length 1"),
+    ("l2_00", [((2, 2), 5), ((0, 0), [0])], "l2_00 must have length 3"),
+    ("l2_01", [((0, 0), [0, 0])], "l2_01 must have length 1"),
+])
+def test_shape_errors_name_the_first_bad_level_depth_first(field, edits, message):
+    """The innermost lists are checked in one loop per parent list, in the
+    depth-first order of a walk that visits every list."""
+    v = build_g_hbar(so3_algebra(), 1).data  # dim V0 = 3, dim V1 = 1
+    tensors = {k: copy.deepcopy(getattr(v, k)) for k in ("l2_00", "l2_01", "l3")}
+    for at, value in edits:
+        parent = tensors[field]
+        for i in at[:-1]:
+            parent = parent[i]
+        parent[at[-1]] = value
+    with pytest.raises(DimensionMismatch, match=f"^{message} at this level$"):
+        TwoTermLInfinity(v.complex, tensors["l2_00"], tensors["l2_01"], tensors["l3"])
 
 
 def test_integral_clears_denominators_with_the_least_d():

@@ -85,16 +85,28 @@ stored key of the cochain.  The fill that called `Cochain.evaluate` at
 every triple is kept below verbatim (`two_slot_by_evaluate`): on random
 3-cochains, empty ones and ones storing zero vectors included, the same
 structure and the same `check_axioms` report.
+
+`exactlin._rref` is a forward pass (`_echelon`) whose row step never
+rescales a row by a pivot of +-1 and divides out a row's gcd only after a
+rescaling, then back substitution from the last pivot up; `pivot_columns`
+reads the forward pass alone and `is_coboundary` asks it whether the
+column of w in [delta | w] is a pivot.  The fraction-free Gauss-Jordan
+elimination it replaced is kept below verbatim (`gauss_jordan_rref`):
+on random matrices with negative and non-unit pivots, Fraction rows,
+zero rows and dependent rows, and on real coboundary systems, the same
+rows, pivots and kernel bases, and the same verdict as solving.
 """
 
 from __future__ import annotations
 
 import copy
+import random
 import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb
+from math import comb, gcd, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -107,10 +119,12 @@ from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Repre
                                 abelian_algebra, adjoint_rep, build_cross_product, build_g_hbar,
                                 _coboundary_cells, build_two_slot, check_lie_algebra,
                                 check_representation, classify, coboundary, coboundary_matrix,
-                                is_cocycle, killing_triple_cochain, sl2_algebra, sl_algebra,
-                                so3_algebra, trivial_rep)
-from lie2alg.exactlin import (RMatrix, contract, invert, kron, pivot_columns, rank_kernel,
-                              solve_linear, vadd, vneg, vscale, vsub, vunit, vzeros)
+                                cochain_to_coords, is_coboundary, is_cocycle,
+                                killing_triple_cochain, sl2_algebra, sl_algebra, so3_algebra,
+                                trivial_rep)
+from lie2alg import exactlin
+from lie2alg.exactlin import (RMatrix, _echelon, _rref, contract, invert, kron, pivot_columns,
+                              rank_kernel, solve_linear, vadd, vneg, vscale, vsub, vunit, vzeros)
 from lie2alg.lie2 import (DifferentialCrossedModule, SemistrictLie2Algebra, _as_object,
                           _compose_padded, bracket_morphisms, check_crossed_module,
                           check_jacobiator_identity_categorical, from_linfty, jacobiator)
@@ -131,6 +145,8 @@ from lie2alg.twovect import (CellVert, LinearFunctor, LinearNatTrans, Morphism, 
                              ground_field, identity_functor, identity_morphism, tensor_2vs,
                              tensor_functor, vertical_nat)
 from conftest import broken_abelian4, broken_abelian4_thirds, conjugate, inflate
+from test_exactlin import (_coboundary_system_of_conjugated_ghbar_sl3,
+                           _conjugated_ghbar_sl3_cocycle)
 
 
 # ---------------------------------------------------------------------------
@@ -2003,3 +2019,190 @@ def test_two_slot_matches_evaluate_fill(w):
     v, oracle = build_two_slot(w), two_slot_by_evaluate(w.rep, w)
     assert v == oracle
     assert_same_reports(check_axioms(v), check_axioms(oracle))
+
+
+# ---------------------------------------------------------------------------
+# the forward pass and back substitution against Gauss-Jordan elimination
+
+def primitive_row(row: dict) -> dict:
+    """The row scaled to integers with no common factor: times the lcm of
+    its denominators, then divided by the gcd of its entries."""
+    den = lcm(*(x.denominator for x in row.values()))
+    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g != 1 else out
+
+
+def gauss_jordan_rref(rows: list, cols: int):
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination
+    over sparse {column: entry} rows without zeros, which are read and left
+    as they are: (its nonzero rows top to bottom as {column: entry} dicts,
+    pivot columns).
+
+    Each row is kept as a primitive integer row, so elimination replaces a
+    row by (p/g) row - (f/g) pivot row, g = gcd(p, f), and divides by the
+    pivot only when the row is final.  `index` maps each column to the ids
+    of the rows that hold it, pending or done, as dict keys (smaller than a
+    set), so a column's holders cost time in proportion to the nonzeros.
+    The form is unique, so the shortest pending holder (the lowest id on a
+    tie) can be each pivot."""
+    store = {i: primitive_row(r) for i, r in enumerate(rows) if r}
+    index = {}
+    for i, row in store.items():
+        for j in row:
+            index.setdefault(j, {})[i] = None
+    done, pivots, finished = [], [], set()
+    for c in range(cols):
+        # pending rows hold no column below c, so no later step reads or
+        # changes column c, and its holders leave the index here
+        holders = index.pop(c, ())
+        candidates = [i for i in holders if i not in finished]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: (len(store[i]), i))
+        row = store[best]
+        p = row[c]
+        rest = [(j, y, index[j]) for j, y in row.items() if j != c]
+        for t in holders:
+            if t == best:
+                continue
+            other = store[t]
+            f = other.pop(c)
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j in other:
+                    other[j] *= a
+            for j, y, hold in rest:
+                x = other.get(j)
+                if x is None:
+                    other[j] = -b * y
+                    hold[t] = None
+                else:
+                    x -= b * y
+                    if x:
+                        other[j] = x
+                    else:
+                        del other[j]
+                        del hold[t]
+            if not other:
+                del store[t]
+                continue
+            g = gcd(*other.values())
+            if g != 1:
+                for j in other:
+                    other[j] //= g
+        finished.add(best)
+        done.append(best)
+        pivots.append(c)
+    out = []
+    for i, c in zip(done, pivots):
+        row = store[i]
+        p = row[c]
+        out.append(row if p == 1 else
+                   {j: x // p if x % p == 0 else Fraction(x, p) for j, x in row.items()})
+    return out, pivots
+
+
+@st.composite
+def elimination_systems(draw):
+    """A matrix of up to 14 x 12 whose rows are sparse random rows, zero
+    rows, copies and negated copies of earlier rows, or combinations of a
+    few generator rows, some scaled to Fractions throughout.  Entries run
+    over -6..6 and halves and thirds, so pivots are negative and positive,
+    units and non-units.  The entries come from a drawn seed, so that an
+    example stays small."""
+    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    density = rng.choice((0.2, 0.5, 0.9))
+
+    def entry():
+        return rng.choice((rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.choice((2, 3)))))
+
+    def sparse_row():
+        return [entry() if rng.random() < density else 0 for _ in range(cols)]
+    gens = [sparse_row() for _ in range(rng.randint(1, 5))]
+    data = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.15:
+            data.append(sparse_row())
+        elif kind < 0.25:
+            data.append([0] * cols)
+        elif kind < 0.4 and data:
+            data.append([rng.choice((1, -1)) * x for x in rng.choice(data)])
+        else:
+            row = [0] * cols
+            for g in rng.sample(gens, rng.randint(1, len(gens))):
+                k = rng.choice((1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)))
+                row = [x + k * y for x, y in zip(row, g)]
+            if rng.random() < 0.2:
+                row = [Fraction(x, 7) for x in row]
+            data.append(row)
+    return RMatrix.from_rows(data, cols)
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_systems())
+def test_rref_matches_gauss_jordan(m):
+    """The forward pass then back substitution gives the rows and pivots of
+    Gauss-Jordan elimination, the forward pass alone its pivots, and
+    rank_kernel the same rank and kernel basis."""
+    before = [dict(row) for row in m.entries]
+    got = _rref(m.entries, m.cols)
+    assert m.entries == before  # the input rows are read and left as they are
+    assert got == gauss_jordan_rref(m.entries, m.cols)
+    assert pivot_columns(m) == got[1]
+    with patch.object(exactlin, "_rref", gauss_jordan_rref):
+        want = rank_kernel(m)
+    assert rank_kernel(m) == want
+
+
+def test_rref_matches_gauss_jordan_on_coboundary_systems():
+    """Identical rows and pivots on delta_0..delta_3 of sl3 and delta_2 of
+    sl4 with adjoint coefficients, and on one is_coboundary system."""
+    sl3, sl4 = adjoint_rep(sl_algebra(3)), adjoint_rep(sl_algebra(4))
+    systems = [(d.entries, d.cols) for d in
+               [coboundary_matrix(sl3, n) for n in range(4)] + [coboundary_matrix(sl4, 2)]]
+    systems.append(_coboundary_system_of_conjugated_ghbar_sl3())
+    for rows, cols in systems:
+        got = _rref(rows, cols)
+        assert got == gauss_jordan_rref(rows, cols)
+        assert _echelon(rows, cols)[1] == got[1]
+
+
+def solvable(w: Cochain) -> bool:
+    """Whether delta x = w has a solution, by solving for one."""
+    m = coboundary_matrix(w.rep, w.degree - 1)
+    return solve_linear(m, cochain_to_coords(w)) is not None
+
+
+def test_is_coboundary_matches_solve_on_conjugated_ghbar_sl3():
+    w = _conjugated_ghbar_sl3_cocycle()
+    exact = coboundary(Cochain(w.rep, 2, {(0, 1): vunit(w.rep.dimV, 0),
+                                          (2, 5): [Fraction(1, 3)] * w.rep.dimV}))
+    assert (is_coboundary(w), solvable(w)) == (False, False)
+    assert (is_coboundary(exact), solvable(exact)) == (True, True)
+
+
+@st.composite
+def exact_and_open_cochains(draw):
+    """A cochain of degree 1..3 over a drawn representation: the coboundary
+    of a drawn cochain, the same moved by one unit at one coordinate, or
+    arbitrary values."""
+    rep = draw(st.one_of(representations(), rational_representations()))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["exact", "moved", "random"]))
+    if kind == "random":
+        return cochain(draw, rep, n)
+    w = coboundary(cochain(draw, rep, n - 1))
+    if kind == "moved" and comb(rep.algebra.dim, n):
+        key = draw(st.sampled_from(list(Cochain(rep, n).keys())))
+        w = w + Cochain(rep, n, {key: vunit(rep.dimV, draw(st.integers(0, rep.dimV - 1)))})
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_and_open_cochains())
+def test_is_coboundary_matches_solve(w):
+    assert is_coboundary(w) == solvable(w)

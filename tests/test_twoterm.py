@@ -185,12 +185,12 @@ def test_skeletalize_eliminates_d_once(monkeypatch):
     """One elimination of d and one of its transpose, then one inverse: the
     projection on C1 selects the free columns of d with no second one."""
     from lie2alg import exactlin
-    shapes, rref = [], exactlin._rref
+    shapes, echelon = [], exactlin._echelon
 
     def logged(rows, cols):
         shapes.append((len(rows), cols))
-        return rref(rows, cols)
-    monkeypatch.setattr(exactlin, "_rref", logged)
+        return echelon(rows, cols)
+    monkeypatch.setattr(exactlin, "_echelon", logged)
     sk = skeletalize_complex(TwoTermComplex(3, 2, RMatrix.from_rows([[1, 2], [2, 4], [0, 1]])))
     assert shapes == [(3, 2), (2, 3), (3, 6)]
     assert check_homotopy(sk.homotopy).passed
