@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb
 
-from .exactlin import (DimensionMismatch, RMatrix, contract, pivot_columns, rank_kernel,
-                       solve_linear, vadd, vneg, vscale, vzeros)
+from .exactlin import (DimensionMismatch, RMatrix, pivot_columns, rank_kernel, solve_linear,
+                       vadd, vneg, vscale, vzeros)
 from .lie2 import SemistrictLie2Algebra, from_linfty
 from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
                      basis_tuples, check_axioms, jacobi_violations, l3_compatibility_residuals,
@@ -22,7 +22,7 @@ from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetr
 from .report import CheckReport, first_violation
 from .serialize import (FixtureError, as_count, mat_to_json, need, tensor_from_json,
                         tensor_to_json)
-from .twoterm import ChainMap, TwoTermComplex, skeletalize_complex
+from .twoterm import TwoTermComplex, identity_chain_map, skeletalize_complex
 
 
 @dataclass
@@ -32,9 +32,6 @@ class LieAlgebra:
 
     def __post_init__(self):
         _check_tensor_shape(self.bracket, (self.dim,) * 3, "bracket")
-
-    def bracket_vec(self, u: list, v: list) -> list:
-        return contract(self.bracket, self.dim, u, v)
 
     def ad(self, i: int) -> RMatrix:
         """Matrix of ad(e_i): columns are [e_i, e_j]."""
@@ -119,7 +116,7 @@ class Cochain:
                 raise ValueError(f"bad cochain key {key}")
 
     def keys(self):
-        return combinations(range(self.rep.algebra.dim), self.degree)
+        return cochain_keys(self.rep.algebra.dim, self.degree)
 
     def value(self, key: tuple) -> list:
         return list(self.values.get(tuple(key), vzeros(self.rep.dimV)))
@@ -159,10 +156,15 @@ def _prune(vals: dict) -> dict:
     return {k: v for k, v in vals.items() if any(x != 0 for x in v)}
 
 
+def cochain_keys(dim: int, n: int):
+    """The strictly increasing n-tuples of range(dim), in order; none unless
+    0 <= n <= dim, so a huge degree allocates nothing."""
+    return combinations(range(dim), n) if 0 <= n <= dim else iter(())
+
+
 def cochain_basis(rep: Representation, n: int) -> list:
     """Ordered basis of C^n: (increasing tuple, V index) pairs."""
-    return [(key, v) for key in combinations(range(rep.algebra.dim), n)
-            for v in range(rep.dimV)]
+    return [(key, v) for key in cochain_keys(rep.algebra.dim, n) for v in range(rep.dimV)]
 
 
 def cochain_to_coords(w: Cochain) -> list:
@@ -189,16 +191,19 @@ def _coboundary_cells(rep: Representation, n: int):
     once; its entry is the sum.  The nonzero cells of each rho and the
     nonzero coefficients of each bracket are listed once, so a zero rho or
     bracket costs nothing, a zero bracket visits no pair, and a zero
-    bracket with a zero rho visits no key."""
+    bracket with a zero rho visits no key.  A degree n >= dim g has no
+    (n+1)-key and lists nothing."""
     g, dimV = rep.algebra, rep.dimV
+    if n + 1 > g.dim:
+        return
     rho_cells = [[(a, b, x) for a, row in enumerate(m.entries) for b, x in row.items()]
                  for m in rep.rho]
     terms = nonzero_terms(g.bracket)
     pairs = list(combinations(range(n + 1), 2)) if any(map(any, terms)) else []
     if not pairs and not any(rho_cells):
         return
-    src = {key: i * dimV for i, key in enumerate(combinations(range(g.dim), n))}
-    for i, key in enumerate(combinations(range(g.dim), n + 1)):
+    src = {key: i * dimV for i, key in enumerate(cochain_keys(g.dim, n))}
+    for i, key in enumerate(cochain_keys(g.dim, n + 1)):
         row0 = i * dimV  # the rows of this key
         for pos in range(n + 1):
             if rho_cells[key[pos]]:
@@ -395,9 +400,7 @@ def equivalence_from_cohomologous(w1: Cochain, w2: Cochain):
     dst = build_two_slot(w2)
     n0 = rep.algebra.dim
     phi2 = [[theta.evaluate((i, j)) for j in range(n0)] for i in range(n0)]
-    return LInfHom(src, dst, ChainMap(src.complex, dst.complex,
-                                      RMatrix.identity(n0), RMatrix.identity(rep.dimV)),
-                   phi2)
+    return LInfHom(src, dst, identity_chain_map(src.complex), phi2)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetr
 from .report import CheckReport, first_violation
 from .serialize import as_count, mat_from_json, mat_to_json, need, tensor_from_json, tensor_to_json
 from .twoterm import ChainMap, TwoTermComplex
-from .twovect import (LinearFunctor, LinearNatTrans, Morphism, TwoVectorSpace,
+from .twovect import (LinearFunctor, LinearNatTrans, Morphism, T_on_chain_map, TwoVectorSpace,
                       check_functor, check_nat_trans, compose_functors,
-                      compose_morphisms, functor_T, identity_morphism)
+                      compose_morphisms, functor_T, identity_functor, identity_morphism)
 
 
 @dataclass
@@ -95,18 +95,11 @@ def bracket_morphisms_alt(L: SemistrictLie2Algebra, f: Morphism, g: Morphism) ->
     return L.morphism(src, arrow)
 
 
-def _as_object(L: SemistrictLie2Algebra, x) -> list:
-    if isinstance(x, int):
-        return L.object_basis(x)
-    return list(x)
-
-
 def jacobiator(L: SemistrictLie2Algebra, x, y, z) -> Morphism:
-    """J_{x,y,z} = ([[x,y],z], l3(x,y,z)), extended trilinearly."""
+    """J_{x,y,z} = ([[x,y],z], l3(x,y,z)), extended trilinearly; each of
+    x, y and z is an object vector or a basis index (`contract`)."""
     v = L.data
-    xv, yv, zv = _as_object(L, x), _as_object(L, y), _as_object(L, z)
-    src = v.bracket00(v.bracket00(xv, yv), zv)
-    return L.morphism(src, v.l3_eval(xv, yv, zv))
+    return L.morphism(v.bracket00(v.bracket00(x, y), z), v.l3_eval(x, y, z))
 
 
 def _compose_padded(L: SemistrictLie2Algebra, stages: list) -> Morphism:
@@ -227,9 +220,7 @@ class Lie2Hom:
 
 
 def identity_lie2_hom(L: SemistrictLie2Algebra) -> Lie2Hom:
-    eye = LinearFunctor(L.space, L.space, RMatrix.identity(L.space.dim0),
-                        RMatrix.identity(L.space.dim1))
-    return Lie2Hom(L, L, eye, zero_phi2(L.dim0, L.data.dim1))
+    return Lie2Hom(L, L, identity_functor(L.space), zero_phi2(L.dim0, L.data.dim1))
 
 
 def check_lie2_hom(F: Lie2Hom) -> CheckReport:
@@ -352,12 +343,9 @@ def check_lie2_two_hom(t: Lie2TwoHom) -> CheckReport:
 
 def hom_from_linf(f: LInfHom) -> Lie2Hom:
     """Transport an L-infinity homomorphism across the dictionary:
-    F0 = phi0, F1 = phi0 + phi1 blockwise, F2 arrow = phi2."""
-    from .exactlin import block_diag
-    src, tgt = from_linfty(f.source), from_linfty(f.target)
-    functor = LinearFunctor(src.space, tgt.space, f.chain.phi0,
-                            block_diag(f.chain.phi0, f.chain.phi1))
-    return Lie2Hom(src, tgt, functor, [[list(v) for v in row] for row in f.phi2])
+    F = T(chain), so F0 = phi0 and F1 = phi0 + phi1 blockwise; F2 arrow = phi2."""
+    return Lie2Hom(from_linfty(f.source), from_linfty(f.target), T_on_chain_map(f.chain),
+                   [[list(v) for v in row] for row in f.phi2])
 
 
 def hom_to_linf(F: Lie2Hom) -> LInfHom:

@@ -24,7 +24,7 @@ from .exactlin import (DimensionMismatch, RMatrix, contract, vadd, vneg, vscale,
 from .report import CheckReport, first_violation
 from .serialize import as_count, mat_from_json, mat_to_json, need, tensor_from_json, tensor_to_json
 from .twoterm import (ChainHomotopy, ChainMap, TwoTermComplex, check_chain_map,
-                      check_homotopy, compose_chain_maps, identity_chain_map)
+                      check_homotopy, compose_chain_maps, identity_chain_map, zero_homotopy)
 
 
 @dataclass
@@ -588,8 +588,7 @@ def check_two_hom(t: LInfTwoHom) -> CheckReport:
 
 
 def identity_two_hom(f: LInfHom) -> LInfTwoHom:
-    tau = RMatrix.zeros(f.target.dim1, f.source.dim0)
-    return LInfTwoHom(f, f, ChainHomotopy(f.chain, f.chain, tau))
+    return LInfTwoHom(f, f, zero_homotopy(f.chain))
 
 
 def vertical_two_hom(t1: LInfTwoHom, t2: LInfTwoHom) -> LInfTwoHom:

@@ -27,9 +27,6 @@ class TwoTermComplex:
             raise DimensionMismatch(
                 f"differential must be {self.dim0}x{self.dim1}, got {self.d.rows}x{self.d.cols}")
 
-    def is_skeletal(self) -> bool:
-        return self.d.is_zero()
-
 
 @dataclass
 class ChainMap:

@@ -18,7 +18,6 @@ from .exactlin import (DimensionMismatch, RMatrix, block_diag, kron, pivot_colum
                        rank_kernel, vadd, vsub)
 from .report import CheckReport, grid_violations
 from .twoterm import ChainHomotopy, ChainMap, TwoTermComplex
-from .serialize import as_count, mat_from_json, mat_to_json, need
 
 
 @dataclass
@@ -217,19 +216,13 @@ def whisker_right(a: LinearNatTrans, H: LinearFunctor) -> LinearNatTrans:
                           compose_functors(a.to_functor, H), H.f1 @ a.theta)
 
 
-def horizontal_nat(a: LinearNatTrans, b: LinearNatTrans, form: int = 1) -> LinearNatTrans:
-    """Horizontal composite along composable functors, in either of the
-    two stated-equal forms; both are implemented and tests assert they
-    agree on natural inputs."""
-    F, G = a.from_functor, a.to_functor
-    Fp, Gp = b.from_functor, b.to_functor
+def horizontal_nat(a: LinearNatTrans, b: LinearNatTrans) -> LinearNatTrans:
+    """Horizontal composite of a: F => G and b: F' => G' along composable
+    functors: F whiskered with b, then a whiskered with G'."""
+    F, Fp, Gp = a.from_functor, b.from_functor, b.to_functor
     if F.target != Fp.source:
         raise DimensionMismatch("horizontal composite endpoints do not chain")
-    if form == 1:
-        return vertical_nat(whisker_left(F, b), whisker_right(a, Gp))
-    if form == 2:
-        return vertical_nat(whisker_right(a, Fp), whisker_left(G, b))
-    raise ValueError("form must be 1 or 2")
+    return vertical_nat(whisker_left(F, b), whisker_right(a, Gp))
 
 
 def tensor_nat(a: LinearNatTrans, b: LinearNatTrans) -> LinearNatTrans:
@@ -440,24 +433,3 @@ def eval_cell_expr(e: TwoCellExpr) -> LinearNatTrans:
     except DimensionMismatch as exc:
         raise CellTypeError(str(exc)) from None
     raise CellTypeError(f"unknown 2-cell node {type(e).__name__}")
-
-
-def eval_two_cell(e: TwoCellExpr, basis_object: int) -> Morphism:
-    """Component of the evaluated 2-cell at a basis object of the source."""
-    nat = eval_cell_expr(e)
-    return Morphism(nat.from_functor.target, nat.theta.col(basis_object))
-
-
-# ---------------------------------------------------------------------------
-# JSON format
-
-def space_to_json(v: TwoVectorSpace) -> dict:
-    return {"dim0": v.dim0, "dim1": v.dim1, "s": mat_to_json(v.s),
-            "t": mat_to_json(v.t), "i": mat_to_json(v.i)}
-
-
-def space_from_json(obj: dict) -> TwoVectorSpace:
-    dim0 = as_count(need(obj, "dim0"), "dim0")
-    dim1 = as_count(need(obj, "dim1"), "dim1")
-    return TwoVectorSpace(dim0, dim1, mat_from_json(obj, "s", dim0, dim1),
-                          mat_from_json(obj, "t", dim0, dim1), mat_from_json(obj, "i", dim1, dim0))

@@ -12,7 +12,7 @@ from lie2alg.cohomology import (Cochain, LieAlgebra, Representation, abelian_alg
                                 cohomologous, cohomology_dim, is_coboundary, is_cocycle,
                                 killing_triple_cochain, so3_algebra, sl2_algebra,
                                 trivial_rep)
-from lie2alg.exactlin import RMatrix, vzeros
+from lie2alg.exactlin import RMatrix, contract, vzeros
 from lie2alg.lie2 import (DCM_FAILURE_TO_AXIOM, check_crossed_module,
                           check_jacobiator_identity_categorical, check_lie2_hom,
                           compose_lie2_homs, from_crossed_module, from_linfty,
@@ -215,10 +215,10 @@ def random_valid_dcm(rng, kind):
     g = so3_algebra()
     m = rand_invertible(rng, 3)
     mi = invert(m)
-    h_bracket = [[m.matvec(g.bracket_vec(mi.col(a), mi.col(b))) for b in range(3)]
+    h_bracket = [[m.matvec(contract(g.bracket, g.dim, mi.col(a), mi.col(b))) for b in range(3)]
                  for a in range(3)]
-    alpha = [[m.matvec(g.bracket_vec([1 if p == i else 0 for p in range(3)],
-                                     mi.col(a))) for a in range(3)]
+    alpha = [[m.matvec(contract(g.bracket, g.dim, [1 if p == i else 0 for p in range(3)],
+                                mi.col(a))) for a in range(3)]
              for i in range(3)]
     return DifferentialCrossedModule(3, copy.deepcopy(g.bracket), 3, h_bracket, mi, alpha)
 

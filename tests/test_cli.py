@@ -616,6 +616,36 @@ def test_delta_work_preflight(tmp_path, capsys, argv, pairs):
     assert f"visits {pairs} index pairs" in err and f"limit of {cli.DELTA_MAX_PAIRS}" in err
 
 
+@pytest.mark.parametrize("degree", [10 ** 6, 10 ** 30], ids=["1e6", "1e30"])
+@pytest.mark.parametrize("command, payload", [
+    ("cohomology", lambda n: {"degree": n, "dimension": 0}),
+    ("is-cocycle", lambda n: {"is_cocycle": True, "is_coboundary": True}),
+    ("coboundary", lambda n: {"degree": n + 1, "values": {}}),
+], ids=["cohomology", "is-cocycle", "coboundary"])
+def test_degree_above_dimension_is_immediate(tmp_path, capsys, command, payload, degree):
+    """A degree above dim g has no cochain keys: each command answers at
+    once, in under a second and 1 MB of traced allocations, without listing
+    index pairs or allocating a slot per degree."""
+    import tracemalloc
+
+    g = read_json(fx("so3.json"))
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps({"algebra": g, "degree": degree, "values": {}}))
+    argv = (["--json", "cohomology", "--degree", str(degree), fx("so3.json")]
+            if command == "cohomology" else ["--json", command, str(f)])
+    tracemalloc.start()
+    try:
+        start = time.monotonic()
+        code, _ = run(argv)
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["payload"] == payload(degree)
+    assert elapsed < 1.0 and peak < 1 << 20
+
+
 def test_coboundary_nnz_bound_holds():
     """The preflight's bound is never below the nonzeros of delta_n."""
     from lie2alg.cohomology import (adjoint_rep, coboundary_matrix, coboundary_nnz_bound,

@@ -1,5 +1,6 @@
 import copy
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,7 @@ from lie2alg.lie2 import (DCM_FAILURE_TO_AXIOM, DifferentialCrossedModule, Lie2T
 from lie2alg.linfty import TwoTermLInfinity, check_axioms, check_hom, identity_hom
 from lie2alg.twoterm import TwoTermComplex
 from lie2alg.twovect import Morphism, compose_morphisms, identity_morphism
-from conftest import broken_abelian4, so3_adjoint_dcm
+from conftest import broken_abelian4, rand_mat, so3_adjoint_dcm
 
 
 def test_round_trip_is_identity():
@@ -97,6 +98,26 @@ def test_jacobiator_killing_value():
     ad = [g.ad(i) for i in range(3)]
     killing_e1_e1 = sum((ad[0] @ ad[0]).data[k][k] for k in range(3))
     assert J.vec[3] == killing_e1_e1
+
+
+def test_jacobiator_reads_basis_indices_as_unit_vectors(rng):
+    """`contract` reads a basis index as its unit vector, in any slot: the
+    Jacobiator is the same morphism for either, on g_hbar(so3) and on a
+    random structure that need not satisfy the axioms."""
+    n0, n1 = 3, 2
+
+    def tensor(*dims):
+        if len(dims) == 1:
+            return [rng.randint(-2, 2) for _ in range(dims[0])]
+        return [tensor(*dims[1:]) for _ in range(dims[0])]
+    rand = TwoTermLInfinity(TwoTermComplex(n0, n1, rand_mat(rng, n0, n1)), tensor(n0, n0, n0),
+                            tensor(n0, n1, n1), tensor(n0, n0, n0, n1))
+    for L in (build_g_hbar(so3_algebra(), 1), from_linfty(rand)):
+        for idx in product(range(L.dim0), repeat=3):
+            unit = [L.object_basis(i) for i in idx]
+            J = jacobiator(L, *unit)
+            for mask in product((False, True), repeat=3):
+                assert jacobiator(L, *(i if m else u for i, u, m in zip(idx, unit, mask))) == J
 
 
 def test_jacobiator_antisymmetry(rng):

@@ -95,6 +95,14 @@ elimination it replaced is kept below verbatim (`gauss_jordan_rref`):
 on random matrices with negative and non-unit pivots, Fraction rows,
 zero rows and dependent rows, and on real coboundary systems, the same
 rows, pivots and kernel bases, and the same verdict as solving.
+
+`braid.check_zamolodchikov` reports its endpoint check as a pass, since
+the tables `TETRA_LHS` and `TETRA_RHS` fix the endpoint words, and
+`lie2.jacobiator` hands basis indices straight to `contract`.  The helpers
+they called are kept below verbatim: `cell_functors` and `same_braid_word`
+for the oracles `tetrahedron_components_with_identities` and
+`check_zamolodchikov_with_identities` and for the test that the tables'
+endpoint words agree, and `_as_object` for `octagon_sides`.
 """
 
 from __future__ import annotations
@@ -112,9 +120,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lie2alg.braid import (TETRA_LHS, TETRA_RHS, TetraY, _add, _columns, _push, _slot_braids,
-                           build_braid_functor, build_Y, cell_functors, check_zamolodchikov,
-                           same_braid_word, tetrahedron_components, tetrahedron_sides)
+from lie2alg.braid import (B12, B23, B34, TETRA_LHS, TETRA_RHS, TetraY, _add, _columns, _push,
+                           _slot_braids, build_braid_functor, build_Y, check_zamolodchikov,
+                           tetrahedron_components, tetrahedron_sides)
 from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Representation,
                                 abelian_algebra, adjoint_rep, build_cross_product, build_g_hbar,
                                 _coboundary_cells, build_two_slot, check_lie_algebra,
@@ -125,8 +133,8 @@ from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Repre
 from lie2alg import exactlin
 from lie2alg.exactlin import (RMatrix, _echelon, _rref, contract, invert, kron, pivot_columns,
                               rank_kernel, solve_linear, vadd, vneg, vscale, vsub, vunit, vzeros)
-from lie2alg.lie2 import (DifferentialCrossedModule, SemistrictLie2Algebra, _as_object,
-                          _compose_padded, bracket_morphisms, check_crossed_module,
+from lie2alg.lie2 import (DifferentialCrossedModule, SemistrictLie2Algebra, _compose_padded,
+                          bracket_morphisms, check_crossed_module,
                           check_jacobiator_identity_categorical, from_linfty, jacobiator)
 from lie2alg.linfty import (LInfHom, TwoTermLInfinity, _graded_bracket, _graded_element,
                             antisymmetry_violations, basis_tuples, check_axioms, check_hom,
@@ -222,6 +230,12 @@ def compose_padded_loop(L: SemistrictLie2Algebra, stages: list) -> Morphism:
         total = total + identity_morphism(L.space, pad)
         cur = compose_morphisms(cur, total)
     return cur
+
+
+def _as_object(L: SemistrictLie2Algebra, x) -> list:
+    if isinstance(x, int):
+        return L.object_basis(x)
+    return list(x)
 
 
 def octagon_sides(L: SemistrictLie2Algebra, w, x, y, z):
@@ -386,6 +400,23 @@ def check_zamolodchikov_materialised(ty: TetraY) -> CheckReport:
         ((col // d0 ** 3, (col // d0 ** 2) % d0, (col // d0) % d0, col % d0), diff.row(col))
         for col, row in enumerate(diff.entries) if row))
     return rep
+
+
+def cell_functors(cell) -> tuple:
+    """The source and target words of a cell: Y on slots s+1..s+3 runs
+    from b(s) b(s+1) b(s) to b(s+1) b(s) b(s+1)."""
+    pre, s, post = cell
+    return pre + (s, s + 1, s) + post, pre + (s + 1, s, s + 1) + post
+
+
+def same_braid_word(u: tuple, v: tuple) -> bool:
+    """Whether two braid words are equal modulo b12 b34 = b34 b12, which
+    holds for every B because both products are B ox B.  By the projection
+    lemma of trace monoids, words are equal modulo commuting letters
+    exactly when their subwords on each pair of letters that do not
+    commute are equal: here (b12, b23) and (b23, b34)."""
+    return all([x for x in u if x in pair] == [x for x in v if x in pair]
+               for pair in ((B12, B23), (B23, B34)))
 
 
 def tetrahedron_components_with_identities(ty: TetraY):
@@ -1267,6 +1298,37 @@ def test_Y_matches_functor_product_route(v):
     assert report == oracle.hypotheses.to_json()
     assert [c for c in report["checks"] if c["name"].startswith("y_")] == [
         dict(c, name="y_" + c["name"]) for c in check_nat_trans(oracle.y).to_json()["checks"]]
+
+
+def test_tetrahedron_tables_fix_the_endpoint_words():
+    """`check_zamolodchikov` reports endpoint_functors as a pass for every
+    input: the first cells of TETRA_LHS and TETRA_RHS have the same source
+    word and their last cells the same target word, modulo b12 b34 =
+    b34 b12.  Each change of one letter, a braid in P or S or the slot s,
+    of a first or last cell of either table breaks that."""
+    def endpoints_agree(lhs, rhs):
+        return (same_braid_word(cell_functors(lhs[0])[0], cell_functors(rhs[0])[0])
+                and same_braid_word(cell_functors(lhs[-1])[1], cell_functors(rhs[-1])[1]))
+
+    def one_letter_changes(cell):
+        pre, s, post = cell
+        yield pre, 1 - s, post
+        for i, b in product(range(len(pre)), (B12, B23, B34)):
+            if b != pre[i]:
+                yield pre[:i] + (b,) + pre[i + 1:], s, post
+        for i, b in product(range(len(post)), (B12, B23, B34)):
+            if b != post[i]:
+                yield pre, s, post[:i] + (b,) + post[i + 1:]
+
+    assert endpoints_agree(TETRA_LHS, TETRA_RHS)
+    changed = 0
+    for side, n in product(range(2), (0, -1)):
+        for cell in one_letter_changes((TETRA_LHS, TETRA_RHS)[side][n]):
+            tables = [list(TETRA_LHS), list(TETRA_RHS)]
+            tables[side][n] = cell
+            assert not endpoints_agree(*tables)
+            changed += 1
+    assert changed == 4 * (1 + 3 * 2)  # four cells, each a slot and three letters
 
 
 @settings(max_examples=100, deadline=None)

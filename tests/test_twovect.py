@@ -1,5 +1,5 @@
 
-from lie2alg.exactlin import RMatrix, kron, rank_kernel, vsub
+from lie2alg.exactlin import RMatrix, kron, rank_kernel, vsub, vunit
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex,
                              check_chain_map, check_homotopy, horizontal_homotopy,
                              identity_chain_map, vertical_homotopy)
@@ -7,13 +7,12 @@ from lie2alg.twovect import (CellId, CellLeaf, CellTensor, CellVert, CellWhisker
                              LinearNatTrans, Morphism,
                              TwoVectorSpace, check_functor, check_nat_trans,
                              check_space, compose_functors, compose_morphisms,
-                             direct_sum, eval_cell_expr, eval_two_cell, functor_S,
+                             direct_sum, eval_cell_expr, functor_S,
                              functor_T, ground_field, horizontal_nat, identity_functor,
                              identity_morphism, identity_nat, is_invertible_functor,
                              left_unitor, right_unitor, S_on_functor, S_on_nat_trans,
-                             space_from_json, space_to_json, st_roundtrip_iso,
-                             T_on_chain_map, T_on_homotopy, tensor_2vs, tensor_functor,
-                             tensor_nat, vertical_nat)
+                             st_roundtrip_iso, T_on_chain_map, T_on_homotopy, tensor_2vs, tensor_functor,
+                             tensor_nat, vertical_nat, whisker_left, whisker_right)
 from conftest import rand_mat
 
 
@@ -249,8 +248,9 @@ def test_vertical_and_horizontal_nat(rng):
     assert check_nat_trans(vab).passed
     assert S_on_nat_trans(vab).tau == vertical_homotopy(h1, h2).tau
 
-    hor1 = horizontal_nat(a, b2 := T_on_homotopy(h2), form=1)
-    hor2 = horizontal_nat(a, b2, form=2)
+    hor1 = horizontal_nat(a, b2 := T_on_homotopy(h2))
+    # the other stated-equal form: a whiskered with F', then G whiskered with b
+    hor2 = vertical_nat(whisker_right(a, b2.from_functor), whisker_left(a.to_functor, b2))
     assert hor1.theta == hor2.theta
     assert check_nat_trans(hor1).passed
     assert S_on_nat_trans(hor1).tau == horizontal_homotopy(h1, h2).tau
@@ -300,9 +300,8 @@ def test_eval_two_cell_identity_and_units(rng):
     v = rand_space(rng)
     idf = identity_functor(v)
     for j in range(v.dim0):
-        m = eval_two_cell(CellId(idf), j)
-        x = [1 if p == j else 0 for p in range(v.dim0)]
-        assert m == identity_morphism(v, x)
+        x = vunit(v.dim0, j)
+        assert eval_cell_expr(CellId(idf)).component(x) == identity_morphism(v, x)
     c = TwoTermComplex(2, 2, rand_mat(rng, 2, 2))
     _, _, h = chain_map_with_tau(rng, c)
     a = T_on_homotopy(h)
@@ -319,7 +318,7 @@ def test_eval_whisker_then_tensor_matches_hand_expansion(rng):
     nat = eval_cell_expr(expr)
     for i in range(v.dim0):
         for j in range(v.dim0):
-            got = eval_two_cell(expr, i * v.dim0 + j)
+            got = nat.component(vunit(v.dim0 * v.dim0, i * v.dim0 + j))
             ei = [1 if p == i else 0 for p in range(v.dim0)]
             ej = [1 if p == j else 0 for p in range(v.dim0)]
             hand = kron_vec(a.theta.matvec(ei), v.i.matvec(ej))
@@ -333,8 +332,3 @@ def kron_vec(u, w):
     for x in u:
         out.extend([x * y for y in w])
     return out
-
-
-def test_space_json_round_trip(rng):
-    v = rand_space(rng)
-    assert space_from_json(space_to_json(v)) == v
