@@ -110,10 +110,12 @@ class Cochain:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key in self.values:
+        for key, val in self.values.items():
             if (len(key) != self.degree or list(key) != sorted(set(key))
                     or any(not 0 <= i < self.rep.algebra.dim for i in key)):
                 raise ValueError(f"bad cochain key {key}")
+            if len(val) != self.rep.dimV:
+                raise DimensionMismatch(f"cochain value at {key} is not of length {self.rep.dimV}")
 
     def keys(self):
         return cochain_keys(self.rep.algebra.dim, self.degree)
@@ -132,15 +134,15 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compat(other)
-        vals = {k: vadd(self.value(k), other.value(k)) for k in self.keys()}
-        return Cochain(self.rep, self.degree, _prune(vals))
+        return coords_to_cochain(self.rep, self.degree,
+                                 vadd(cochain_to_coords(self), cochain_to_coords(other)))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Cochain":
-        return Cochain(self.rep, self.degree,
-                       _prune({k: vscale(c, v) for k, v in self.values.items()}))
+        coords = [c * x if x else x for x in cochain_to_coords(self)]  # no Fraction c * 0
+        return coords_to_cochain(self.rep, self.degree, coords)
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in v) for v in self.values.values())
@@ -150,10 +152,6 @@ class Cochain:
             raise DimensionMismatch("cochain degrees differ")
         if self.rep != other.rep:
             raise DimensionMismatch("cochains live over different representations")
-
-
-def _prune(vals: dict) -> dict:
-    return {k: v for k, v in vals.items() if any(x != 0 for x in v)}
 
 
 def cochain_keys(dim: int, n: int):
@@ -168,14 +166,18 @@ def cochain_basis(rep: Representation, n: int) -> list:
 
 
 def cochain_to_coords(w: Cochain) -> list:
-    return [w.value(key)[v] for key, v in cochain_basis(w.rep, w.degree)]
+    """The coordinates of w in the order of `cochain_basis`."""
+    zero = vzeros(w.rep.dimV)
+    return [x for key in w.keys() for x in w.values.get(key, zero)]
 
 
 def coords_to_cochain(rep: Representation, n: int, coords: list) -> Cochain:
-    vals = {}
-    for (key, v), c in zip(cochain_basis(rep, n), coords):
-        if c:
-            vals.setdefault(key, vzeros(rep.dimV))[v] = c
+    """The cochain with these coordinates, storing only its nonzero keys."""
+    d, vals = rep.dimV, {}
+    for p, key in enumerate(cochain_keys(rep.algebra.dim, n)):
+        val = coords[p * d:(p + 1) * d]
+        if any(val):
+            vals[key] = val
     return Cochain(rep, n, vals)
 
 

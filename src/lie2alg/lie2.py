@@ -21,9 +21,9 @@ from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetr
                      zero_l3, zero_phi2)
 from .report import CheckReport, first_violation
 from .serialize import as_count, mat_from_json, mat_to_json, need, tensor_from_json, tensor_to_json
-from .twoterm import ChainMap, TwoTermComplex
-from .twovect import (LinearFunctor, LinearNatTrans, Morphism, T_on_chain_map, TwoVectorSpace,
-                      check_functor, check_nat_trans, compose_functors,
+from .twoterm import TwoTermComplex
+from .twovect import (LinearFunctor, LinearNatTrans, Morphism, S_on_functor, T_on_chain_map,
+                      TwoVectorSpace, check_functor, check_nat_trans, compose_functors,
                       compose_morphisms, functor_T, identity_functor, identity_morphism)
 
 
@@ -349,14 +349,9 @@ def hom_from_linf(f: LInfHom) -> Lie2Hom:
 
 
 def hom_to_linf(F: Lie2Hom) -> LInfHom:
-    """Read the chain map off a valid functor's block structure."""
-    src, tgt = F.source.data, F.target.data
-    n0s, n0t = src.dim0, tgt.dim0
-    phi0 = F.functor.f0
-    phi1 = RMatrix.from_rows([[F.functor.f1[n0t + b, n0s + a] for a in range(src.dim1)]
-                              for b in range(tgt.dim1)], src.dim1)
-    chain = ChainMap(src.complex, tgt.complex, phi0, phi1)
-    return LInfHom(src, tgt, chain, [[list(v) for v in row] for row in F.f2])
+    """Transport back across the dictionary: chain map S(F), phi2 = F2 arrow."""
+    return LInfHom(F.source.data, F.target.data, S_on_functor(F.functor),
+                   [[list(v) for v in row] for row in F.f2])
 
 
 # ---------------------------------------------------------------------------

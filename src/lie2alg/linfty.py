@@ -24,7 +24,8 @@ from .exactlin import (DimensionMismatch, RMatrix, contract, vadd, vneg, vscale,
 from .report import CheckReport, first_violation
 from .serialize import as_count, mat_from_json, mat_to_json, need, tensor_from_json, tensor_to_json
 from .twoterm import (ChainHomotopy, ChainMap, TwoTermComplex, check_chain_map,
-                      check_homotopy, compose_chain_maps, identity_chain_map, zero_homotopy)
+                      check_homotopy, compose_chain_maps, horizontal_homotopy,
+                      identity_chain_map, vertical_homotopy, zero_homotopy)
 
 
 @dataclass
@@ -594,7 +595,6 @@ def identity_two_hom(f: LInfHom) -> LInfTwoHom:
 def vertical_two_hom(t1: LInfTwoHom, t2: LInfTwoHom) -> LInfTwoHom:
     if t1.to_hom != t2.from_hom:
         raise DimensionMismatch("vertical composite needs matching middle hom")
-    from .twoterm import vertical_homotopy
     return LInfTwoHom(t1.from_hom, t2.to_hom,
                       vertical_homotopy(t1.homotopy, t2.homotopy))
 
@@ -602,7 +602,6 @@ def vertical_two_hom(t1: LInfTwoHom, t2: LInfTwoHom) -> LInfTwoHom:
 def horizontal_two_hom(t1: LInfTwoHom, t2: LInfTwoHom) -> LInfTwoHom:
     if t1.from_hom.target != t2.from_hom.source:
         raise DimensionMismatch("horizontal composite endpoints do not chain")
-    from .twoterm import horizontal_homotopy
     return LInfTwoHom(compose_homs(t1.from_hom, t2.from_hom),
                       compose_homs(t1.to_hom, t2.to_hom),
                       horizontal_homotopy(t1.homotopy, t2.homotopy))

@@ -326,15 +326,10 @@ def direct_sum(v: TwoVectorSpace, w: TwoVectorSpace) -> DirectSum:
         f1 = eye1.vstack(z1) if left else z1.vstack(eye1)
         return LinearFunctor(a, total, f0, f1)
 
-    def proj(a: TwoVectorSpace, left: bool) -> LinearFunctor:
-        z0 = RMatrix.zeros(a.dim0, w.dim0 if left else v.dim0)
-        z1 = RMatrix.zeros(a.dim1, w.dim1 if left else v.dim1)
-        eye0, eye1 = RMatrix.identity(a.dim0), RMatrix.identity(a.dim1)
-        f0 = eye0.hstack(z0) if left else z0.hstack(eye0)
-        f1 = eye1.hstack(z1) if left else z1.hstack(eye1)
-        return LinearFunctor(total, a, f0, f1)
-
-    return DirectSum(total, inc(v, True), inc(w, False), proj(v, True), proj(w, False))
+    inclusions = inc(v, True), inc(w, False)
+    projections = [LinearFunctor(total, i.source, i.f0.transpose(), i.f1.transpose())
+                   for i in inclusions]
+    return DirectSum(total, *inclusions, *projections)
 
 
 def tensor_2vs(v: TwoVectorSpace, w: TwoVectorSpace) -> TwoVectorSpace:
@@ -370,10 +365,10 @@ def right_unitor(v: TwoVectorSpace) -> LinearFunctor:
 # 2-cell expressions
 
 class TwoCellExpr:
-    """Tree of 2-cells: leaves are natural transformations or identity
-    2-cells of functors, nodes are vertical composition, whiskering and
-    tensoring.  Every node must be well-typed; evaluation raises
-    CellTypeError otherwise."""
+    """Tree of 2-cells: leaves are natural transformations (identity and
+    tensor 2-cells are the leaves `identity_nat(F)` and `tensor_nat(a, b)`),
+    nodes are vertical composition and whiskering.  Every node must be
+    well-typed; evaluation raises CellTypeError otherwise."""
 
 
 class CellTypeError(ValueError):
@@ -383,11 +378,6 @@ class CellTypeError(ValueError):
 @dataclass
 class CellLeaf(TwoCellExpr):
     nat: LinearNatTrans
-
-
-@dataclass
-class CellId(TwoCellExpr):
-    functor: LinearFunctor
 
 
 @dataclass
@@ -408,28 +398,18 @@ class CellWhiskerR(TwoCellExpr):
     functor: LinearFunctor
 
 
-@dataclass
-class CellTensor(TwoCellExpr):
-    left: TwoCellExpr
-    right: TwoCellExpr
-
-
 def eval_cell_expr(e: TwoCellExpr) -> LinearNatTrans:
     """Evaluate a 2-cell expression to its component map, checking that
     endpoint functors agree at every node."""
     try:
         if isinstance(e, CellLeaf):
             return e.nat
-        if isinstance(e, CellId):
-            return identity_nat(e.functor)
         if isinstance(e, CellVert):
             return vertical_nat(eval_cell_expr(e.first), eval_cell_expr(e.second))
         if isinstance(e, CellWhiskerL):
             return whisker_left(e.functor, eval_cell_expr(e.expr))
         if isinstance(e, CellWhiskerR):
             return whisker_right(eval_cell_expr(e.expr), e.functor)
-        if isinstance(e, CellTensor):
-            return tensor_nat(eval_cell_expr(e.left), eval_cell_expr(e.right))
     except DimensionMismatch as exc:
         raise CellTypeError(str(exc)) from None
     raise CellTypeError(f"unknown 2-cell node {type(e).__name__}")

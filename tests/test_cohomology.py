@@ -58,6 +58,15 @@ def test_zero_cochain_cocycle_and_coboundary():
     assert is_cocycle(z) and is_coboundary(z)
 
 
+def test_cochain_value_of_wrong_length_is_refused():
+    """A value vector must have length dim V, so coordinates never shift."""
+    rep = adjoint_rep(sl_algebra(3))
+    for val in ([], [1], [0] * 7, [1] * 9):
+        with pytest.raises(DimensionMismatch, match="not of length 8"):
+            Cochain(rep, 1, {(0,): val})
+    assert cochain_to_coords(Cochain(rep, 1, {(2,): [1] * 8}))[16:24] == [1] * 8
+
+
 def test_triple_product_nontrivial_class():
     w = killing_triple_cochain(so3_algebra(), 1)
     assert is_cocycle(w)

@@ -8,6 +8,8 @@ computation in the package:
 * Heisenberg algebras h_(2m+1), trivial coefficients: dim H^k =
   C(2m, k) - C(2m, k-2) for k <= m, mirrored above m (Santharoubane,
   Proc. AMS 87, 1983).
+* Chevalley-Eilenberg, Koszul: with trivial coefficients the Poincare
+  polynomial of sl_n is (1 + t^3)(1 + t^5)...(1 + t^(2n-1)).
 * Kunneth: with trivial coefficients the cohomology of g + h is the
   tensor product of the two, so its Poincare polynomial is the product.
 * Top degree: H^n(g) of an n-dimensional g with trivial coefficients is
@@ -49,6 +51,32 @@ def heisenberg(m: int) -> LieAlgebra:
 def sl2() -> LieAlgebra:
     """Basis (h, e, f): [h, e] = 2e, [h, f] = -2f, [e, f] = h."""
     return algebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+
+
+def sl(n: int) -> LieAlgebra:
+    """sl_n on the basis E_ij (i != j), then H_k = E_kk - E_(k+1)(k+1), with
+    the matrix commutator; a traceless diag(d) is sum_k (d_0 + .. + d_k) H_k."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    mats = [{e: 1} for e in off] + [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
+
+    def mul(a: dict, b: dict) -> dict:
+        out = {}
+        for ((i, j), x), ((p, q), y) in product(a.items(), b.items()):
+            if j == p:
+                out[(i, q)] = out.get((i, q), 0) + x * y
+        return out
+
+    def coords(m: dict) -> dict:
+        vec = {off.index(e): c for e, c in m.items() if e[0] != e[1]}
+        for k in range(n - 1):
+            vec[len(off) + k] = sum(m.get((p, p), 0) for p in range(k + 1))
+        return vec
+
+    brackets = {}
+    for a, b in combinations(range(len(mats)), 2):
+        ab, ba = mul(mats[a], mats[b]), mul(mats[b], mats[a])
+        brackets[(a, b)] = coords({e: ab.get(e, 0) - ba.get(e, 0) for e in ab.keys() | ba.keys()})
+    return algebra(len(mats), brackets)
 
 
 def r3(a) -> LieAlgebra:
@@ -108,12 +136,32 @@ def test_heisenberg_betti_numbers():
     assert betti(trivial(heisenberg(4))) == [1, 8, 27, 48, 42, 42, 48, 27, 8, 1]
 
 
+def test_heisenberg_middle_degrees():
+    """h_13 and h_15, where the middle degree is largest."""
+    for m, want in ((6, 429), (7, 1430)):
+        assert cohomology_dim(trivial(heisenberg(m)), m) == comb(2 * m, m) - comb(2 * m, m - 2)
+        assert comb(2 * m, m) - comb(2 * m, m - 2) == want
+
+
+def product_of(p: list, q: list) -> list:
+    """The coefficients of the product of two polynomials."""
+    out = [0] * (len(p) + len(q) - 1)
+    for (i, x), (j, y) in product(enumerate(p), enumerate(q)):
+        out[i + j] += x * y
+    return out
+
+
+def test_sl4_trivial_coefficients_low_degrees():
+    """H^0..H^7(sl4): the low coefficients of (1 + t^3)(1 + t^5)(1 + t^7)."""
+    poincare = [1]
+    for m in (2, 3, 4):
+        poincare = product_of(poincare, [1] + [0] * (2 * m - 2) + [1])
+    assert poincare[:8] == [1, 0, 0, 1, 0, 1, 0, 1]
+    rep = trivial(sl(4))
+    assert [cohomology_dim(rep, k) for k in range(8)] == poincare[:8]
+
+
 def test_kunneth_with_trivial_coefficients():
-    def product_of(p: list, q: list) -> list:
-        out = [0] * (len(p) + len(q) - 1)
-        for (i, x), (j, y) in product(enumerate(p), enumerate(q)):
-            out[i + j] += x * y
-        return out
     for h, want in ((sl2(), [1, 0, 0, 2, 0, 0, 1]), (heisenberg(1), [1, 2, 2, 2, 2, 2, 1])):
         got = betti(trivial(direct_sum(sl2(), h)))
         assert got == want == product_of(betti(trivial(sl2())), betti(trivial(h)))

@@ -1,5 +1,6 @@
 """Source layout the package keeps: no line of src/lie2alg is over 99
-columns, and every name a module imports is used."""
+columns, every import sits at module level, and every name a module
+imports is used."""
 
 import ast
 from pathlib import Path
@@ -19,6 +20,29 @@ def test_source_lines_fit_in_99_columns():
             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > MAX_COLUMNS]
     assert not long, "\n".join(long)
+
+
+def nested_imports(source: str) -> list:
+    """Line of each import statement that is not a direct child of the
+    module body: one inside a function, class, branch or try."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
+def test_imports_are_at_module_level():
+    nested = [f"{path.name}:{line}" for path in _sources()
+              for line in nested_imports(path.read_text(encoding="utf-8"))]
+    assert not nested, "\n".join(nested)
+
+
+def test_nested_import_check_catches_what_it_should():
+    assert nested_imports("import os\nfrom .a import b\n") == []
+    assert nested_imports("import os\n"
+                          "def f():\n    from .twoterm import g\n    return g\n"
+                          "class C:\n    import sys\n"
+                          "try:\n    import json\nexcept ImportError:\n    pass\n") == [3, 6, 8]
 
 
 def unused_imports(source: str) -> list:

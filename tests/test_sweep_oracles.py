@@ -103,6 +103,21 @@ they called are kept below verbatim: `cell_functors` and `same_braid_word`
 for the oracles `tetrahedron_components_with_identities` and
 `check_zamolodchikov_with_identities` and for the test that the tables'
 endpoint words agree, and `_as_object` for `octagon_sides`.
+
+`lie2.hom_to_linf` is S on the functor (`twovect.S_on_functor`), each
+projection of `twovect.direct_sum` is the transpose of its inclusion,
+and `Cochain.__add__` and `scale` go through `cochain_to_coords` and
+`coords_to_cochain`, which read and write each key's vector as one
+slice.  The block read of phi1 (`hom_to_linf_block_read`), the `hstack`
+projections (`direct_sum_hstack`), the sum and multiple pruned of zero
+keys (`cochain_add_pruned`, `cochain_scale_pruned`, with `_prune`) and
+the per-entry conversions (`cochain_to_coords_per_entry`,
+`coords_to_cochain_per_entry`) are kept below verbatim: on valid
+homomorphisms, targets with d != 0 included, on direct sums with the
+zero space and on sparse cochains over sl3 adjoint with Fraction
+entries, sums that cancel a key and multiples by 0 included, the same
+homomorphism, the same functors and the same cochains.  S after T is
+the identity on random homomorphisms.
 """
 
 from __future__ import annotations
@@ -127,34 +142,39 @@ from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Repre
                                 abelian_algebra, adjoint_rep, build_cross_product, build_g_hbar,
                                 _coboundary_cells, build_two_slot, check_lie_algebra,
                                 check_representation, classify, coboundary, coboundary_matrix,
-                                cochain_to_coords, is_coboundary, is_cocycle,
+                                cochain_basis, cochain_to_coords, coords_to_cochain,
+                                is_coboundary, is_cocycle,
                                 killing_triple_cochain, sl2_algebra, sl_algebra, so3_algebra,
                                 trivial_rep)
 from lie2alg import exactlin
-from lie2alg.exactlin import (RMatrix, _echelon, _rref, contract, invert, kron, pivot_columns,
+from lie2alg.exactlin import (RMatrix, _echelon, _rref, block_diag, contract, invert, kron,
+                              pivot_columns,
                               rank_kernel, solve_linear, vadd, vneg, vscale, vsub, vunit, vzeros)
-from lie2alg.lie2 import (DifferentialCrossedModule, SemistrictLie2Algebra, _compose_padded,
-                          bracket_morphisms, check_crossed_module,
-                          check_jacobiator_identity_categorical, from_linfty, jacobiator)
+from lie2alg.lie2 import (DifferentialCrossedModule, Lie2Hom, SemistrictLie2Algebra,
+                          _compose_padded, bracket_morphisms, check_crossed_module,
+                          check_jacobiator_identity_categorical, compose_lie2_homs, from_linfty,
+                          hom_from_linf, hom_to_linf, jacobiator)
 from lie2alg.linfty import (LInfHom, TwoTermLInfinity, _graded_bracket, _graded_element,
                             antisymmetry_violations, basis_tuples, check_axioms, check_hom,
                             integral,
                             generalized_jacobi, is_alternating, jacobi_violations, koszul_chi,
                             l3_antisymmetry_violations, linf_to_json, perm_sign, unscaled,
-                            unshuffles, zero_l3)
+                            unshuffles, zero_l3, zero_phi2)
 from lie2alg.report import CheckReport, CheckResult, first_violation, grid_violations
 from lie2alg.serialize import FixtureError, tensor_from_json
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, Skeletalization, TwoTermComplex,
                              check_chain_map, compose_chain_maps, identity_chain_map,
                              skeletalize_complex)
-from lie2alg.twovect import (CellVert, LinearFunctor, LinearNatTrans, Morphism, S_on_functor,
-                             S_on_nat_trans, TwoVectorSpace, check_nat_trans, compose_functors,
+from lie2alg.twovect import (CellVert, DirectSum, LinearFunctor, LinearNatTrans, Morphism,
+                             S_on_functor, S_on_nat_trans, TwoVectorSpace, check_nat_trans, compose_functors,
                              compose_morphisms, direct_sum, eval_cell_expr, functor_S, functor_T,
                              ground_field, identity_functor, identity_morphism, tensor_2vs,
                              tensor_functor, vertical_nat)
-from conftest import broken_abelian4, broken_abelian4_thirds, conjugate, inflate
+from conftest import broken_abelian4, broken_abelian4_thirds, conjugate, inflate, rand_invertible
 from test_exactlin import (_coboundary_system_of_conjugated_ghbar_sl3,
                            _conjugated_ghbar_sl3_cocycle)
+from test_linfty import twist_hom
+from test_twovect import rand_space
 
 
 # ---------------------------------------------------------------------------
@@ -2268,3 +2288,162 @@ def exact_and_open_cochains(draw):
 @given(exact_and_open_cochains())
 def test_is_coboundary_matches_solve(w):
     assert is_coboundary(w) == solvable(w)
+
+
+# ---------------------------------------------------------------------------
+# S on homomorphisms, projections of direct sums and cochain arithmetic
+# against the code they replaced, verbatim
+
+def hom_to_linf_block_read(F: Lie2Hom) -> LInfHom:
+    """Read the chain map off a valid functor's block structure."""
+    src, tgt = F.source.data, F.target.data
+    n0s, n0t = src.dim0, tgt.dim0
+    phi0 = F.functor.f0
+    phi1 = RMatrix.from_rows([[F.functor.f1[n0t + b, n0s + a] for a in range(src.dim1)]
+                              for b in range(tgt.dim1)], src.dim1)
+    chain = ChainMap(src.complex, tgt.complex, phi0, phi1)
+    return LInfHom(src, tgt, chain, [[list(v) for v in row] for row in F.f2])
+
+
+def direct_sum_hstack(v: TwoVectorSpace, w: TwoVectorSpace) -> DirectSum:
+    total = TwoVectorSpace(v.dim0 + w.dim0, v.dim1 + w.dim1,
+                           block_diag(v.s, w.s), block_diag(v.t, w.t),
+                           block_diag(v.i, w.i))
+
+    def inc(a: TwoVectorSpace, left: bool) -> LinearFunctor:
+        z0 = RMatrix.zeros(w.dim0 if left else v.dim0, a.dim0)
+        z1 = RMatrix.zeros(w.dim1 if left else v.dim1, a.dim1)
+        eye0, eye1 = RMatrix.identity(a.dim0), RMatrix.identity(a.dim1)
+        f0 = eye0.vstack(z0) if left else z0.vstack(eye0)
+        f1 = eye1.vstack(z1) if left else z1.vstack(eye1)
+        return LinearFunctor(a, total, f0, f1)
+
+    def proj(a: TwoVectorSpace, left: bool) -> LinearFunctor:
+        z0 = RMatrix.zeros(a.dim0, w.dim0 if left else v.dim0)
+        z1 = RMatrix.zeros(a.dim1, w.dim1 if left else v.dim1)
+        eye0, eye1 = RMatrix.identity(a.dim0), RMatrix.identity(a.dim1)
+        f0 = eye0.hstack(z0) if left else z0.hstack(eye0)
+        f1 = eye1.hstack(z1) if left else z1.hstack(eye1)
+        return LinearFunctor(total, a, f0, f1)
+
+    return DirectSum(total, inc(v, True), inc(w, False), proj(v, True), proj(w, False))
+
+
+def _prune(vals: dict) -> dict:
+    return {k: v for k, v in vals.items() if any(x != 0 for x in v)}
+
+
+def cochain_add_pruned(self: Cochain, other: Cochain) -> Cochain:
+    self._compat(other)
+    vals = {k: vadd(self.value(k), other.value(k)) for k in self.keys()}
+    return Cochain(self.rep, self.degree, _prune(vals))
+
+
+def cochain_scale_pruned(self: Cochain, c) -> Cochain:
+    return Cochain(self.rep, self.degree,
+                   _prune({k: vscale(c, v) for k, v in self.values.items()}))
+
+
+def cochain_to_coords_per_entry(w: Cochain) -> list:
+    return [w.value(key)[v] for key, v in cochain_basis(w.rep, w.degree)]
+
+
+def coords_to_cochain_per_entry(rep: Representation, n: int, coords: list) -> Cochain:
+    vals = {}
+    for (key, v), c in zip(cochain_basis(rep, n), coords):
+        if c:
+            vals.setdefault(key, vzeros(rep.dimV))[v] = c
+    return Cochain(rep, n, vals)
+
+
+def test_hom_to_linf_matches_block_read(rng):
+    """On valid homomorphisms, twisted ones over so3, sl2 and sl3 and the
+    inclusion into an inflated target with d != 0, S reads the same
+    LInfHom as the arrow block; a map that breaks ker(s) is refused."""
+    homs = [twist_hom(rng, g) for g in (so3_algebra(), sl2_algebra(), sl_algebra(3))
+            for _ in range(3)]
+    v = homs[0].target
+    big = inflate(v, 2, rand_invertible(rng, 2))
+    phi0 = RMatrix.identity(v.dim0).vstack(RMatrix.zeros(2, v.dim0))
+    phi1 = RMatrix.identity(v.dim1).vstack(RMatrix.zeros(2, v.dim1))
+    homs.append(LInfHom(v, big, ChainMap(v.complex, big.complex, phi0, phi1),
+                        zero_phi2(v.dim0, big.dim1)))
+    for f in homs:
+        assert check_hom(f).passed
+        F = hom_from_linf(f)
+        assert hom_to_linf(F) == hom_to_linf_block_read(F) == f
+    G = compose_lie2_homs(hom_from_linf(homs[0]), hom_from_linf(homs[-1]))
+    assert hom_to_linf(G) == hom_to_linf_block_read(G)
+    F = hom_from_linf(homs[-1])
+    f1 = F.functor.f1 + RMatrix.from_cells(F.functor.f1.rows, F.functor.f1.cols,
+                                           [((0, F.source.dim0), 1)])
+    broken = Lie2Hom(F.source, F.target,
+                     LinearFunctor(F.source.space, F.target.space, F.functor.f0, f1), F.f2)
+    with pytest.raises(ValueError, match="does not preserve ker"):
+        hom_to_linf(broken)
+
+
+@settings(max_examples=100, deadline=None)
+@given(homomorphisms())
+def test_S_after_T_is_the_identity_on_homomorphisms(f):
+    """hom_to_linf(hom_from_linf(f)) == f, d != 0 and broken maps included."""
+    F = hom_from_linf(f)
+    assert hom_to_linf(F) == f
+    assert hom_to_linf_block_read(F) == f
+
+
+def test_direct_sum_projections_match_hstack_construction(rng):
+    """The same space, inclusions and projections, the zero space included."""
+    zero = TwoVectorSpace(0, 0, RMatrix.zeros(0, 0), RMatrix.zeros(0, 0), RMatrix.zeros(0, 0))
+    for _ in range(10):
+        v = rand_space(rng, rng.randint(1, 3), rng.randint(3, 4))
+        w = rand_space(rng, rng.randint(0, 2), rng.randint(2, 3))
+        for a, b in ((v, w), (w, v), (v, zero), (zero, w), (zero, zero)):
+            assert direct_sum(a, b) == direct_sum_hstack(a, b)
+
+
+SL3_ADJOINT = adjoint_rep(sl_algebra(3))
+
+
+def sparse_cochain(draw, n: int) -> Cochain:
+    """Up to six keys of degree n over sl3 adjoint, values with Fraction
+    entries, sometimes a stored zero vector."""
+    dimV, entry = SL3_ADJOINT.dimV, st.sampled_from([0, 0, 0, 1, -2] + rationals)
+    keys = list(Cochain(SL3_ADJOINT, n).keys())
+    vals = {k: [draw(entry) for _ in range(dimV)]
+            for k in draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))}
+    if draw(st.booleans()):
+        vals[draw(st.sampled_from(keys))] = vzeros(dimV)
+    return Cochain(SL3_ADJOINT, n, vals)
+
+
+@st.composite
+def cochain_pairs(draw):
+    """Two sparse cochains of one degree 0..3 and a scalar, zero included;
+    the second cancels the first at one of its keys, at all of them, or
+    neither."""
+    n = draw(st.integers(0, 3))
+    w1, w2 = sparse_cochain(draw, n), sparse_cochain(draw, n)
+    kind = draw(st.sampled_from(["free", "cancel_key", "cancel_all"]))
+    if kind == "cancel_all":
+        w2 = Cochain(SL3_ADJOINT, n, {k: vneg(v) for k, v in w1.values.items()})
+    elif kind == "cancel_key" and w1.values:
+        key = draw(st.sampled_from(sorted(w1.values)))
+        w2 = Cochain(SL3_ADJOINT, n, {**w2.values, key: vneg(w1.values[key])})
+    return w1, w2, draw(st.sampled_from([0, 1, -1, 3, Fraction(2, 3), Fraction(-1, 2)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cochain_pairs())
+def test_cochain_arithmetic_matches_pruned_sum_and_scale(case):
+    """The same sums, differences and multiples, zero keys dropped, and the
+    same coordinates both ways as reading and writing one entry at a time."""
+    w1, w2, c = case
+    assert w1 + w2 == cochain_add_pruned(w1, w2)
+    assert w1 - w2 == cochain_add_pruned(w1, cochain_scale_pruned(w2, -1))
+    assert w1.scale(c) == cochain_scale_pruned(w1, c)
+    for w in (w1, w2, w1 + w2):
+        coords = cochain_to_coords(w)
+        assert coords == cochain_to_coords_per_entry(w)
+        assert (coords_to_cochain(w.rep, w.degree, coords)
+                == coords_to_cochain_per_entry(w.rep, w.degree, coords))

@@ -3,7 +3,7 @@ from lie2alg.exactlin import RMatrix, kron, rank_kernel, vsub, vunit
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex,
                              check_chain_map, check_homotopy, horizontal_homotopy,
                              identity_chain_map, vertical_homotopy)
-from lie2alg.twovect import (CellId, CellLeaf, CellTensor, CellVert, CellWhiskerL,
+from lie2alg.twovect import (CellLeaf, CellVert, CellWhiskerL,
                              LinearNatTrans, Morphism,
                              TwoVectorSpace, check_functor, check_nat_trans,
                              check_space, compose_functors, compose_morphisms,
@@ -301,11 +301,11 @@ def test_eval_two_cell_identity_and_units(rng):
     idf = identity_functor(v)
     for j in range(v.dim0):
         x = vunit(v.dim0, j)
-        assert eval_cell_expr(CellId(idf)).component(x) == identity_morphism(v, x)
+        assert eval_cell_expr(CellLeaf(identity_nat(idf))).component(x) == identity_morphism(v, x)
     c = TwoTermComplex(2, 2, rand_mat(rng, 2, 2))
     _, _, h = chain_map_with_tau(rng, c)
     a = T_on_homotopy(h)
-    vert = CellVert(CellLeaf(a), CellId(a.to_functor))
+    vert = CellVert(CellLeaf(a), CellLeaf(identity_nat(a.to_functor)))
     assert eval_cell_expr(vert).theta == a.theta
 
 
@@ -314,7 +314,7 @@ def test_eval_whisker_then_tensor_matches_hand_expansion(rng):
     _, _, h = chain_map_with_tau(rng, c)
     a = T_on_homotopy(h)
     v = a.from_functor.source
-    expr = CellTensor(CellLeaf(a), CellId(identity_functor(v)))
+    expr = CellLeaf(tensor_nat(a, identity_nat(identity_functor(v))))
     nat = eval_cell_expr(expr)
     for i in range(v.dim0):
         for j in range(v.dim0):
