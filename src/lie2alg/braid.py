@@ -229,11 +229,12 @@ def tetrahedron_components(ty: TetraY):
     No matrix on the fourth tensor power is built.  For each cell, u goes
     through the braids of P (B.f0 on two slots), J ox i at w = w123 w4 is
     J(w123) ox i(w4) and i ox J is i(w1) ox J(w234), and the result goes
-    through the braids of S (B.f1 on two slots).  The objects of the
-    prefixes P are computed once per u, sharing their own prefixes."""
+    through the braids of S (B.f1 on two slots); i(w) must be the unit arrow
+    w, as on k + L (i = block_diag(1, [I; 0])).  The objects of the prefixes
+    P are computed once per u, sharing their own prefixes."""
     d0, d1 = ty.space.dim0, ty.space.dim1
     f0, f1 = _slot_braids(ty.braid.f0, d0), _slot_braids(ty.braid.f1, d1)
-    ident, jcols = _columns(ty.space.i), _columns(ty.jacobiator)
+    jcols = _columns(ty.jacobiator)
     d03, d13 = d0 ** 3, d1 ** 3
     # the object words the cells read, as steps (parent, b)
     steps, index = [], {(): 0}
@@ -248,9 +249,9 @@ def tetrahedron_components(ty: TetraY):
     def j_at(s: int, w: int) -> list:
         if s == 0:
             w123, w4 = divmod(w, d0)
-            return [(k * d1 + j, x * z) for k, x in jcols[w123] for j, z in ident[w4]]
+            return [(k * d1 + w4, x) for k, x in jcols[w123]]
         w1, w234 = divmod(w, d03)
-        return [(j * d13 + k, z * x) for j, z in ident[w1] for k, x in jcols[w234]]
+        return [(w1 * d13 + k, x) for k, x in jcols[w234]]
 
     def side(objs: list, plan) -> dict:
         out = {}

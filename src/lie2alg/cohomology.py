@@ -117,9 +117,6 @@ class Cochain:
             if len(val) != self.rep.dimV:
                 raise DimensionMismatch(f"cochain value at {key} is not of length {self.rep.dimV}")
 
-    def keys(self):
-        return cochain_keys(self.rep.algebra.dim, self.degree)
-
     def value(self, key: tuple) -> list:
         return list(self.values.get(tuple(key), vzeros(self.rep.dimV)))
 
@@ -134,15 +131,16 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._compat(other)
-        return coords_to_cochain(self.rep, self.degree,
-                                 vadd(cochain_to_coords(self), cochain_to_coords(other)))
+        vals = {k: vadd(self.value(k), other.value(k)) for k in sorted(self.values | other.values)}
+        return Cochain(self.rep, self.degree, {k: v for k, v in vals.items() if any(v)})
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Cochain":
-        coords = [c * x if x else x for x in cochain_to_coords(self)]  # no Fraction c * 0
-        return coords_to_cochain(self.rep, self.degree, coords)
+        vals = {key: [c * x if x else x for x in val]  # no Fraction c * 0
+                for key, val in self.values.items() if c and any(val)}
+        return Cochain(self.rep, self.degree, vals)
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in v) for v in self.values.values())
@@ -167,8 +165,8 @@ def cochain_basis(rep: Representation, n: int) -> list:
 
 def cochain_to_coords(w: Cochain) -> list:
     """The coordinates of w in the order of `cochain_basis`."""
-    zero = vzeros(w.rep.dimV)
-    return [x for key in w.keys() for x in w.values.get(key, zero)]
+    dim, zero = w.rep.algebra.dim, vzeros(w.rep.dimV)
+    return [x for key in cochain_keys(dim, w.degree) for x in w.values.get(key, zero)]
 
 
 def coords_to_cochain(rep: Representation, n: int, coords: list) -> Cochain:
@@ -277,7 +275,6 @@ def is_coboundary(w: Cochain) -> bool:
 
 
 def cohomologous(w1: Cochain, w2: Cochain) -> bool:
-    w1._compat(w2)
     return is_coboundary(w1 - w2)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,18 @@ def ghbar_so3_1():
 def tetra_so3_1(ghbar_so3_1):
     from lie2alg.braid import build_Y
     return build_Y(ghbar_so3_1)
+
+
+def refusals(table) -> list:
+    """pytest parameters (call, exception type, message) from the rows
+    (id, call, exception type, whole message) of a refusal table."""
+    return [pytest.param(call, exc, message, id=name) for name, call, exc, message in table]
+
+
+def assert_refused(call, exc, message: str) -> None:
+    """call() raises exc with exactly this message."""
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.fixture

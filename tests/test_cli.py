@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from lie2alg import cli
 from lie2alg.cli import fixture_dir, run
 from lie2alg.cohomology import (adjoint_rep, algebra_to_json, cochain_to_json, rep_to_json,
                                 sl_algebra, trivial_rep)
@@ -664,3 +667,14 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "killing form rows" in proc.stdout
+
+
+def test_readme_states_every_size_limit_with_its_value():
+    """The size-limit bullets of README.md (`` `NAME` = 500,000: ``) name
+    every `*_MAX_*` constant of lie2alg.cli, and only those, at its value."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = {name: int(value.replace(",", ""))
+              for name, value in re.findall(r"^- `(\w+)` = ([\d,]+):", readme, re.M)}
+    limits = {name: value for name, value in vars(cli).items()
+              if name.isupper() and "_MAX_" in name}
+    assert stated == limits

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lie2alg import cohomology
 from lie2alg.cohomology import (Cochain, LieAlgebra, Representation, _coboundary_cells,
                                 abelian_algebra, adjoint_rep, algebra_from_json, algebra_to_json,
                                 build_cross_product, build_g_hbar, build_two_slot,
                                 check_lie_algebra, classify, coboundary, coboundary_matrix,
-                                cochain_basis, cochain_from_json, cochain_to_coords,
+                                cochain_basis, cochain_from_json, cochain_keys, cochain_to_coords,
                                 cochain_to_json, cohomologous, cohomology_dim,
                                 is_cocycle, is_coboundary, killing_form,
                                 killing_triple_cochain, rep_from_json, rep_to_json,
@@ -18,9 +19,10 @@ from lie2alg.cohomology import (Cochain, LieAlgebra, Representation, _coboundary
 from lie2alg.exactlin import DimensionMismatch, RMatrix, rank_kernel
 from lie2alg.lie2 import from_linfty
 from lie2alg.linfty import check_axioms, check_hom
-from conftest import (broken_jacobi3, delta_twist_pair, inflate,
+from lie2alg.serialize import FixtureError
+from conftest import (assert_refused, broken_jacobi3, delta_twist_pair, inflate,
                       quadruple_preserving_conjugation, rand_cochain,
-                      rand_invertible, conjugate)
+                      rand_invertible, refusals, conjugate)
 from test_sweep_oracles import coboundary_pointwise
 
 
@@ -65,6 +67,59 @@ def test_cochain_value_of_wrong_length_is_refused():
         with pytest.raises(DimensionMismatch, match="not of length 8"):
             Cochain(rep, 1, {(0,): val})
     assert cochain_to_coords(Cochain(rep, 1, {(2,): [1] * 8}))[16:24] == [1] * 8
+
+
+def test_cochain_arithmetic_reads_only_the_stored_keys(monkeypatch):
+    """+, -, scale and is_zero never enumerate C^n: in degree 20 over the
+    40-dimensional abelian algebra, C(40, 20) ~ 1.4e11 keys, with every
+    enumeration of C^n made to raise.  Results keep only nonzero vectors and
+    share no list with their operands."""
+    def refuse(*args):
+        raise AssertionError("C^n enumerated")
+    for name in ("cochain_keys", "cochain_to_coords", "coords_to_cochain"):
+        monkeypatch.setattr(cohomology, name, refuse)
+    rep = trivial_rep(abelian_algebra(40), 1)
+    k1, k2 = tuple(range(20)), tuple(range(20, 40))
+    a = Cochain(rep, 20, {k1: [3]})
+    b = Cochain(rep, 20, {k1: [Fraction(1, 2)], k2: [-1]})
+    assert (a + b).values == {k1: [Fraction(7, 2)], k2: [-1]}
+    assert (a - b).values == {k1: [Fraction(5, 2)], k2: [1]}
+    assert (b - a).values == {k1: [Fraction(-5, 2)], k2: [-1]}
+    assert (b - b).values == {} and (b - b).is_zero()
+    assert (a + b - a).values == {k1: [Fraction(1, 2)], k2: [-1]}
+    assert b.scale(0).values == {} and b.scale(0).is_zero()
+    assert b.scale(Fraction(2, 3)).values == {k1: [Fraction(1, 3)], k2: [Fraction(-2, 3)]}
+    assert a.scale(Fraction(2, 3)).values == {k1: [2]}
+    assert not a.is_zero() and not b.is_zero()
+    operands = {id(v) for w in (a, b) for v in w.values.values()}
+    for out in (a + b, b + a, a + Cochain(rep, 20), a - b, a.scale(1), b.scale(-1)):
+        assert operands.isdisjoint(id(v) for v in out.values.values())
+
+
+SO3_LINE = trivial_rep(so3_algebra(), 1)
+
+
+def test_cohomology_below_degree_zero_and_coboundaries_in_degree_zero():
+    """H^n = 0 for n < 0, and in degree 0 only the zero cochain is exact."""
+    assert cohomology_dim(SO3_LINE, -1) == 0
+    assert is_coboundary(Cochain(SO3_LINE, 0))
+    assert not is_coboundary(Cochain(SO3_LINE, 0, {(): [1]}))
+
+
+@pytest.mark.parametrize("call, exc, message", refusals([
+    ("rho count", lambda: Representation(so3_algebra(), 1, [RMatrix.zeros(1, 1)] * 2),
+     DimensionMismatch, "need one rho matrix per basis element"),
+    ("rho shape", lambda: Representation(so3_algebra(), 1, [RMatrix.zeros(2, 2)] * 3),
+     DimensionMismatch, "rho matrices must be dimV x dimV"),
+    ("degrees", lambda: Cochain(SO3_LINE, 1) + Cochain(SO3_LINE, 2), DimensionMismatch,
+     "cochain degrees differ"),
+    ("representations", lambda: Cochain(SO3_LINE, 1) - Cochain(adjoint_rep(so3_algebra()), 1),
+     DimensionMismatch, "cochains live over different representations"),
+    ("json values", lambda: cochain_from_json(SO3_LINE, {"degree": 1, "values": [[1]]}),
+     FixtureError, "field 'values' must map index tuples to vectors"),
+]))
+def test_cochain_refusals_name_the_mismatch(call, exc, message):
+    assert_refused(call, exc, message)
 
 
 def test_triple_product_nontrivial_class():
@@ -381,7 +436,7 @@ def rational_cochains(draw):
     degree = draw(st.integers(0, rep.algebra.dim + 1))
     entry = st.one_of(st.just(0), st.integers(-3, 3),
                       st.fractions(min_value=-2, max_value=2, max_denominator=4))
-    keys = draw(st.lists(st.sampled_from(list(Cochain(rep, degree).keys())), unique=True)
+    keys = draw(st.lists(st.sampled_from(list(cochain_keys(rep.algebra.dim, degree))), unique=True)
                 if degree <= rep.algebra.dim else st.just([]))
     return Cochain(rep, degree, {key: [draw(entry) for _ in range(rep.dimV)] for key in keys})
 

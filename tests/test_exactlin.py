@@ -15,7 +15,7 @@ from lie2alg.exactlin import (DimensionMismatch, RMatrix, _rref, block_diag, con
                               solve_linear)
 from lie2alg.lie2 import from_linfty
 from lie2alg.serialize import mat_from_json, mat_to_json
-from conftest import conjugate, rand_invertible
+from conftest import assert_refused, conjugate, rand_invertible, refusals
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -68,6 +68,33 @@ def test_solve_free_coordinates_zero():
 def test_solve_shape_error():
     with pytest.raises(DimensionMismatch):
         solve_linear(RMatrix.identity(2), [1, 2, 3])
+
+
+def test_equality_with_a_non_matrix_is_not_implemented():
+    m = RMatrix.identity(1)
+    assert m.__eq__([[1]]) is NotImplemented
+    assert m != [[1]] and not m == 1
+
+
+@pytest.mark.parametrize("call, exc, message", refusals([
+    ("row count", lambda: RMatrix(2, 1, [{}]), DimensionMismatch, "expected 2 rows, got 1"),
+    ("from_rows empty", lambda: RMatrix.from_rows([]), DimensionMismatch,
+     "empty row list needs an explicit column count"),
+    ("from_rows ragged", lambda: RMatrix.from_rows([[1, 2], [3]]), DimensionMismatch,
+     "expected 2x2 grid"),
+    ("add", lambda: RMatrix.identity(2) + RMatrix.identity(3), DimensionMismatch,
+     "matrix addition shape mismatch"),
+    ("matmul", lambda: RMatrix.identity(2) @ RMatrix.zeros(3, 1), DimensionMismatch,
+     "cannot multiply 2x2 by 3x1"),
+    ("matvec", lambda: RMatrix.identity(2).matvec([1]), DimensionMismatch,
+     "matvec length 1 vs 2 columns"),
+    ("hstack", lambda: RMatrix.identity(2).hstack(RMatrix.zeros(3, 1)), DimensionMismatch,
+     "hstack row mismatch"),
+    ("vstack", lambda: RMatrix.identity(2).vstack(RMatrix.zeros(1, 3)), DimensionMismatch,
+     "vstack column mismatch"),
+]))
+def test_matrix_refusals_name_the_mismatch(call, exc, message):
+    assert_refused(call, exc, message)
 
 
 def test_kron_identity_factor_block_diagonal():

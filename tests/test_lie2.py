@@ -6,8 +6,8 @@ import pytest
 
 from lie2alg.cohomology import (Representation, abelian_algebra, build_g_hbar,
                                 build_two_slot, Cochain, so3_algebra, trivial_rep)
-from lie2alg.exactlin import RMatrix, vzeros
-from lie2alg.lie2 import (DCM_FAILURE_TO_AXIOM, DifferentialCrossedModule, Lie2TwoHom,
+from lie2alg.exactlin import DimensionMismatch, RMatrix, vzeros
+from lie2alg.lie2 import (DCM_FAILURE_TO_AXIOM, DifferentialCrossedModule, Lie2Hom, Lie2TwoHom,
                           bracket_morphisms, bracket_morphisms_alt,
                           check_crossed_module, check_jacobiator_identity_categorical,
                           check_jacobiator_naturality, check_lie2_hom,
@@ -17,8 +17,9 @@ from lie2alg.lie2 import (DCM_FAILURE_TO_AXIOM, DifferentialCrossedModule, Lie2T
                           is_strict, jacobiator, to_crossed_module, to_linfty)
 from lie2alg.linfty import TwoTermLInfinity, check_axioms, check_hom, identity_hom
 from lie2alg.twoterm import TwoTermComplex
-from lie2alg.twovect import Morphism, compose_morphisms, identity_morphism
-from conftest import broken_abelian4, rand_mat, so3_adjoint_dcm
+from lie2alg.twovect import (LinearFunctor, Morphism, compose_morphisms, ground_field,
+                             identity_functor, identity_morphism, identity_nat)
+from conftest import assert_refused, broken_abelian4, rand_mat, refusals, so3_adjoint_dcm
 
 
 def test_round_trip_is_identity():
@@ -339,3 +340,29 @@ def test_lie2_two_hom_identity_passes():
     t = Lie2TwoHom(e, e, identity_nat(e.functor))
     rep = check_lie2_two_hom(t)
     assert rep.passed
+
+
+L1, L2 = build_g_hbar(so3_algebra(), 1), build_g_hbar(so3_algebra(), 2)
+ID1 = identity_lie2_hom(L1)
+TWO = LinearFunctor(L1.space, L1.space, RMatrix.identity(3).scale(2), RMatrix.identity(4).scale(2))
+
+
+@pytest.mark.parametrize("call, exc, message", refusals([
+    ("foreign morphism", lambda: bracket_morphisms(L1, identity_morphism(L1.space, [1, 0, 0]),
+                                                   Morphism(ground_field(), [1])),
+     DimensionMismatch, "morphisms do not live in this Lie 2-algebra"),
+    ("hom functor", lambda: Lie2Hom(L1, L1, identity_functor(ground_field()), ID1.f2),
+     DimensionMismatch, "functor endpoints disagree with the structures"),
+    ("compose", lambda: compose_lie2_homs(ID1, identity_lie2_hom(L2)), DimensionMismatch,
+     "homomorphisms are not composable"),
+    ("two-hom endpoints", lambda: Lie2TwoHom(ID1, identity_lie2_hom(L2),
+                                             identity_nat(ID1.functor)),
+     DimensionMismatch, "2-homomorphism endpoints must be parallel"),
+    ("two-hom cell", lambda: Lie2TwoHom(ID1, ID1, identity_nat(TWO)), DimensionMismatch,
+     "underlying natural transformation endpoints disagree"),
+    ("t shape", lambda: DifferentialCrossedModule(1, [[[0]]], 1, [[[0]]], RMatrix.zeros(2, 1),
+                                                  [[[0]]]),
+     DimensionMismatch, "t must map h into g"),
+]))
+def test_lie2_refusals_name_the_mismatch(call, exc, message):
+    assert_refused(call, exc, message)

@@ -13,10 +13,12 @@ from lie2alg.linfty import (LInfHom, LInfTwoHom, TwoTermLInfinity, check_axioms,
                             linf_to_json, unscaled, unshuffles, vertical_two_hom,
                             zero_phi2)
 from lie2alg.lie2 import from_linfty
-from lie2alg.twoterm import ChainHomotopy, ChainMap, TwoTermComplex
+from lie2alg.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex, identity_chain_map,
+                             zero_homotopy)
 from lie2alg.twovect import (S_on_nat_trans, T_on_homotopy, vertical_nat,
                              horizontal_nat)
-from conftest import broken_abelian4, broken_jacobi3, delta_twist_pair
+from conftest import (assert_refused, broken_abelian4, broken_jacobi3, delta_twist_pair,
+                      refusals)
 
 
 def lie_algebra_as_one_term(g):
@@ -315,6 +317,31 @@ def test_shape_errors_name_the_first_bad_level_depth_first(field, edits, message
         parent[at[-1]] = value
     with pytest.raises(DimensionMismatch, match=f"^{message} at this level$"):
         TwoTermLInfinity(v.complex, tensors["l2_00"], tensors["l2_01"], tensors["l3"])
+
+
+G1, G2 = build_g_hbar(so3_algebra(), 1).data, build_g_hbar(so3_algebra(), 2).data
+ID1 = identity_hom(G1)
+TWIST1 = LInfHom(G1, G1, identity_chain_map(G1.complex), [[[1]] * 3] * 3)
+OTHER_COMPLEX = TwoTermComplex(3, 1, RMatrix.from_rows([[1], [0], [0]]))
+
+
+@pytest.mark.parametrize("call, exc, message", refusals([
+    ("arity 0", lambda: generalized_jacobi(G1, 0), ValueError, "arity must be between 1 and 4"),
+    ("arity 5", lambda: generalized_jacobi(G1, 5), ValueError, "arity must be between 1 and 4"),
+    ("hom endpoints", lambda: LInfHom(G1, G1, identity_chain_map(OTHER_COMPLEX), zero_phi2(3, 1)),
+     DimensionMismatch, "chain map endpoints disagree with the structures"),
+    ("compose", lambda: compose_homs(ID1, identity_hom(G2)), DimensionMismatch,
+     "homomorphisms are not composable"),
+    ("two-hom endpoints", lambda: LInfTwoHom(ID1, identity_hom(G2), zero_homotopy(ID1.chain)),
+     DimensionMismatch, "2-homomorphism endpoints must be parallel"),
+    ("vertical", lambda: vertical_two_hom(identity_two_hom(ID1), identity_two_hom(TWIST1)),
+     DimensionMismatch, "vertical composite needs matching middle hom"),
+    ("horizontal", lambda: horizontal_two_hom(identity_two_hom(ID1),
+                                              identity_two_hom(identity_hom(G2))),
+     DimensionMismatch, "horizontal composite endpoints do not chain"),
+]))
+def test_homomorphism_refusals_name_the_mismatch(call, exc, message):
+    assert_refused(call, exc, message)
 
 
 def test_integral_clears_denominators_with_the_least_d():

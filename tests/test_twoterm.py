@@ -4,10 +4,10 @@ import pytest
 from lie2alg.exactlin import DimensionMismatch, RMatrix
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex,
                              check_chain_map, check_homotopy, complex_from_json,
-                             complex_to_json, compose_chain_maps,
+                             complex_to_json, compose_chain_maps, horizontal_homotopy,
                              identity_chain_map, skeletalize_complex,
                              vertical_homotopy, zero_homotopy)
-from conftest import rand_mat
+from conftest import assert_refused, rand_mat, refusals
 
 
 def rand_complex(rng, n0, n1):
@@ -77,6 +77,36 @@ def test_homotopy_endpoint_mismatch_raises():
     g = ChainMap(c, c2, RMatrix.zeros(2, 1), RMatrix.zeros(1, 1))
     with pytest.raises(DimensionMismatch):
         ChainHomotopy(f, g, RMatrix.zeros(1, 1))
+
+
+C1 = TwoTermComplex(1, 1, RMatrix.zeros(1, 1))
+C2 = TwoTermComplex(2, 1, RMatrix.zeros(2, 1))
+ID1 = identity_chain_map(C1)
+TWO = ChainMap(C1, C1, RMatrix.from_rows([[2]]), RMatrix.from_rows([[2]]))
+
+
+@pytest.mark.parametrize("call, exc, message", refusals([
+    ("d shape", lambda: TwoTermComplex(2, 1, RMatrix.zeros(1, 2)), DimensionMismatch,
+     "differential must be 2x1, got 1x2"),
+    ("phi0 shape", lambda: ChainMap(C1, C2, RMatrix.zeros(1, 1), RMatrix.zeros(1, 1)),
+     DimensionMismatch, "phi0 has the wrong shape"),
+    ("phi1 shape", lambda: ChainMap(C1, C2, RMatrix.zeros(2, 1), RMatrix.zeros(2, 1)),
+     DimensionMismatch, "phi1 has the wrong shape"),
+    ("homotopy endpoints", lambda: ChainHomotopy(ID1, identity_chain_map(C2),
+                                                 RMatrix.zeros(1, 1)),
+     DimensionMismatch, "homotopy endpoints must be parallel chain maps"),
+    ("tau shape", lambda: ChainHomotopy(ID1, TWO, RMatrix.zeros(2, 1)), DimensionMismatch,
+     "tau has the wrong shape"),
+    ("compose", lambda: compose_chain_maps(ID1, identity_chain_map(C2)), DimensionMismatch,
+     "chain maps are not composable"),
+    ("vertical", lambda: vertical_homotopy(zero_homotopy(ID1), zero_homotopy(TWO)),
+     DimensionMismatch, "vertical composite needs matching middle chain map"),
+    ("horizontal", lambda: horizontal_homotopy(zero_homotopy(ID1),
+                                               zero_homotopy(identity_chain_map(C2))),
+     DimensionMismatch, "horizontal composite endpoints do not chain"),
+]))
+def test_chain_level_refusals_name_the_mismatch(call, exc, message):
+    assert_refused(call, exc, message)
 
 
 def test_vertical_homotopy_adds_taus(rng):

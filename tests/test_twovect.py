@@ -1,10 +1,11 @@
+import pytest
 
-from lie2alg.exactlin import RMatrix, kron, rank_kernel, vsub, vunit
+from lie2alg.exactlin import DimensionMismatch, RMatrix, kron, rank_kernel, vsub, vunit
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex,
                              check_chain_map, check_homotopy, horizontal_homotopy,
                              identity_chain_map, vertical_homotopy)
-from lie2alg.twovect import (CellLeaf, CellVert, CellWhiskerL,
-                             LinearNatTrans, Morphism,
+from lie2alg.twovect import (CellLeaf, CellTypeError, CellVert, CellWhiskerL,
+                             LinearFunctor, LinearNatTrans, Morphism, TwoCellExpr,
                              TwoVectorSpace, check_functor, check_nat_trans,
                              check_space, compose_functors, compose_morphisms,
                              direct_sum, eval_cell_expr, functor_S,
@@ -13,7 +14,7 @@ from lie2alg.twovect import (CellLeaf, CellVert, CellWhiskerL,
                              left_unitor, right_unitor, S_on_functor, S_on_nat_trans,
                              st_roundtrip_iso, T_on_chain_map, T_on_homotopy, tensor_2vs, tensor_functor,
                              tensor_nat, vertical_nat, whisker_left, whisker_right)
-from conftest import rand_mat
+from conftest import assert_refused, rand_mat, refusals
 
 
 def rand_complex(rng, n0, n1):
@@ -332,3 +333,65 @@ def kron_vec(u, w):
     for x in u:
         out.extend([x * y for y in w])
     return out
+
+
+K = ground_field()
+V = functor_T(TwoTermComplex(1, 1, RMatrix.zeros(1, 1)))
+ID_K, ID_V = identity_functor(K), identity_functor(V)
+TWO_V = LinearFunctor(V, V, RMatrix.from_rows([[2]]), RMatrix.identity(2).scale(2))
+
+
+def test_morphism_difference_equality_and_invertibility_across_dimensions():
+    """`-` subtracts the vectors, `==` with a non-morphism is left to the
+    other operand, and a functor between spaces of different dimensions is
+    not invertible."""
+    assert Morphism(V, [3, 1]) - Morphism(V, [1, 2]) == Morphism(V, [2, -1])
+    assert Morphism(K, [1]).__eq__([1]) is NotImplemented and Morphism(K, [1]) != [1]
+    assert not is_invertible_functor(LinearFunctor(K, V, RMatrix.identity(1),
+                                                   RMatrix.zeros(2, 1)))
+
+
+@pytest.mark.parametrize("call, exc, message", refusals([
+    ("s shape", lambda: TwoVectorSpace(1, 2, RMatrix.zeros(2, 1), RMatrix.zeros(1, 2),
+                                       RMatrix.zeros(2, 1)), DimensionMismatch, "s must be 1x2"),
+    ("t shape", lambda: TwoVectorSpace(1, 2, RMatrix.zeros(1, 2), RMatrix.zeros(1, 1),
+                                       RMatrix.zeros(2, 1)), DimensionMismatch, "t must be 1x2"),
+    ("i shape", lambda: TwoVectorSpace(1, 2, RMatrix.zeros(1, 2), RMatrix.zeros(1, 2),
+                                       RMatrix.zeros(1, 2)), DimensionMismatch, "i must be 2x1"),
+    ("morphism +", lambda: Morphism(K, [1]) + Morphism(V, [1, 0]), DimensionMismatch,
+     "morphism addition requires a common space"),
+    ("morphism -", lambda: Morphism(K, [1]) - Morphism(V, [1, 0]), DimensionMismatch,
+     "morphism subtraction requires a common space"),
+    ("compose spaces", lambda: compose_morphisms(Morphism(K, [1]), Morphism(V, [1, 0])),
+     DimensionMismatch, "morphisms live in different spaces"),
+    ("compose ends", lambda: compose_morphisms(identity_morphism(V, [1]),
+                                               identity_morphism(V, [2])),
+     ValueError, "morphisms are not composable: target(f) != source(g)"),
+    ("f0 shape", lambda: LinearFunctor(K, V, RMatrix.zeros(2, 1), RMatrix.zeros(2, 1)),
+     DimensionMismatch, "f0 has the wrong shape"),
+    ("f1 shape", lambda: LinearFunctor(K, V, RMatrix.zeros(1, 1), RMatrix.zeros(1, 1)),
+     DimensionMismatch, "f1 has the wrong shape"),
+    ("apply", lambda: ID_K.apply(Morphism(V, [1, 0])), DimensionMismatch,
+     "morphism not in the functor's source"),
+    ("compose functors", lambda: compose_functors(ID_K, ID_V), DimensionMismatch,
+     "functors are not composable"),
+    ("nat endpoints", lambda: LinearNatTrans(ID_K, ID_V, RMatrix.zeros(1, 1)),
+     DimensionMismatch, "natural transformation needs parallel functors"),
+    ("theta shape", lambda: LinearNatTrans(ID_V, TWO_V, RMatrix.zeros(1, 1)),
+     DimensionMismatch, "theta has the wrong shape"),
+    ("vertical", lambda: vertical_nat(identity_nat(ID_V), identity_nat(TWO_V)),
+     DimensionMismatch, "vertical composite needs matching middle functor"),
+    ("whisker left", lambda: whisker_left(ID_K, identity_nat(ID_V)), DimensionMismatch,
+     "left whisker does not chain"),
+    ("whisker right", lambda: whisker_right(identity_nat(ID_V), ID_K), DimensionMismatch,
+     "right whisker does not chain"),
+    ("horizontal", lambda: horizontal_nat(identity_nat(ID_K), identity_nat(ID_V)),
+     DimensionMismatch, "horizontal composite endpoints do not chain"),
+    ("cell mismatch", lambda: eval_cell_expr(CellVert(CellLeaf(identity_nat(ID_V)),
+                                                      CellLeaf(identity_nat(TWO_V)))),
+     CellTypeError, "vertical composite needs matching middle functor"),
+    ("cell node", lambda: eval_cell_expr(TwoCellExpr()), CellTypeError,
+     "unknown 2-cell node TwoCellExpr"),
+]))
+def test_two_vector_space_refusals_name_the_mismatch(call, exc, message):
+    assert_refused(call, exc, message)
