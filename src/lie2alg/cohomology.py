@@ -351,11 +351,11 @@ def classify(L: SemistrictLie2Algebra) -> ClassifyingQuadruple:
     tau = sk.homotopy.tau
     n0, n1 = sk.skeletal.dim0, sk.skeletal.dim1
     ue = [u0.col(i) for i in range(n0)]  # images of the skeleton's basis
-    bracket = [[v0.matvec(v.bracket00(ue[i], ue[j])) for j in range(n0)] for i in range(n0)]
+    brackets = [[v.bracket00(ue[i], ue[j]) for j in range(n0)] for i in range(n0)]
+    bracket = [[v0.matvec(x) for x in row] for row in brackets]
     rho = [v1 @ RMatrix.from_cols([v.act(ue[i], u1.col(a)) for a in range(n1)], rows=v.dim1)
            for i in range(n0)]
-    phi2 = [[vneg(tau.matvec(v.bracket00(ue[i], ue[j]))) for j in range(n0)]
-            for i in range(n0)]
+    phi2 = [[vneg(tau.matvec(x)) for x in row] for row in brackets]
     algebra = LieAlgebra(n0, bracket)
     rep = Representation(algebra, n1, rho)
 

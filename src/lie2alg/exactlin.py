@@ -107,8 +107,8 @@ def contract(tensor: list, dim: int, *vecs) -> list:
     entry is the sum of u[i] v[j] t[i][j][m]; zero coefficients are
     skipped.  A slot may take a basis index i instead of the unit vector
     e_i, which selects the sub-tensor t[i] with no search for the
-    nonzero.  This is the one evaluator of every multilinear structure
-    map in the package: brackets, actions, Jacobiators and phi2.
+    nonzero.  It evaluates structure maps on vectors; the structure
+    sweeps read nonzero tables instead (`linfty.sum_products`).
     """
     terms = [(tensor, 1)]  # (sub-tensor, product of the coefficients chosen so far)
     for vec in vecs:

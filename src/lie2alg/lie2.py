@@ -17,8 +17,8 @@ from itertools import product
 
 from .exactlin import DimensionMismatch, RMatrix, contract, vadd, vneg, vsub, vunit, vzeros
 from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
-                     basis_tuples, integral, is_alternating, jacobi_violations, unscaled,
-                     zero_l3, zero_phi2)
+                     basis_tuples, first_slot_last, integral, is_alternating, jacobi_violations,
+                     nonzero_terms, sum_products, unscaled, zero_l3, zero_phi2)
 from .report import CheckReport, first_violation
 from .serialize import as_count, mat_from_json, mat_to_json, need, tensor_from_json, tensor_to_json
 from .twoterm import TwoTermComplex
@@ -119,9 +119,9 @@ def check_jacobiator_identity_categorical(L: SemistrictLie2Algebra) -> CheckRepo
     A composite in T(C) is its first source followed by the sum of its
     arrow parts.  Both composites start at [[[w,x],y],z], so the
     residual's source part is zero and only the arrow parts are compared.
-    A J term's arrow part is l3.  A Br term's is a contraction of the
-    arrow block of the bracket, tabulated once on a basis arrow and a
-    basis identity.
+    A J term's arrow part is l3.  A Br term's is the arrow block of the
+    bracket (`bracket_morphisms`) on a basis arrow and a basis identity:
+    [f_a, 1_y] has arrow part -l2(y, f_a) and [1_w, f_a] has l2(w, f_a).
 
     Each arrow part is l3 after l2 or l2 after l3: one Br argument is
     always an identity, whose arrow part is zero, so the d l2 block of
@@ -130,7 +130,11 @@ def check_jacobiator_identity_categorical(L: SemistrictLie2Algebra) -> CheckRepo
     two identities has arrow part zero.  The residual is therefore a
     homogeneous quadratic polynomial in the structure constants, and the
     sweep runs over the integers on D v (`integral`), dividing the first
-    violation's residual by D^2.
+    violation's residual by D^2.  It is read off nonzero tables of l2_00,
+    l2_01 and l3 built once per call (`sum_products`): the same finite sum
+    of exact products that one contraction per term gave, added in
+    another order, at the same tuples in the same order, so the first
+    violation, its location and its residual are unchanged.
 
     Once (a) and (d) hold (`is_alternating`), the residual is
     alternating: permuting the 4-tuple multiplies it by the sign of the
@@ -143,26 +147,18 @@ def check_jacobiator_identity_categorical(L: SemistrictLie2Algebra) -> CheckRepo
     """
     rep = CheckReport("jacobiator_identity_octagon")
     D, v = integral(L.data)
-    alternating = is_alternating(v)
-    if D > 1:
-        L = from_linfty(v)
-    n0, n1, b, l3, J = L.dim0, v.dim1, v.l2_00, v.l3, v.l3_eval
-    one = [identity_morphism(L.space, L.object_basis(i)) for i in range(n0)]
-    arrows = [L.morphism(vzeros(n0), vunit(n1, a)) for a in range(n1)]
-    # arrow parts of [f_a, 1_y] and of [1_w, f_a]
-    arrow_one = [[bracket_morphisms(L, f, g).vec[n0:] for g in one] for f in arrows]
-    one_arrow = [[bracket_morphisms(L, f, g).vec[n0:] for g in arrows] for f in one]
-
-    def residuals():
-        for w, x, y, z in basis_tuples(n0, 4, alternating):
-            lhs = [J(b[w][x], y, z), contract(arrow_one, n1, l3[w][x][z], y),
-                   J(w, b[x][z], y), J(b[w][z], x, y), J(w, x, b[y][z])]
-            rhs = [contract(arrow_one, n1, l3[w][x][y], z), J(b[w][y], x, z),
-                   J(w, b[x][y], z), contract(arrow_one, n1, l3[w][y][z], x),
-                   contract(one_arrow[w], n1, l3[x][y][z])]
-            yield (w, x, y, z), vzeros(n0) + [sum(p) - sum(q)
-                                              for p, q in zip(zip(*lhs), zip(*rhs))]
-    rep.add("octagon", unscaled(first_violation(residuals()), D))
+    alternating, n0 = is_alternating(v), v.dim0
+    # J(u, x, y) is l3 with u in its first slot (l3_t) or its middle one (l3_m)
+    b, act, l3 = nonzero_terms(v.l2_00), nonzero_terms(v.l2_01), nonzero_terms(v.l3)
+    l3_t = first_slot_last(l3, (n0, n0, n0))
+    l3_m = [first_slot_last(plane, (n0, n0)) for plane in l3]
+    rep.add("octagon", unscaled(first_violation(
+        ((w, x, y, z), vzeros(n0) + sum_products(v.dim1, [
+            (1, b[w][x], l3_t[y][z]), (-1, l3[w][x][z], act[y]), (1, b[x][z], l3_m[w][y]),
+            (1, b[w][z], l3_t[x][y]), (1, b[y][z], l3[w][x]),
+            (1, l3[w][x][y], act[z]), (-1, b[w][y], l3_t[x][z]),
+            (-1, b[x][y], l3_m[w][z]), (1, l3[w][y][z], act[x]), (-1, l3[x][y][z], act[w])]))
+        for w, x, y, z in basis_tuples(n0, 4, alternating)), D))
     return rep
 
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import lcm
 
-from .exactlin import (DimensionMismatch, RMatrix, contract, vadd, vneg, vscale, vsub, vunit,
-                       vzeros)
+from .exactlin import DimensionMismatch, RMatrix, contract, vadd, vneg, vsub, vzeros
 from .report import CheckReport, first_violation
 from .serialize import as_count, mat_from_json, mat_to_json, need, tensor_from_json, tensor_to_json
 from .twoterm import (ChainHomotopy, ChainMap, TwoTermComplex, check_chain_map,
@@ -180,9 +179,47 @@ def basis_tuples(n: int, k: int, alternating: bool):
 
 
 def nonzero_terms(t: list) -> list:
-    """The nonzero (m, coefficient) pairs of each vector t[i][j], so that a
-    sweep costs time in the nonzeros it reads."""
-    return [[[(m, c) for m, c in enumerate(v) if c] for v in row] for row in t]
+    """t, nested lists to any depth, with each innermost vector replaced by
+    its nonzero (m, coefficient) pairs, so that a sweep costs time in the
+    nonzeros it reads.  These are the tables every structure sweep reads."""
+    if t and t[0] and isinstance(t[0][0], list):
+        return [nonzero_terms(x) for x in t]
+    return [[(m, c) for m, c in enumerate(v) if c] for v in t]
+
+
+def first_slot_last(t: list, sizes: tuple) -> list:
+    """The table t[m][y]..[z], whose slots have these sizes, indexed as
+    [y]..[z][m], sharing t's entries: the form in which a slot is
+    contracted with an inner vector."""
+    if len(sizes) < 2:
+        return t
+    return [first_slot_last([t[m][y] for m in range(sizes[0])], (sizes[0], *sizes[2:]))
+            for y in range(sizes[1])]
+
+
+def sum_products(n: int, terms) -> list:
+    """The vector of length n holding, for each (sign, pairs, table) of
+    terms, sign x y at p for each (m, x) in pairs and (p, y) in table[m]:
+    one contraction of nonzero tables (`nonzero_terms`) per term."""
+    out = [0] * n
+    for sign, pairs, table in terms:
+        for m, x in pairs:
+            x *= sign
+            for p, y in table[m]:
+                out[p] += x * y
+    return out
+
+
+def _columns_on(cols: list, t: list, n: int, size: int) -> list:
+    """For each column u of a matrix, as nonzero pairs, sum_a u[a] t[a] as
+    the nonzero table of its n blocks of this size, t[a] the nonzeros of a
+    flat vector: a structure tensor's first slot on every column at once."""
+    out = [[[] for _ in range(n)] for _ in cols]
+    for u, blocks in zip(cols, out):
+        for p, x in enumerate(sum_products(n * size, [(1, u, t)])):
+            if x:
+                blocks[p // size].append((p % size, x))
+    return out
 
 
 def jacobi_violations(bracket: list, antisymmetric: bool) -> list:
@@ -191,16 +228,11 @@ def jacobi_violations(bracket: list, antisymmetric: bool) -> list:
     antisymmetric, as the caller's antisymmetry check says, and then only
     increasing triples are swept."""
     n, nz = len(bracket), nonzero_terms(bracket)
-
-    def jacobiator(i: int, j: int, k: int) -> list:
-        out = [0] * n
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, x in nz[a][b]:
-                for p, y in nz[m][c]:
-                    out[p] += x * y
-        return out
-    return first_violation(((i, j, k), jacobiator(i, j, k))
-                           for i, j, k in basis_tuples(n, 3, antisymmetric))
+    nz_t = first_slot_last(nz, (n, n))
+    return first_violation(
+        ((i, j, k), sum_products(n, [(1, nz[i][j], nz_t[k]), (1, nz[j][k], nz_t[i]),
+                                     (1, nz[k][i], nz_t[j])]))
+        for i, j, k in basis_tuples(n, 3, antisymmetric))
 
 
 # ---------------------------------------------------------------------------
@@ -219,70 +251,68 @@ def check_axioms(v: TwoTermLInfinity) -> CheckReport:
     residual is D times the one on v for the linear (a) and (d), and D^2
     times for the quadratic (e)-(i), whatever v satisfies: each sweep
     fails at the same first tuple, and `unscaled` divides its residual.
+
+    The residuals of (e)-(i) are read off nonzero tables of d, l2_00,
+    l2_01 and l3 built once per call (`sum_products`): the same finite
+    sums of exact products as one contraction per term, added in another
+    order, at the same tuples in the same order, so the first violation,
+    its location and its residual are unchanged.
     """
     rep = CheckReport("two_term_l_infinity")
     D, v = integral(v)
-    n0, n1 = v.dim0, v.dim1
-    d, b, l2_01, l3 = v.d, v.l2_00, v.l2_01, v.l3
+    n0, n1, b = v.dim0, v.dim1, v.l2_00
 
-    def quadratic(name, residuals):
-        rep.add(name, unscaled(first_violation(residuals), D))
+    def quadratic(name, n, residuals):
+        rep.add(name, unscaled(first_violation(
+            (loc, sum_products(n, terms)) for loc, terms in residuals), D))
 
     a_ok = rep.add("a_bracket_antisymmetry", unscaled(antisymmetry_violations(b), D, 1)).passed
     rep.add_pass("b_mixed_antisymmetry")   # determined by storage
     rep.add_pass("c_bracket_degree_two")   # no V2, nothing to store
-    d_ok = rep.add("d_l3_antisymmetry", unscaled(l3_antisymmetry_violations(l3), D, 1)).passed
+    d_ok = rep.add("d_l3_antisymmetry", unscaled(l3_antisymmetry_violations(v.l3), D, 1)).passed
 
-    dcol = [d.col(a) for a in range(n1)]
-    quadratic("e_differential_action", (
-        ((i, a), vsub(d.matvec(l2_01[i][a]), contract(b[i], n0, dcol[a])))
+    # dcol[a][m] = d[m][a]; t[x][m] reads the first slot of t last
+    dcol = nonzero_terms([v.d.col(a) for a in range(n1)])
+    b, act, l3 = nonzero_terms(b), nonzero_terms(v.l2_01), nonzero_terms(v.l3)
+    bt, act_t = first_slot_last(b, (n0, n0)), first_slot_last(act, (n0, n1))
+    l3_t = first_slot_last(l3, (n0, n0, n0))
+    quadratic("e_differential_action", n0, (
+        ((i, a), [(1, act[i][a], dcol), (-1, dcol[a], b[i])])
         for i in range(n0) for a in range(n1)))
     # [dh,k] = [h,dk] means l2(dh, k) = -l2(dk, h)
-    quadratic("f_differential_symmetry", (
-        ((a, c), vadd(contract(l2_01, n1, dcol[a], c), contract(l2_01, n1, dcol[c], a)))
+    quadratic("f_differential_symmetry", n1, (
+        ((a, c), [(1, dcol[a], act_t[c]), (1, dcol[c], act_t[a])])
         for a in range(n1) for c in range(n1)))
 
     alternating = a_ok and d_ok
-    # [i,[j,k]] = -[[j,k],i]
-    quadratic("g_jacobi_up_to_d", (
-        ((i, j, k), vsub(d.matvec(l3[i][j][k]),
-                         vsub(vsub(contract(b, n0, b[i][k], j), contract(b, n0, b[i][j], k)),
-                              contract(b, n0, b[j][k], i))))
+    # d l3(i,j,k) = [[i,k],j] - [[i,j],k] - [[j,k],i]
+    quadratic("g_jacobi_up_to_d", n0, (
+        ((i, j, k), [(1, l3[i][j][k], dcol), (-1, b[i][k], bt[j]), (1, b[i][j], bt[k]),
+                     (1, b[j][k], bt[i])])
         for i, j, k in basis_tuples(n0, 3, alternating)))
-
-    def h_residuals():
-        for a, i, j in product(range(n1), range(n0), range(n0)):
-            rhs = vsub(vsub(contract(l2_01[i], n1, l2_01[j][a]),
-                            contract(l2_01[j], n1, l2_01[i][a])), contract(l2_01, n1, b[i][j], a))
-            yield (a, i, j), vsub(contract(l3, n1, dcol[a], i, j), rhs)
-    quadratic("h_l3_naturality", h_residuals())
-
-    def i_residuals(tuples):
-        for p, q, r, s in tuples:
-            plus = [contract(l3, n1, b[p][r], q, s), contract(l3, n1, b[q][s], p, r),
-                    contract(l2_01[r], n1, l3[p][q][s]), contract(l2_01[p], n1, l3[q][r][s])]
-            minus = [contract(l2_01[s], n1, l3[p][q][r]), contract(l2_01[q], n1, l3[p][r][s]),
-                     contract(l3, n1, b[p][q], r, s), contract(l3, n1, b[p][s], q, r),
-                     contract(l3, n1, b[q][r], p, s), contract(l3, n1, b[r][s], p, q)]
-            yield (p, q, r, s), [sum(x) - sum(y) for x, y in zip(zip(*plus), zip(*minus))]
-    quadratic("i_jacobiator_coherence", i_residuals(basis_tuples(n0, 4, alternating)))
+    # l3(dh, i, j) = [i,[j,h]] - [j,[i,h]] - [[i,j],h]
+    quadratic("h_l3_naturality", n1, (
+        ((a, i, j), [(1, dcol[a], l3_t[i][j]), (-1, act[j][a], act[i]), (1, act[i][a], act[j]),
+                     (1, b[i][j], act_t[a])])
+        for a, i, j in product(range(n1), range(n0), range(n0))))
+    quadratic("i_jacobiator_coherence", n1, (
+        ((p, q, r, s), [(1, b[p][r], l3_t[q][s]), (1, b[q][s], l3_t[p][r]),
+                        (1, l3[p][q][s], act[r]), (1, l3[q][r][s], act[p]),
+                        (-1, l3[p][q][r], act[s]), (-1, l3[p][r][s], act[q]),
+                        (-1, b[p][q], l3_t[r][s]), (-1, b[p][s], l3_t[q][r]),
+                        (-1, b[q][r], l3_t[p][s]), (-1, b[r][s], l3_t[p][q])])
+        for p, q, r, s in basis_tuples(n0, 4, alternating)))
     return rep
 
 
 # ---------------------------------------------------------------------------
 # clearing denominators for the sweeps
 
-def _times(t: list, D: int) -> list:
-    """t with every entry multiplied by D, a multiple of its denominator, as ints."""
-    return [_times(x, D) if isinstance(x, list) else x.numerator * (D // x.denominator)
-            for x in t]
-
-
 def integral(v: TwoTermLInfinity) -> tuple:
     """(D, D v): the least common denominator D of every entry of d, l2_00,
     l2_01 and l3, and the structure with all four multiplied by D, over
-    the integers, read in one flat pass that skips ints.  When D = 1 the
-    second item is v itself.
+    the integers, read in one flat pass that skips ints and built in one
+    pass per tensor.  When D = 1 the second item is v itself.
 
     A residual that is a sum of products of two structure maps is a
     homogeneous quadratic polynomial in the structure constants, so on
@@ -297,9 +327,13 @@ def integral(v: TwoTermLInfinity) -> tuple:
     D = lcm(*{x.denominator for x in flat if type(x) is not int})
     if D == 1:
         return 1, v
-    d = [v.d.row(i) for i in range(v.dim0)]
-    cx = TwoTermComplex(v.dim0, v.dim1, RMatrix.from_rows(_times(d, D), v.dim1))
-    return D, TwoTermLInfinity(cx, _times(v.l2_00, D), _times(v.l2_01, D), _times(v.l3, D))
+    d = [{a: x.numerator * (D // x.denominator) for a, x in row.items()} for row in v.d.entries]
+    l2 = [[[[x.numerator * (D // x.denominator) for x in vec] for vec in row] for row in t]
+          for t in (v.l2_00, v.l2_01)]
+    l3 = [[[[x.numerator * (D // x.denominator) for x in vec] for vec in row] for row in plane]
+          for plane in v.l3]
+    cx = TwoTermComplex(v.dim0, v.dim1, RMatrix(v.dim0, v.dim1, d))
+    return D, TwoTermLInfinity(cx, *l2, l3)
 
 
 def unscaled(violations: list, D: int, degree: int = 2) -> list:
@@ -314,55 +348,6 @@ def unscaled(violations: list, D: int, degree: int = 2) -> list:
 # ---------------------------------------------------------------------------
 # the generalized Jacobi oracle
 
-def _graded_element(v: TwoTermLInfinity, deg: int, idx: int):
-    return (deg, vunit(v.dim0 if deg == 0 else v.dim1, idx))
-
-
-def _graded_bracket(v: TwoTermLInfinity, k: int, args: list):
-    """l_k on graded vectors; returns (degree, vector) or None when it
-    lands outside degrees 0/1."""
-    if k == 1:
-        (d0, w), = args
-        return (0, v.d.matvec(w)) if d0 == 1 else None
-    if k == 2:
-        (da, a), (db, b) = args
-        if da == 0 and db == 0:
-            return (0, v.bracket00(a, b))
-        if da == 0 and db == 1:
-            return (1, v.act(a, b))
-        if da == 1 and db == 0:
-            return (1, vneg(v.act(b, a)))
-        return None
-    if k == 3:
-        if all(d == 0 for d, _ in args):
-            return (1, v.l3_eval(args[0][1], args[1][1], args[2][1]))
-        return None
-    return None
-
-
-def check_graded_antisymmetry(v: TwoTermLInfinity) -> CheckReport:
-    """Total graded antisymmetry of l2 and l3 (the sign-convention half of
-    the definition, which the unshuffle identity does not test)."""
-    rep = CheckReport("graded_antisymmetry")
-    for arity, name in ((2, "l2_antisymmetry"), (3, "l3_antisymmetry")):
-        rep.add(name, first_violation(_antisymmetry_residuals(v, arity)))
-    return rep
-
-
-def _antisymmetry_residuals(v: TwoTermLInfinity, arity: int):
-    elems = [(0, i) for i in range(v.dim0)] + [(1, a) for a in range(v.dim1)]
-    for combo in product(elems, repeat=arity):
-        args = [_graded_element(v, dg, ix) for dg, ix in combo]
-        base = _graded_bracket(v, arity, args)
-        if base is None:
-            continue  # the whole orbit lands outside degrees 0/1
-        for perm in permutations(range(arity)):
-            # chi is stated for the original order of the permuted word
-            chi = koszul_chi(perm, tuple(dg for dg, _ in combo))
-            permuted = _graded_bracket(v, arity, [args[p] for p in perm])
-            yield (combo, perm), vsub(permuted[1], vscale(chi, base[1]))
-
-
 def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
     """The unshuffle identity at the given arity, on all graded basis tuples.
 
@@ -371,13 +356,18 @@ def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
     their signs depend only on the tuple's degrees, so they are listed
     once per degree pattern.  The tables of l_i on basis tuples are the
     structure itself: the columns of d, l2_00, l2_01, -l2_01 with its
-    slots swapped, and l3.  Each inner bracket is read off one and
-    contracted into the outer one at the tuple's basis indices.
+    slots swapped, and l3, as nonzero tables built when a pattern first
+    reads them, so an arity with no terms builds none.  Each inner bracket
+    is read off one and contracted with the outer one, read with its
+    first slot last at the tuple's other indices (`sum_products`).
 
     Every term is one l_i contracted into another, so the residual is a
     homogeneous quadratic polynomial in the structure constants: the
     sweep runs over the integers on D v (`integral`) and divides the
-    first violation's residual by D^2.
+    first violation's residual by D^2.  It is the same finite sum of
+    exact products as one contraction per term, added in another order,
+    at the same tuples in the same order, so the first violation, its
+    location and its residual are unchanged.
 
     Once (a) and (d) hold (`is_alternating`, decided on D v, where they
     hold exactly when they hold on v), l1, l2 and l3 are graded
@@ -398,12 +388,20 @@ def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
     alternating = is_alternating(v)
     n0, n1 = dims = (v.dim0, v.dim1)
     elems = [(0, i) for i in range(n0)] + [(1, a) for a in range(n1)]
-    # (k, argument degrees) -> (l_k on basis tuples, output degree), where it lands in 0/1
-    tables = {(1, (1,)): ([v.d.col(a) for a in range(n1)], 0),
-              (2, (0, 0)): (v.l2_00, 0), (2, (0, 1)): (v.l2_01, 1),
-              (2, (1, 0)): ([[vneg(v.l2_01[i][a]) for i in range(n0)] for a in range(n1)], 1),
-              (3, (0, 0, 0)): (v.l3, 1)}
-    patterns = {}
+    # (k, argument degrees) -> (builder of l_k on basis tuples, output degree), in 0/1 only
+    structure = {(1, (1,)): (lambda: [v.d.col(a) for a in range(n1)], 0),
+                 (2, (0, 0)): (lambda: v.l2_00, 0), (2, (0, 1)): (lambda: v.l2_01, 1),
+                 (2, (1, 0)): (lambda: [[vneg(v.l2_01[i][a]) for i in range(n0)]
+                                        for a in range(n1)], 1),
+                 (3, (0, 0, 0)): (lambda: v.l3, 1)}
+    tables, patterns = {}, {}
+
+    def table(key, outer: bool):
+        """The nonzero table of l_k, with its first slot last when outer."""
+        if (key, outer) not in tables:
+            t = table(key, False) if outer else nonzero_terms(structure[key][0]())
+            tables[key, outer] = first_slot_last(t, [dims[g] for g in key[1]]) if outer else t
+        return tables[key, outer]
 
     def terms(degrees):
         """(coefficient, inner slots, inner table, outer slots, outer table,
@@ -413,14 +411,15 @@ def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
             j = arity + 1 - i
             sign_ij = -1 if (i * (j - 1)) % 2 else 1
             for sigma in unshuffles(i, arity):
-                inner = tables.get((i, tuple(degrees[p] for p in sigma[:i])))
-                if inner is None:
+                inner = (i, tuple(degrees[p] for p in sigma[:i]))
+                if inner not in structure:
                     continue
-                outer = tables.get((j, (inner[1],) + tuple(degrees[p] for p in sigma[i:])))
-                if outer is None:
+                outer = (j, (structure[inner][1],) + tuple(degrees[p] for p in sigma[i:]))
+                if outer not in structure:
                     continue
                 chi = koszul_chi(sigma, degrees)
-                out.append((chi * sign_ij, sigma[:i], inner[0], sigma[i:], *outer))
+                out.append((chi * sign_ij, sigma[:i], table(inner, False), sigma[i:],
+                            table(outer, True), structure[outer][1]))
         return out
 
     def residual(combo):
@@ -428,16 +427,14 @@ def generalized_jacobi(v: TwoTermLInfinity, arity: int) -> CheckReport:
         degrees = tuple(dg for dg, _ in combo)
         if degrees not in patterns:
             patterns[degrees] = terms(degrees)
-        acc = [vzeros(n0), vzeros(n1)]
+        parts = ([], [])
         for coef, inner_slots, inner, outer_slots, outer, deg in patterns[degrees]:
             for p in inner_slots:
                 inner = inner[combo[p][1]]
-            part = acc[deg]
-            for m, x in enumerate(contract(outer, dims[deg], inner,
-                                           *[combo[p][1] for p in outer_slots])):
-                if x:
-                    part[m] += coef * x
-        return acc[0] + acc[1]
+            for p in outer_slots:
+                outer = outer[combo[p][1]]
+            parts[deg].append((coef, inner, outer))
+        return sum_products(n0, parts[0]) + sum_products(n1, parts[1])
 
     if alternating:  # sorted, and no degree-0 element twice
         combos = (c for c in combinations_with_replacement(elems, arity)
@@ -470,6 +467,15 @@ def identity_hom(v: TwoTermLInfinity) -> LInfHom:
     return LInfHom(v, v, identity_chain_map(v.complex), zero_phi2(v.dim0, v.dim1))
 
 
+def _hom_tables(f: LInfHom) -> tuple:
+    """Nonzero tables of the columns of phi0 and of phi1, of phi2, and of
+    the target's l2_01 with its first slot on each column of phi0."""
+    phi0, phi1, m1 = f.chain.phi0, f.chain.phi1, f.target.dim1
+    fe = nonzero_terms([phi0.col(i) for i in range(phi0.cols)])
+    act = _columns_on(fe, nonzero_terms([list(chain(*row)) for row in f.target.l2_01]), m1, m1)
+    return fe, nonzero_terms([phi1.col(a) for a in range(phi1.cols)]), nonzero_terms(f.phi2), act
+
+
 def l3_compatibility_residuals(f: LInfHom, triples):
     """Yield ((i, j, k), lhs - rhs) of the l3 equation of a homomorphism,
 
@@ -484,30 +490,21 @@ def l3_compatibility_residuals(f: LInfHom, triples):
     input has passed the axioms, so the transported l3 is alternating.
 
     The target's l3 with its first two slots on the columns of phi0 is
-    tabulated once per call, one slot at a time, in O(n0 m0^3 m1 +
-    n0^2 m0^2 m1); the third slot is contracted at each triple swept, in
-    O(m0 m1) where evaluating l3 on phi0 afresh costs O(m0^3 m1).  The
-    entries are exact sums, so every residual is the per-triple one."""
-    src, dst = f.source, f.target
-    m0, m1 = dst.dim0, dst.dim1
-    phi0, phi1, phi2 = f.chain.phi0, f.chain.phi1, f.phi2
-    fe = [phi0.col(i) for i in range(src.dim0)]
-
-    def blocks(flat, size):
-        return [flat[b * size:(b + 1) * size] for b in range(m0)]
-    # one leading slot per stage, each a contract over flat blocks that skips zeros of phi0
-    flat = [[x for row in plane for vec in row for x in vec] for plane in dst.l3]  # [a] (b,c,m)
-    l3f = [blocks(contract(flat, m0 * m0 * m1, u), m0 * m1) for u in fe]   # [i][b] (c, m)
-    l3f = [[blocks(contract(t, m0 * m1, u), m1) for u in fe] for t in l3f]  # [i][j][c] (m)
+    tabulated once per call, a slot at a time, in O(n0 m0^3 m1 + n0^2 m0^2
+    m1) (`_columns_on`), where l3 on phi0 afresh costs O(m0^3 m1) a triple.
+    Each residual is the same finite sum of exact products as one
+    contraction per term, added in another order (`sum_products`)."""
+    src, n0, m0, m1 = f.source, f.source.dim0, f.target.dim0, f.target.dim1
+    fe, phi1, phi2, act = _hom_tables(f)
+    sb, phi2_t = nonzero_terms(src.l2_00), first_slot_last(phi2, (n0, n0))
+    flat = nonzero_terms([list(chain(*chain(*plane))) for plane in f.target.l3])
+    l3f = [_columns_on(fe, t, m0, m1) for t in _columns_on(fe, flat, m0, m0 * m1)]  # [i][j][c]
     for i, j, k in triples:
-        lhs = vadd(vsub(contract(phi2, m1, src.l2_00[i][j], k),
-                        dst.act(fe[k], phi2[i][j])),
-                   phi1.matvec(src.l3[i][j][k]))
-        rhs = vadd(vsub(vadd(contract(l3f[i][j], m1, fe[k]), dst.act(fe[i], phi2[j][k])),
-                        dst.act(fe[j], phi2[i][k])),
-                   vadd(contract(phi2[i], m1, src.l2_00[j][k]),
-                        contract(phi2, m1, src.l2_00[i][k], j)))
-        yield (i, j, k), vsub(lhs, rhs)
+        l3 = [(a, x) for a, x in enumerate(src.l3[i][j][k]) if x]   # read once, not tabulated
+        yield (i, j, k), sum_products(m1, [
+            (1, sb[i][j], phi2_t[k]), (-1, phi2[i][j], act[k]), (1, l3, phi1),
+            (-1, fe[k], l3f[i][j]), (-1, phi2[j][k], act[i]), (1, phi2[i][k], act[j]),
+            (-1, sb[j][k], phi2[i]), (-1, sb[i][k], phi2_t[j])])
 
 
 def check_hom(f: LInfHom) -> CheckReport:
@@ -523,23 +520,30 @@ def check_hom(f: LInfHom) -> CheckReport:
     So R is alternating, and only increasing triples are swept
     (`basis_tuples`), with the product sweep's first violation.
     Otherwise every triple is, in product order.
+
+    The bracket and action equations read the target's l2_00 and l2_01
+    with their first slot on each column of phi0, tabulated once per call
+    (`_columns_on`).  Each residual is the same finite sum of exact
+    products as one contraction per term: every report is unchanged.
     """
     rep = CheckReport("l_infinity_hom")
     rep.extend(check_chain_map(f.chain), prefix="chain_")
     src, dst = f.source, f.target
-    n0, n1, m1 = src.dim0, src.dim1, dst.dim1
-    phi0, phi1, phi2 = f.chain.phi0, f.chain.phi1, f.phi2
-    alternating = (rep.add("phi2_antisymmetry", antisymmetry_violations(phi2)).passed
+    n0, n1, m0, m1 = src.dim0, src.dim1, dst.dim0, dst.dim1
+    alternating = (rep.add("phi2_antisymmetry", antisymmetry_violations(f.phi2)).passed
                    and is_alternating(src) and not l3_antisymmetry_violations(dst.l3))
 
-    fe = [phi0.col(i) for i in range(n0)]
+    fe, phi1, phi2, act = _hom_tables(f)
+    bracket = _columns_on(fe, nonzero_terms([list(chain(*row)) for row in dst.l2_00]), m0, m0)
+    sb, sa = nonzero_terms(src.l2_00), nonzero_terms(src.l2_01)
+    ddst, dsrc = (nonzero_terms([d.col(a) for a in range(d.cols)]) for d in (dst.d, src.d))
     rep.add("bracket_compatibility", first_violation(
-        ((i, j), vsub(dst.d.matvec(phi2[i][j]),
-                      vsub(phi0.matvec(src.l2_00[i][j]), dst.bracket00(fe[i], fe[j]))))
+        ((i, j), sum_products(m0, [(1, phi2[i][j], ddst), (-1, sb[i][j], fe),
+                                   (1, fe[j], bracket[i])]))
         for i in range(n0) for j in range(n0)))
     rep.add("action_compatibility", first_violation(
-        ((i, a), vsub(contract(phi2[i], m1, src.d.col(a)),
-                      vsub(phi1.matvec(src.l2_01[i][a]), dst.act(fe[i], phi1.col(a)))))
+        ((i, a), sum_products(m1, [(1, dsrc[a], phi2[i]), (-1, sa[i][a], phi1),
+                                   (1, phi1[a], act[i])]))
         for i in range(n0) for a in range(n1)))
     rep.add("l3_compatibility", first_violation(
         l3_compatibility_residuals(f, basis_tuples(n0, 3, alternating))))
@@ -579,11 +583,11 @@ def check_two_hom(t: LInfTwoHom) -> CheckReport:
     src, dst = f.source, f.target
     n0 = src.dim0
     tau = t.homotopy.tau
+    fe, ge, tc = ([m.col(i) for i in range(n0)] for m in (f.chain.phi0, g.chain.phi0, tau))
     rep.add("phi2_difference", first_violation(
         ((i, j), vsub(vsub(f.phi2[i][j], g.phi2[i][j]),
-                      vsub(vsub(dst.act(f.chain.phi0.col(i), tau.col(j)),
-                                tau.matvec(src.l2_00[i][j])),
-                           dst.act(g.chain.phi0.col(j), tau.col(i)))))
+                      vsub(vsub(dst.act(fe[i], tc[j]), tau.matvec(src.l2_00[i][j])),
+                           dst.act(ge[j], tc[i]))))
         for i in range(n0) for j in range(n0)))
     return rep
 

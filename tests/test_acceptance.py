@@ -17,8 +17,7 @@ from lie2alg.lie2 import (DCM_FAILURE_TO_AXIOM, check_crossed_module,
                           check_jacobiator_identity_categorical, check_lie2_hom,
                           compose_lie2_homs, from_crossed_module, from_linfty,
                           hom_from_linf, to_crossed_module)
-from lie2alg.linfty import (LInfHom, check_axioms, check_graded_antisymmetry,
-                            check_hom, compose_homs, generalized_jacobi)
+from lie2alg.linfty import LInfHom, check_axioms, check_hom, compose_homs, generalized_jacobi
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex, check_chain_map,
                              check_homotopy, identity_chain_map)
 from lie2alg.twovect import (LinearNatTrans, S_on_functor, S_on_nat_trans,
@@ -29,6 +28,7 @@ from conftest import (broken_abelian4, broken_jacobi3, conjugate, delta_twist_pa
                       inflate, quadruple_preserving_conjugation,
                       rand_antisymmetric_bracket, rand_cochain, rand_invertible,
                       rand_mat, so3_adjoint_dcm)
+from test_sweep_oracles import check_graded_antisymmetry
 
 
 def verdict(n: int, ok: bool, detail: str = "") -> None:

@@ -1,18 +1,21 @@
 import copy
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
 from lie2alg.cohomology import (Cochain, abelian_algebra, build_g_hbar, classify,
-                                build_two_slot, so3_algebra, sl2_algebra, trivial_rep)
-from lie2alg.exactlin import DimensionMismatch, RMatrix, vsub
+                                build_two_slot, sl_algebra, so3_algebra, sl2_algebra,
+                                trivial_rep)
+from lie2alg import lie2, linfty
+from lie2alg.exactlin import DimensionMismatch, RMatrix, contract, vsub, vunit
 from lie2alg.linfty import (LInfHom, LInfTwoHom, TwoTermLInfinity, check_axioms,
-                            check_graded_antisymmetry, check_hom, check_two_hom, compose_homs,
+                            check_hom, check_two_hom, compose_homs,
                             generalized_jacobi, horizontal_two_hom, identity_hom,
                             identity_two_hom, integral, koszul_chi, koszul_epsilon, linf_from_json,
                             linf_to_json, unscaled, unshuffles, vertical_two_hom,
                             zero_phi2)
-from lie2alg.lie2 import from_linfty
+from lie2alg.lie2 import check_jacobiator_identity_categorical, from_linfty
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex, identity_chain_map,
                              zero_homotopy)
 from lie2alg.twovect import (S_on_nat_trans, T_on_homotopy, vertical_nat,
@@ -75,6 +78,7 @@ def test_broken_abelian4_fails_exactly_i():
 
 
 def test_generalized_jacobi_matches_axioms_on_ghbar():
+    from test_sweep_oracles import check_graded_antisymmetry
     v = build_g_hbar(sl2_algebra(), 1).data
     assert check_axioms(v).passed
     assert all(generalized_jacobi(v, n).passed for n in range(1, 5))
@@ -116,6 +120,7 @@ def perturb(v, which):
 def test_oracle_equivalence_on_random_family(rng):
     """check_axioms passes iff graded antisymmetry + the unshuffle
     identity at arities 1..4 all pass, over valid and broken instances."""
+    from test_sweep_oracles import check_graded_antisymmetry
     instances = []
     g = so3_algebra()
     for hbar in (0, 1, Fraction(1, 3)):
@@ -370,3 +375,33 @@ def test_integral_returns_integer_structures_themselves():
     assert integral(g)[1] is g
     violations = [((0,), [Fraction(1, 3)])]
     assert unscaled(violations, 1) is violations
+
+
+def test_structure_sweeps_make_no_contract_call_per_tuple():
+    """check_axioms, generalized Jacobi at arities 1..4, the octagon and
+    check_hom read nonzero tables built once per call and evaluate no
+    tuple with `contract`: on g_hbar(sl3) and its classify witness none
+    of them calls it at all.  A count, which the load of the machine
+    cannot move."""
+    v = build_g_hbar(sl_algebra(3), Fraction(1, 2)).data
+    homs = [identity_hom(v), classify(from_linfty(v)).witness]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return contract(*args)
+    runs = {"check_axioms": lambda: check_axioms(v),
+            "octagon": lambda: check_jacobiator_identity_categorical(from_linfty(v)),
+            "check_hom": lambda: [check_hom(f) for f in homs]}
+    runs.update({f"generalized_jacobi {n}": lambda n=n: generalized_jacobi(v, n)
+                 for n in range(1, 5)})
+    counts = {}
+    with patch.object(linfty, "contract", counting), patch.object(lie2, "contract", counting):
+        v.bracket00(vunit(8, 0), vunit(8, 1))      # the counter sees a call
+        assert len(calls) == 1
+        for name, run in runs.items():
+            calls.clear()
+            reports = run()
+            assert all(r.passed for r in (reports if isinstance(reports, list) else [reports]))
+            counts[name] = len(calls)
+    assert counts == dict.fromkeys(runs, 0)
