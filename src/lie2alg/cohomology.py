@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb
 
 from .exactlin import (DimensionMismatch, RMatrix, pivot_columns, rank_kernel, solve_linear,
                        vadd, vneg, vscale, vzeros)
 from .lie2 import SemistrictLie2Algebra, from_linfty
 from .linfty import (LInfHom, TwoTermLInfinity, _check_tensor_shape, antisymmetry_violations,
-                     basis_tuples, check_axioms, jacobi_violations, l3_compatibility_residuals,
-                     nonzero_terms, perm_sign, zero_l3)
+                     basis_tuples, check_axioms, first_slot_last, jacobi_violations,
+                     l3_compatibility_residuals, nonzero_terms, perm_sign, sum_products, zero_l3)
 from .report import CheckReport, first_violation
 from .serialize import (FixtureError, as_count, mat_to_json, need, tensor_from_json,
                         tensor_to_json)
@@ -61,29 +61,22 @@ class Representation:
 
 
 def check_representation(rep_: Representation) -> CheckReport:
+    """The algebra's checks, then rho([x, y]) = [rho x, rho y] on basis pairs,
+    each row of the residual one `sum_products` over nonzero tables built once
+    per call: each residual is the same sum of exact products."""
     rep = CheckReport("representation")
     algebra = check_lie_algebra(rep_.algebra)
     rep.extend(algebra, prefix="algebra_")
-    g, rows = rep_.algebra, [m.entries for m in rep_.rho]
-    terms = nonzero_terms(g.bracket)
+    g, n, terms = rep_.algebra, rep_.dimV, nonzero_terms(rep_.algebra.bracket)
+    rows = [[list(row.items()) for row in m.entries] for m in rep_.rho]   # rows[k][a]
+    rows_t = first_slot_last(rows, (g.dim, n))                          # rows_t[a][k]
 
     def residual(i: int, j: int) -> list:
         """The first four nonzero entries, row by row and by column, of
         rho([e_i, e_j]) - rho(e_i) rho(e_j) + rho(e_j) rho(e_i)."""
-        out = []
-        for a in range(rep_.dimV):
-            acc = {}
-            for m, c in terms[i][j]:
-                for b, x in rows[m][a].items():
-                    acc[b] = acc.get(b, 0) + c * x
-            for s, t, sign in ((i, j, -1), (j, i, 1)):
-                for l, x in rows[s][a].items():
-                    for b, y in rows[t][l].items():
-                        acc[b] = acc.get(b, 0) + sign * x * y
-            out.extend(x for _, x in sorted(acc.items()) if x)
-            if len(out) >= 4:
-                return out[:4]
-        return out
+        return list(islice((x for a in range(n) for x in sum_products(n, [
+            (1, terms[i][j], rows_t[a]), (-1, rows[i][a], rows[j]), (1, rows[j][a], rows[i])])
+            if x), 4))
 
     # rho([x, y]) - [rho x, rho y] is alternating when the bracket is
     # antisymmetric, and then increasing pairs are swept only
@@ -305,10 +298,11 @@ def build_two_slot(w: Cochain) -> TwoTermLInfinity:
     cx = TwoTermComplex(g.dim, rep.dimV, RMatrix.zeros(g.dim, rep.dimV))
     l2_01 = [[rep.rho[i].col(a) for a in range(rep.dimV)] for i in range(g.dim)]
     l3 = zero_l3(g.dim, rep.dimV)
+    signed = [(perm, perm_sign(perm)) for perm in permutations(range(3))]
     for key, val in w.values.items():
-        for perm in permutations(range(3)):
+        for perm, sign in signed:   # a fresh list at each ordering: none is shared
             i, j, k = (key[p] for p in perm)
-            l3[i][j][k] = vscale(perm_sign(perm), val)
+            l3[i][j][k] = list(val) if sign == 1 else vneg(val)
     return TwoTermLInfinity(cx, [[list(v) for v in row] for row in g.bracket], l2_01, l3)
 
 

@@ -166,6 +166,24 @@ def test_check_dcm(capsys):
     assert run(["check-dcm", fx("dcm_so3_adjoint.json")])[0] == 0
 
 
+def test_check_dcm_reports_moved_alpha_entry(tmp_path, capsys):
+    """alpha(e_0)(e_1) moved from e_2 to 2 e_2: exit 1, and every law of t
+    and alpha fails at the location and with the residual recorded from
+    the sweep that made one contract call per term."""
+    obj = read_json(fx("dcm_so3_adjoint.json"))
+    obj["alpha"][0][1][2] = "2"
+    f = tmp_path / "dcm_moved_alpha.json"
+    f.write_text(json.dumps(obj))
+    assert run(["--json", "check-dcm", str(f)])[0] == 1
+    checks = [(c["name"], c["location"], c["residual"])
+              for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert checks == [("derivation", [0, 0, 1], ["0", "1", "0"]),
+                      ("action_homomorphism", [0, 1, 1], ["1", "0", "0"]),
+                      ("equivariance", [0, 1], ["0", "0", "1"]),
+                      ("peiffer", [0, 1], ["0", "0", "1"]),
+                      ("peiffer_antisymmetry", [0, 1], ["0", "0", "1"])]
+
+
 def test_cohomology_command(capsys):
     code, rep = run(["cohomology", "--degree", "3", fx("so3.json")])
     assert code == 0

@@ -8,6 +8,8 @@ from lie2alg.cohomology import (Cochain, abelian_algebra, build_g_hbar, classify
                                 build_two_slot, sl_algebra, so3_algebra, sl2_algebra,
                                 trivial_rep)
 from lie2alg import lie2, linfty
+from lie2alg.cli import fixture_dir
+from lie2alg.serialize import load_json_file
 from lie2alg.exactlin import DimensionMismatch, RMatrix, contract, vsub, vunit
 from lie2alg.linfty import (LInfHom, LInfTwoHom, TwoTermLInfinity, check_axioms,
                             check_hom, check_two_hom, compose_homs,
@@ -15,7 +17,8 @@ from lie2alg.linfty import (LInfHom, LInfTwoHom, TwoTermLInfinity, check_axioms,
                             identity_two_hom, integral, koszul_chi, koszul_epsilon, linf_from_json,
                             linf_to_json, unscaled, unshuffles, vertical_two_hom,
                             zero_phi2)
-from lie2alg.lie2 import check_jacobiator_identity_categorical, from_linfty
+from lie2alg.lie2 import (check_crossed_module, check_jacobiator_identity_categorical,
+                          dcm_from_json, from_linfty)
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, TwoTermComplex, identity_chain_map,
                              zero_homotopy)
 from lie2alg.twovect import (S_on_nat_trans, T_on_homotopy, vertical_nat,
@@ -378,13 +381,15 @@ def test_integral_returns_integer_structures_themselves():
 
 
 def test_structure_sweeps_make_no_contract_call_per_tuple():
-    """check_axioms, generalized Jacobi at arities 1..4, the octagon and
-    check_hom read nonzero tables built once per call and evaluate no
-    tuple with `contract`: on g_hbar(sl3) and its classify witness none
-    of them calls it at all.  A count, which the load of the machine
-    cannot move."""
+    """check_axioms, generalized Jacobi at arities 1..4, the octagon,
+    check_hom, check_two_hom and check_crossed_module read nonzero tables
+    built once per call and evaluate no tuple with `contract`: on
+    g_hbar(sl3), its classify witness, the identity 2-homomorphism on
+    that witness and the bundled dcm_so3_adjoint none of them calls it
+    at all.  A count, which the load of the machine cannot move."""
     v = build_g_hbar(sl_algebra(3), Fraction(1, 2)).data
     homs = [identity_hom(v), classify(from_linfty(v)).witness]
+    dcm = dcm_from_json(load_json_file(fixture_dir() / "dcm_so3_adjoint.json"))
     calls = []
 
     def counting(*args):
@@ -392,7 +397,9 @@ def test_structure_sweeps_make_no_contract_call_per_tuple():
         return contract(*args)
     runs = {"check_axioms": lambda: check_axioms(v),
             "octagon": lambda: check_jacobiator_identity_categorical(from_linfty(v)),
-            "check_hom": lambda: [check_hom(f) for f in homs]}
+            "check_hom": lambda: [check_hom(f) for f in homs],
+            "check_two_hom": lambda: check_two_hom(identity_two_hom(homs[1])),
+            "check_crossed_module": lambda: check_crossed_module(dcm)}
     runs.update({f"generalized_jacobi {n}": lambda n=n: generalized_jacobi(v, n)
                  for n in range(1, 5)})
     counts = {}

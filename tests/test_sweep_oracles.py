@@ -135,6 +135,20 @@ same integral structure.  `check_graded_antisymmetry`, which no command
 called, moved here from `linfty` verbatim with its three helpers; it is
 the oracle of axioms (a) and (d), and a test checks that it agrees with
 them.
+
+`lie2.check_crossed_module` and `linfty.check_two_hom` read nonzero
+tables built once per call too, with a unit table for a bare vector such
+as [a, b]_h or phi2, and `cohomology.check_representation` computes each
+row of its residual with one `sum_products`.  The crossed-module and
+2-homomorphism sweeps through `contract` (`check_crossed_module_contract`,
+`check_two_hom_contract`) are kept below verbatim: on random crossed
+modules of dimensions 1 to 4, integer or Fraction entries, brackets
+antisymmetric or not and t != 0, valid ones included and perhaps moved at
+one entry, and on random pairs of parallel homomorphisms with a tau,
+ones where the phi2 - psi2 equation holds included, the same reports,
+residuals included.  The representation check keeps its product-sweep
+oracles (`check_representation_product_sweep`,
+`check_representation_rmatrix_sweep`).
 """
 
 from __future__ import annotations
@@ -149,7 +163,7 @@ from math import comb, gcd, lcm
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, find, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 from lie2alg.braid import (B12, B23, B34, TETRA_LHS, TETRA_RHS, TetraY, _add, _columns, _push,
@@ -171,15 +185,16 @@ from lie2alg.lie2 import (DifferentialCrossedModule, Lie2Hom, SemistrictLie2Alge
                           _compose_padded, bracket_morphisms, check_crossed_module,
                           check_jacobiator_identity_categorical, compose_lie2_homs, from_linfty,
                           hom_from_linf, hom_to_linf, jacobiator)
-from lie2alg.linfty import (LInfHom, TwoTermLInfinity, antisymmetry_violations, basis_tuples,
-                            check_axioms, check_hom, integral, generalized_jacobi,
+from lie2alg.linfty import (LInfHom, LInfTwoHom, TwoTermLInfinity, antisymmetry_violations,
+                            basis_tuples, check_axioms, check_hom, check_two_hom, integral,
+                            generalized_jacobi,
                             is_alternating, jacobi_violations, koszul_chi,
                             l3_antisymmetry_violations, l3_compatibility_residuals,
                             linf_to_json, perm_sign, unscaled, unshuffles, zero_l3, zero_phi2)
 from lie2alg.report import CheckReport, CheckResult, first_violation, grid_violations
 from lie2alg.serialize import FixtureError, tensor_from_json
 from lie2alg.twoterm import (ChainHomotopy, ChainMap, Skeletalization, TwoTermComplex,
-                             check_chain_map, compose_chain_maps, identity_chain_map,
+                             check_chain_map, check_homotopy, compose_chain_maps, identity_chain_map,
                              skeletalize_complex)
 from lie2alg.twovect import (CellVert, DirectSum, LinearFunctor, LinearNatTrans, Morphism,
                              S_on_functor, S_on_nat_trans, TwoVectorSpace, check_nat_trans, compose_functors,
@@ -2936,3 +2951,167 @@ def test_graded_antisymmetry_is_the_oracle_of_axioms_a_and_d(v):
     assert (graded.result("l2_antisymmetry").passed
             == axioms.result("a_bracket_antisymmetry").passed)
     assert graded.result("l3_antisymmetry").passed == axioms.result("d_l3_antisymmetry").passed
+
+
+# ---------------------------------------------------------------------------
+# the crossed-module laws and the 2-homomorphism equation over nonzero
+# tables against the sweeps that made one contract call per term
+
+def check_crossed_module_contract(m: DifferentialCrossedModule) -> CheckReport:
+    rep = CheckReport("differential_crossed_module")
+    for name, b in (("g", m.g_bracket), ("h", m.h_bracket)):
+        antisymmetric = rep.add(f"{name}_antisymmetry", antisymmetry_violations(b)).passed
+        rep.add(f"{name}_jacobi", jacobi_violations(b, antisymmetric))
+
+    g, h, t, alpha = m.g_dim, m.h_dim, m.t, m.alpha
+    rep.add("t_homomorphism", first_violation(
+        ((a, b), vsub(t.matvec(m.h_bracket[a][b]), contract(m.g_bracket, g, t.col(a), t.col(b))))
+        for a in range(h) for b in range(h)))
+    rep.add("derivation", first_violation(
+        ((i, a, b), vsub(contract(alpha[i], h, m.h_bracket[a][b]),
+                         vadd(contract(m.h_bracket, h, alpha[i][a], b),
+                              contract(m.h_bracket, h, a, alpha[i][b]))))
+        for i in range(g) for a in range(h) for b in range(h)))
+    rep.add("action_homomorphism", first_violation(
+        ((i, j, a), vsub(contract(alpha, h, m.g_bracket[i][j], a),
+                         vsub(contract(alpha[i], h, alpha[j][a]),
+                              contract(alpha[j], h, alpha[i][a]))))
+        for i in range(g) for j in range(g) for a in range(h)))
+    rep.add("equivariance", first_violation(
+        ((i, a), vsub(t.matvec(alpha[i][a]), contract(m.g_bracket[i], g, t.col(a))))
+        for i in range(g) for a in range(h)))
+    rep.add("peiffer", first_violation(
+        ((a, b), vsub(contract(alpha, h, t.col(a), b), m.h_bracket[a][b]))
+        for a in range(h) for b in range(h)))
+    rep.add("peiffer_antisymmetry", first_violation(
+        ((a, b), vadd(contract(alpha, h, t.col(a), b), contract(alpha, h, t.col(b), a)))
+        for a in range(h) for b in range(h)))
+    return rep
+
+
+def check_two_hom_contract(t: LInfTwoHom) -> CheckReport:
+    """Underlying chain homotopy plus the phi2 - psi2 compatibility equation."""
+    rep = CheckReport("l_infinity_two_hom")
+    rep.extend(check_homotopy(t.homotopy), prefix="homotopy_")
+    f, g = t.from_hom, t.to_hom
+    src, dst = f.source, f.target
+    n0 = src.dim0
+    tau = t.homotopy.tau
+    fe, ge, tc = ([m.col(i) for i in range(n0)] for m in (f.chain.phi0, g.chain.phi0, tau))
+    rep.add("phi2_difference", first_violation(
+        ((i, j), vsub(vsub(f.phi2[i][j], g.phi2[i][j]),
+                      vsub(vsub(dst.act(fe[i], tc[j]), tau.matvec(src.l2_00[i][j])),
+                           dst.act(ge[j], tc[i]))))
+        for i in range(n0) for j in range(n0)))
+    return rep
+
+
+def random_bracket(draw, n: int, x) -> list:
+    """A bracket on Q^n with entries drawn from x, antisymmetric or not."""
+    b = [[[draw(x) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        b = [[vsub(b[i][j], b[j][i]) for j in range(n)] for i in range(n)]
+    return b
+
+
+@st.composite
+def crossed_modules(draw):
+    """g and h of dimension 1 to 4 with int or Fraction entries, brackets
+    antisymmetric or not and t != 0; or (g, g, c, ad) with h's bracket c
+    times g's, a crossed module when g is a Lie algebra; then perhaps one
+    entry of a bracket, of t or of alpha moved."""
+    if draw(st.booleans()):
+        b = draw(st.one_of(st.builds(lambda: so3_algebra().bracket),
+                           st.builds(lambda: sl2_algebra().bracket), brackets()))
+        n, c = len(b), draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+        m = DifferentialCrossedModule(n, b, n, [[vscale(c, v) for v in row] for row in b],
+                                      RMatrix.identity(n).scale(c), b)
+    else:
+        g, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        x = st.sampled_from([0, 0, 0, 1, -1, 2] + (rationals if draw(st.booleans()) else []))
+        rows = [[draw(x) for _ in range(h)] for _ in range(g)]
+        rows[draw(st.integers(0, g - 1))][draw(st.integers(0, h - 1))] = draw(
+            st.sampled_from([1, -2, Fraction(1, 2)]))
+        m = DifferentialCrossedModule(g, random_bracket(draw, g, x), h, random_bracket(draw, h, x),
+                                      RMatrix.from_rows(rows, h),
+                                      [[[draw(x) for _ in range(h)] for _ in range(h)]
+                                       for _ in range(g)])
+    m = copy.deepcopy(m)
+    gdx, hdx = st.integers(0, m.g_dim - 1), st.integers(0, m.h_dim - 1)
+    delta = draw(st.sampled_from([-1, 1, Fraction(1, 2)]))
+    which = draw(st.sampled_from(["none", "g", "h", "t", "alpha"]))
+    if which == "g":
+        m.g_bracket[draw(gdx)][draw(gdx)][draw(gdx)] += delta
+    elif which == "h":
+        m.h_bracket[draw(hdx)][draw(hdx)][draw(hdx)] += delta
+    elif which == "alpha":
+        m.alpha[draw(gdx)][draw(hdx)][draw(hdx)] += delta
+    elif which == "t":
+        rows = [m.t.row(r) for r in range(m.g_dim)]
+        rows[draw(gdx)][draw(hdx)] += delta
+        m.t = RMatrix.from_rows(rows, m.h_dim)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossed_modules())
+def test_crossed_module_matches_contract_sweep(m):
+    """The six laws read off nonzero tables: the same report, residuals
+    included, as one contract call per term."""
+    assert_same_reports(check_crossed_module(m), check_crossed_module_contract(m))
+
+
+def test_crossed_modules_reach_passing_and_failing_laws():
+    """The strategy draws crossed modules that pass all six laws and ones
+    where each law fails."""
+    unshrunk = settings(phases=[Phase.generate], database=None)
+    assert find(crossed_modules(), lambda m: check_crossed_module(m).passed, settings=unshrunk)
+    for law in ("t_homomorphism", "derivation", "action_homomorphism", "equivariance",
+                "peiffer", "peiffer_antisymmetry"):
+        assert find(crossed_modules(), lambda m: not check_crossed_module(m).result(law).passed,
+                    settings=unshrunk)
+
+
+@st.composite
+def two_homomorphisms(draw):
+    """Two parallel homomorphisms and a tau: phi from `table_homomorphisms`
+    or `homomorphisms`, and psi random or read off phi and tau so that the
+    homotopy and the phi2 - psi2 equation hold, then perhaps one entry of
+    psi2 moved."""
+    f = draw(st.one_of(table_homomorphisms(), homomorphisms()))
+    src, dst, n0, m1 = f.source, f.target, f.source.dim0, f.target.dim1
+    x = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 3)])
+    tau = RMatrix.from_rows([[draw(x) for _ in range(n0)] for _ in range(m1)], n0)
+    if draw(st.booleans()):
+        chain = ChainMap(src.complex, dst.complex, f.chain.phi0 + dst.d @ tau,
+                         f.chain.phi1 + tau @ src.d)
+        fe, ge, tc = ([m.col(i) for i in range(n0)] for m in (f.chain.phi0, chain.phi0, tau))
+        psi2 = [[vsub(vadd(vsub(f.phi2[i][j], dst.act(fe[i], tc[j])),
+                           tau.matvec(src.l2_00[i][j])), vneg(dst.act(ge[j], tc[i])))
+                 for j in range(n0)] for i in range(n0)]
+    else:
+        chain = ChainMap(src.complex, dst.complex,
+                         *(RMatrix.from_rows([[draw(x) for _ in range(p.cols)]
+                                              for _ in range(p.rows)], p.cols)
+                           for p in (f.chain.phi0, f.chain.phi1)))
+        psi2 = [[[draw(x) for _ in range(m1)] for _ in range(n0)] for _ in range(n0)]
+    if draw(st.booleans()):
+        psi2[draw(st.integers(0, n0 - 1))][draw(st.integers(0, n0 - 1))][
+            draw(st.integers(0, m1 - 1))] += draw(st.sampled_from([-1, Fraction(1, 2)]))
+    g = LInfHom(src, dst, chain, psi2)
+    return LInfTwoHom(f, g, ChainHomotopy(f.chain, g.chain, tau))
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_homomorphisms())
+def test_two_hom_matches_contract_sweep(t):
+    """The phi2 - psi2 equation read off nonzero tables: the same report,
+    residuals included, as one contract call per term."""
+    assert_same_reports(check_two_hom(t), check_two_hom_contract(t))
+
+
+def test_two_homomorphisms_reach_passing_and_failing_equations():
+    def passes(t):
+        return check_two_hom(t).result("phi2_difference").passed
+    assert passes(find(two_homomorphisms(), passes))
+    assert not passes(find(two_homomorphisms(), lambda t: not passes(t)))
