@@ -247,12 +247,13 @@ def cmd_ybe(args, rep: Report) -> None:
 
 
 # Largest morphism basis of (k + L)^(tensor 4) that `tetrahedron` sweeps.  The sweep
-# holds one object's arrow parts at a time, so the limit bounds time, not memory:
-# g_hbar(sl3) (basis 10^4) passes in 0.2 s at 19 MB peak RSS, g_hbar(sl4) (17^4 =
-# 83,521) in 2.1 s at 29 MB and g_hbar(sl5) (26^4 = 456,976) in 11 s at 65 MB.  Refused:
-# g_hbar(sl6) (37^4 = 1,874,161), whose build_Y alone takes 4 s at 154 MB.  (CLI runs
-# on 2 CPUs, Python 3.11.)
-TETRA_MAX_BASIS = 500_000
+# holds one object's arrow parts at a time and pushes only the objects where J can
+# act: g_hbar(sl3) (basis 10^4) passes in 0.05 s at 18 MB peak RSS, g_hbar(sl4) (17^4 =
+# 83,521) in 0.2-0.3 s at 22 MB, g_hbar(sl5) (26^4 = 456,976) in 0.8-1.0 s at 30 MB and
+# g_hbar(sl6) (37^4 = 1,874,161) in 2.5-3.1 s at 52 MB, within what sl5 took when every
+# object was pushed (6.8-7.8 s at 65 MB).  Refused: g_hbar(sl7) (50^4 = 6,250,000),
+# which passes in 6.9 s at 91 MB.  (CLI runs on 2 CPUs, Python 3.11.)
+TETRA_MAX_BASIS = 2_000_000
 
 
 def cmd_tetrahedron(args, rep: Report) -> None:

@@ -1,13 +1,17 @@
 
 import copy
+import sys
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from lie2alg.braid import (build_B_vect, build_Y, check_ybe,
                            check_zamolodchikov, yang_baxter_sides)
 from lie2alg.cohomology import (Cochain, LieAlgebra, abelian_algebra, build_g_hbar, build_two_slot, check_lie_algebra, so3_algebra, sl2_algebra, sl_algebra, trivial_rep)
+from lie2alg import exactlin
 from lie2alg.exactlin import RMatrix, rank_kernel, vzeros
 from lie2alg.lie2 import from_linfty
 from lie2alg.linfty import generalized_jacobi, perm_sign
@@ -81,6 +85,44 @@ def test_ybe_bi_implication_random(rng):
         assert res.violations == grid_violations(lhs - rhs)[:1]
 
 
+@st.composite
+def antisymmetric_algebras(draw):
+    """so3, sl2, an abelian algebra, or a random antisymmetric bracket on
+    dimension 1 to 4 with sparse entries, which mostly fails Jacobi."""
+    named = draw(st.sampled_from([None, None, None, so3_algebra, sl2_algebra,
+                                  lambda: abelian_algebra(2)]))
+    if named is not None:
+        return named()
+    n = draw(st.integers(1, 4))
+    b = [[vzeros(n) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                x = draw(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)]))
+                b[i][j][k], b[j][i][k] = x, -x
+    return LieAlgebra(n, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(antisymmetric_algebras())
+def test_ybe_first_cell_is_the_first_cell_of_the_residual(g):
+    """check_ybe's row comparison reports the first nonzero cell of
+    lhs - rhs in row-major order, with its entry, and passes exactly when
+    the Jacobi identity holds."""
+    op = build_B_vect(g)
+    lhs, rhs = yang_baxter_sides(op)
+    res = check_ybe(op).result("yang_baxter_equation")
+    assert res.violations == grid_violations(lhs - rhs)[:1]
+    assert res.passed == check_lie_algebra(g).result("jacobi").passed
+
+
+def test_antisymmetric_algebras_reach_both_ybe_verdicts():
+    def jacobi(g):
+        return check_lie_algebra(g).result("jacobi").passed
+    assert jacobi(find(antisymmetric_algebras(), jacobi))
+    assert not jacobi(find(antisymmetric_algebras(), lambda g: not jacobi(g)))
+
+
 def test_ybe_matrix_dimension():
     lhs, rhs = yang_baxter_sides(build_B_vect(so3_algebra()))
     assert lhs.rows == 64 and rhs.rows == 64
@@ -109,6 +151,35 @@ def test_braid_functor_invertible_on_morphisms():
     from lie2alg.twovect import is_invertible_functor
     ty = build_Y(small_strict())
     assert is_invertible_functor(ty.braid)
+
+
+def test_Y_and_the_sweep_build_no_matrix_on_the_third_tensor_power(ghbar_so3_1, monkeypatch):
+    """build_Y and check_zamolodchikov multiply, add and tensor only
+    matrices whose sides are below d0^3: the products on (k + L)^(ox 2)
+    inside build_braid_functor, and nothing on (k + L)^(ox 3) or beyond."""
+    sides = []
+    matmul, add, kron = RMatrix.__matmul__, RMatrix.__add__, exactlin.kron
+
+    def recorded_matmul(a, b):
+        sides.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    def recorded_add(a, b):
+        sides.append((a.rows, a.cols))
+        return add(a, b)
+
+    def recorded_kron(a, b):
+        out = kron(a, b)
+        sides.append((out.rows, out.cols))
+        return out
+    monkeypatch.setattr(RMatrix, "__matmul__", recorded_matmul)
+    monkeypatch.setattr(RMatrix, "__add__", recorded_add)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lie2alg" and getattr(module, "kron", None) is kron:
+            monkeypatch.setattr(module, "kron", recorded_kron)
+    ty = build_Y(ghbar_so3_1)
+    assert check_zamolodchikov(ty).passed
+    assert sides and max(max(s) for s in sides) < ty.space.dim0 ** 3
 
 
 def test_braid_functor_restricts_to_vector_level(tetra_so3_1):

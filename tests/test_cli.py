@@ -476,9 +476,9 @@ class Built(Exception):
 
 
 def test_tetrahedron_size_preflight(tmp_path, capsys, monkeypatch):
-    """g_hbar(sl6) has a morphism basis of 37^4 = 1,874,161 on (k+L)^4, over
+    """g_hbar(sl7) has a morphism basis of 50^4 = 6,250,000 on (k+L)^4, over
     the limit: exit 2 before anything is built, refused one below its basis
-    and admitted at it.  g_hbar(sl5), at 26^4 = 456,976, is admitted."""
+    and admitted at it.  g_hbar(sl6), at 37^4 = 1,874,161, is admitted."""
     from lie2alg import braid, cli
     from lie2alg.cohomology import build_g_hbar, sl_algebra
     from lie2alg.linfty import linf_to_json
@@ -486,20 +486,20 @@ def test_tetrahedron_size_preflight(tmp_path, capsys, monkeypatch):
     def build_y(L):
         raise Built
     monkeypatch.setattr(braid, "build_Y", build_y)
-    sl5, sl6 = tmp_path / "ghbar_sl5.json", tmp_path / "ghbar_sl6.json"
-    sl5.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(5), 1).data)))
+    sl6, sl7 = tmp_path / "ghbar_sl6.json", tmp_path / "ghbar_sl7.json"
     sl6.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(6), 1).data)))
-    with pytest.raises(Built):
-        run(["tetrahedron", str(sl5)])
-    assert run(["tetrahedron", str(sl6)])[0] == 2
-    err = capsys.readouterr().err
-    assert "1874161" in err and f"limit of {cli.TETRA_MAX_BASIS}" in err
-    monkeypatch.setattr(cli, "TETRA_MAX_BASIS", 1874160)
-    assert run(["tetrahedron", str(sl6)])[0] == 2
-    assert "1874161" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "TETRA_MAX_BASIS", 1874161)
+    sl7.write_text(json.dumps(linf_to_json(build_g_hbar(sl_algebra(7), 1).data)))
     with pytest.raises(Built):
         run(["tetrahedron", str(sl6)])
+    assert run(["tetrahedron", str(sl7)])[0] == 2
+    err = capsys.readouterr().err
+    assert "6250000" in err and f"limit of {cli.TETRA_MAX_BASIS}" in err
+    monkeypatch.setattr(cli, "TETRA_MAX_BASIS", 6249999)
+    assert run(["tetrahedron", str(sl7)])[0] == 2
+    assert "6250000" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "TETRA_MAX_BASIS", 6250000)
+    with pytest.raises(Built):
+        run(["tetrahedron", str(sl7)])
 
 
 def test_tetrahedron_ghbar_sl3_passes(tmp_path):

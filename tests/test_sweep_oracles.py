@@ -5,10 +5,12 @@ replaced.
 their structure maps from tables built once per call, `check_axioms`
 sweeps (g) and (i) on increasing tuples once (a) and (d) hold,
 `lie2._compose_padded` is the closed form of a pad-and-compose loop,
-`braid.build_Y` builds Y's identity part as one sparse product and its
-endpoint functors with `braid.yang_baxter_sides`,
-`braid.check_zamolodchikov` computes the arrow parts of both sides one
-object at a time with no matrix on the fourth tensor power, and
+`braid.build_Y` checks Y's hypotheses one basis vector at a time
+(`braid.check_Y`) and builds Y's identity part as one sparse product and
+its endpoint functors with `braid.yang_baxter_sides` only when `TetraY.y`
+is read, `braid.check_zamolodchikov` computes the arrow parts of both
+sides one object at a time with no matrix on the fourth tensor power and
+pushes only the objects where J can act, and
 `check_lie_algebra` and `check_representation` sweep increasing tuples
 once the bracket is antisymmetric.  `generalized_jacobi` and the octagon
 sweep the structure with its denominators cleared (`linfty.integral`), so
@@ -16,7 +18,8 @@ the strategies below draw rational entries as well as integers.  Once (a) and (d
 sweep sorted tuples only, so the strategies draw structures where both
 hold and ones where one of them fails.  The per-tuple sweeps, the
 product-order axiom sweep, the loop, the per-column Y, the Y of
-tensored and composed braid functors, the full-component (identity
+tensored and composed braid functors, Y's hypotheses read by
+`check_nat_trans` off the materialised Y, the full-component (identity
 parts included), materialised and dense-row tetrahedron sweeps and the
 product-order Lie algebra and representation sweeps are kept below
 verbatim as oracles: on random two-term structures, valid ones and ones
@@ -166,9 +169,9 @@ import pytest
 from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
-from lie2alg.braid import (B12, B23, B34, TETRA_LHS, TETRA_RHS, TetraY, _add, _columns, _push,
-                           _slot_braids, build_braid_functor, build_Y, check_zamolodchikov,
-                           tetrahedron_components, tetrahedron_sides)
+from lie2alg.braid import (B12, B23, B34, TETRA_LHS, TETRA_RHS, TetraY, _add, _columns,
+                           _j_reach, _push, _slot_braids, build_braid_functor, build_Y,
+                           check_zamolodchikov, tetrahedron_components, tetrahedron_sides)
 from lie2alg.cohomology import (ClassifyingQuadruple, Cochain, LieAlgebra, Representation,
                                 abelian_algebra, adjoint_rep, build_cross_product, build_g_hbar,
                                 _coboundary_cells, build_two_slot, check_lie_algebra,
@@ -412,7 +415,15 @@ def build_Y_functor_products(L: SemistrictLie2Algebra) -> TetraY:
     jacobiator = RMatrix.from_cells(lp.dim1 ** 3, lp.dim0 ** 3, arrows)
     y = LinearNatTrans(yb_source, yb_target, lp3.i @ yb_source.f0 + jacobiator)
     hypotheses.extend(check_nat_trans(y), prefix="y_")
-    return TetraY(lp, braid, y, jacobiator, hypotheses, ax.result("i_jacobiator_coherence"))
+    ty = TetraY(lp, braid, jacobiator, hypotheses, ax.result("i_jacobiator_coherence"))
+    ty.y = y  # this route's Y, in place of the one TetraY builds on first use
+    return ty
+
+
+def y_hypotheses_materialised(ty: TetraY) -> CheckReport:
+    """Y's hypotheses as build_Y read them off the materialised Y: the
+    matrix residuals of `check_nat_trans` on (k + L)^(ox 3)."""
+    return check_nat_trans(ty.y)
 
 
 def check_zamolodchikov_dense_rows(ty: TetraY) -> CheckReport:
@@ -484,7 +495,7 @@ def tetrahedron_components_with_identities(ty: TetraY):
     (`vertical_nat`).  The objects of the words are computed once per u,
     and word prefixes are shared between the cells."""
     d0, d1 = ty.space.dim0, ty.space.dim1
-    f0, f1 = _slot_braids(ty.braid.f0, d0), _slot_braids(ty.braid.f1, d1)
+    f0, f1 = _slot_braids(ty.braid.f0, d0, 4), _slot_braids(ty.braid.f1, d1, 4)
     ident, ycols = _columns(ty.space.i), _columns(ty.y.theta)
     d00, d11, d03, d13 = d0 * d0, d1 * d1, d0 ** 3, d1 ** 3
     # the object words the cells read: each prefix and, but for a side's
@@ -1711,6 +1722,79 @@ def test_Y_matches_functor_product_route(v):
     assert report == oracle.hypotheses.to_json()
     assert [c for c in report["checks"] if c["name"].startswith("y_")] == [
         dict(c, name="y_" + c["name"]) for c in check_nat_trans(oracle.y).to_json()["checks"]]
+
+
+def assert_same_y_hypotheses(ty: TetraY) -> None:
+    """Each y_ check of build_Y lists the same violations, every nonzero
+    cell in row-major order, as `check_nat_trans` on the materialised Y."""
+    oracle = y_hypotheses_materialised(ty)
+    for c in oracle.checks:
+        assert ty.hypotheses.result("y_" + c.name).violations == c.violations
+
+
+@settings(max_examples=12, deadline=None)
+@given(tetrahedron_structures)
+def test_Y_hypotheses_match_materialised_Y(v):
+    assert_same_y_hypotheses(build_Y(from_linfty(v)))
+
+
+@pytest.mark.parametrize("edits", [
+    {("l2_00", 0, 1, 0): 1}, {("l2_00", 1, 0, 0): -1},
+    {("l2_00", 0, 1, 0): 1, ("l2_00", 1, 0, 0): -1},
+    {("l2_01", 0, 0, 0): 1}, {("l2_00", 0, 0, 1): 1}])
+def test_Y_hypotheses_match_materialised_Y_on_one_entry_edits(ghbar_so3_1, edits):
+    """The edits of ghbar_so3_1 whose failing y_ checks the CLI tests pin,
+    one entry at a time and the antisymmetric pair: every y_ check, every
+    violation."""
+    v = copy.deepcopy(ghbar_so3_1.data)
+    for (name, i, j, k), x in edits.items():
+        getattr(v, name)[i][j][k] = x
+    ty = build_Y(from_linfty(v))
+    assert not all(ty.hypotheses.result("y_" + n).passed
+                   for n in ("source_row", "target_row", "naturality"))
+    assert_same_y_hypotheses(ty)
+
+
+@settings(max_examples=20, deadline=None)
+@given(perturbed(st.fractions(-3, 3, max_denominator=4).map(
+    lambda h: build_g_hbar(so3_algebra(), h).data)))
+def test_Y_hypotheses_match_materialised_Y_where_g_or_h_fails(v):
+    ax = check_axioms(v)
+    assume(not (ax.result("g_jacobi_up_to_d").passed and ax.result("h_l3_naturality").passed))
+    assert_same_y_hypotheses(build_Y(from_linfty(v)))
+
+
+@pytest.mark.parametrize("n0, n1", [(1, 0), (1, 2), (2, 1), (3, 1), (2, 3)])
+def test_kernel_of_s_on_the_third_tensor_power_is_the_arrow_tensors(n0, n1):
+    """The echelon basis of ker s on (k + L)^(ox 3), which `check_Y` reads
+    in closed form: the unit vector at each morphism tensor with an arrow
+    slot (an index >= dim0 of k + L), in index order.  s = [I 0] on L
+    whatever d is."""
+    d = RMatrix.from_rows([[(i + a) % 3 - 1 for a in range(n1)] for i in range(n0)], n1)
+    lp = direct_sum(ground_field(), functor_T(TwoTermComplex(n0, n1, d))).space
+    d0, d1 = lp.dim0, lp.dim1
+    arrows = [m for m in range(d1 ** 3) if max(m // (d1 * d1), m // d1 % d1, m % d1) >= d0]
+    assert tensor_2vs(tensor_2vs(lp, lp), lp).ker_s() == RMatrix.from_cols(
+        [vunit(d1 ** 3, m) for m in arrows], rows=d1 ** 3)
+
+
+def test_tetrahedron_structures_skip_objects_before_a_first_failure():
+    """The per-object comparisons above meet a structure whose sweep skips
+    an object (no J window reachable from it) before its first failing
+    object: the skip is checked where it must not hide a failure."""
+    def skips_before_failure(v):
+        ty = build_Y(from_linfty(v))
+        res = check_zamolodchikov(ty).result("component_equality")
+        if res.passed:
+            return False
+        a, b, c, d = res.first_violation[0]
+        d0 = ty.space.dim0
+        reached = set().union(*(cell for side in _j_reach(ty) for cell in side))
+        return not set(range(((a * d0 + b) * d0 + c) * d0 + d)) <= reached
+    v = find(tetrahedron_structures, skips_before_failure,
+             settings=settings(phases=[Phase.generate], database=None, deadline=None))
+    ty = build_Y(from_linfty(v))
+    assert check_zamolodchikov(ty).to_json() == check_zamolodchikov_with_identities(ty).to_json()
 
 
 def test_tetrahedron_tables_fix_the_endpoint_words():
